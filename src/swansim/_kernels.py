@@ -1,33 +1,24 @@
-"""Hot inner loops: numba-compiled when available, pure numpy otherwise.
-
-Set SWANSIM_NUMBA=0 (or "off"/"false"/"no") to force the numpy fallback; the
-fallback is also selected automatically when numba cannot be imported.  The
-kernel bodies are written once and shared by both paths, and are kept free of
-closures and cross-calls so that numba's on-disk cache works.
-"""
+"""Hot inner loops of the RK4 oracles: scalar loops in plain Python that
+fill caller-owned output arrays."""
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 __all__ = [
     "NUMBA_ENABLED",
     "metriplectic_rk4",
-    "metriplectic_rk4_numpy",
     "riccati_rk4",
-    "riccati_rk4_numpy",
 ]
 
+# No kernel is compiled.  The name stays because perfbench/run.py reports it
+# in the environment block of every benchmark run.
+NUMBA_ENABLED = False
 
-def _numba_requested() -> bool:
-    flag = os.environ.get("SWANSIM_NUMBA", "1").strip().lower()
-    return flag not in ("0", "off", "false", "no")
 
-
-def _metriplectic_rk4(hess_h, lin_h, hess_g, lin_g, const_g, y0, step, n_steps, blow_threshold, out):
+def metriplectic_rk4(hess_h, lin_h, hess_g, lin_g, const_g, y0, step, n_steps, blow_threshold, out):
     """Fixed-step RK4 on the coupled centre/metric/norm system.
 
     State layout: y = (P, Q, g_pp, g_pq, g_qq, n).  After every step the
@@ -136,7 +127,7 @@ def _metriplectic_rk4(hess_h, lin_h, hess_g, lin_g, const_g, y0, step, n_steps, 
     return -1, drift
 
 
-def _riccati_rk4(cpp, cpq, cqq, b0, step, n_steps, out):
+def riccati_rk4(cpp, cpq, cqq, b0, step, n_steps, out):
     """Fixed-step RK4 on the scalar complex Riccati flow b' = -(cpp b^2 + 2 cpq b + cqq).
 
     Fills out[k] for k = 0..n_steps; returns -1 on completion, else the first
@@ -158,21 +149,3 @@ def _riccati_rk4(cpp, cpq, cqq, b0, step, n_steps, out):
         out[k] = b
     return -1
 
-
-metriplectic_rk4_numpy = _metriplectic_rk4
-riccati_rk4_numpy = _riccati_rk4
-
-NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-        metriplectic_rk4 = njit(cache=True)(_metriplectic_rk4)
-        riccati_rk4 = njit(cache=True)(_riccati_rk4)
-        NUMBA_ENABLED = True
-
-if not NUMBA_ENABLED:
-    metriplectic_rk4 = metriplectic_rk4_numpy
-    riccati_rk4 = riccati_rk4_numpy

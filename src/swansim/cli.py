@@ -101,6 +101,11 @@ class RunConfig:
             return self.step
         return self.params.period / DEFAULT_STEPS_PER_PERIOD
 
+    def checked_periods(self) -> float:
+        if not self.periods > 0:
+            raise ConfigError("periods must be positive")
+        return self.periods
+
     def initial_metric(self) -> Metric:
         if self.b0 is not None:
             if self.b0.imag <= 0:
@@ -118,7 +123,11 @@ class RunConfig:
     def initial_state(self) -> MetriplecticState:
         if not (math.isfinite(self.n0) and self.n0 > 0):
             raise ConfigError("n0 must be positive and finite")
-        return MetriplecticState(Z=RealState(self.p0, self.q0), G=self.initial_metric(), n=self.n0)
+        try:
+            centre = RealState(self.p0, self.q0)
+        except ValueError as exc:
+            raise ConfigError(f"invalid initial centre: {exc}") from exc
+        return MetriplecticState(Z=centre, G=self.initial_metric(), n=self.n0)
 
 
 def _parse_triple(text: str) -> tuple[float, float, float]:
@@ -240,9 +249,7 @@ def _csv_rows(traj, period: float) -> list[str]:
 def cmd_simulate(cfg: RunConfig) -> int:
     params = cfg.params
     step = cfg.resolved_step()
-    t_end = cfg.periods * params.period
-    if t_end <= 0:
-        raise ConfigError("periods must be positive")
+    t_end = cfg.checked_periods() * params.period
     traj = integrate(swanson_hamiltonian(params), cfg.initial_state(), t_end, step)
     _write_text(cfg.out, "\n".join(_csv_rows(traj, params.period)) + "\n")
     if traj.divergence_time is not None and not cfg.allow_divergence:
@@ -388,16 +395,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError("delta-step must be positive")
     if cfg.step is not None and cfg.step <= 0:
         raise ConfigError("step must be positive")
+    periods = cfg.checked_periods()
+    init = cfg.initial_state()
     rows = ["delta,label,diverged,divergence_time,max_g_plus"]
     n_values = int(math.floor((cfg.delta_max - cfg.delta_min) / cfg.delta_step + 1e-9)) + 1
     for k in range(max(0, n_values)):
         delta = cfg.delta_min + k * cfg.delta_step
         params = SwansonParams(cfg.omega0, delta)
-        g0 = cfg.initial_metric()
-        label = classify_metric(params, g0, band=cfg.band)
-        init = MetriplecticState(Z=RealState(cfg.p0, cfg.q0), G=g0, n=cfg.n0)
+        label = classify_metric(params, init.G, band=cfg.band)
         step = cfg.step if cfg.step is not None else params.period / DEFAULT_STEPS_PER_PERIOD
-        traj = integrate(swanson_hamiltonian(params), init, cfg.periods * params.period, step)
+        traj = integrate(swanson_hamiltonian(params), init, periods * params.period, step)
         g_plus = np.array([metric_eigen(Metric(r[2], r[3], r[4]))[0] for r in traj.values[:: max(1, len(traj.values) // 200)]])
         diverged = traj.divergence_time is not None
         rows.append(

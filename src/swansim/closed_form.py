@@ -178,6 +178,16 @@ def metric_closed(params: SwansonParams, g0: Metric, t: float) -> Metric:
     return doubled_flow(params, t).propagate_metric(g0, time=t)
 
 
+def _stretch(params: SwansonParams, times: np.ndarray) -> np.ndarray:
+    """Stretch factor 1/den on an array of times; DivergenceError in a blow-up window."""
+    d, w = params.delta, params.omega
+    den = 1.0 - (d * d / (w * w)) * (1.0 - np.cos(2.0 * w * times))
+    if den.min() <= SINGULAR_DET_TOL:
+        k = int(np.argmax(den <= SINGULAR_DET_TOL))
+        raise DivergenceError("sampled times include a blow-up window", time=float(times[k]))
+    return 1.0 / den
+
+
 def stretch_factor(params: SwansonParams, t: float) -> float:
     """Common scale factor of the identity-seeded metric and trajectory solutions.
 
@@ -185,12 +195,10 @@ def stretch_factor(params: SwansonParams, t: float) -> float:
     which covers both the blow-up instants and the supercritical windows in
     between, where the projected matrix is no longer a metric.
     """
-    w0, d = params.omega0, params.delta
-    w2 = w0 * w0 + d * d
-    den = 1.0 - (d * d / w2) * (1.0 - math.cos(2.0 * params.omega * t))
-    if den <= SINGULAR_DET_TOL:
+    try:
+        return float(_stretch(params, np.array([t], dtype=float))[0])
+    except DivergenceError:
         return math.inf
-    return 1.0 / den
 
 
 def complex_trajectory(params: SwansonParams, z0: ComplexState, t: float) -> ComplexState:
@@ -209,49 +217,30 @@ def real_trajectory(params: SwansonParams, z0: RealState, t: float) -> RealState
     Only valid for G(0) = I; other initial metrics go through the numerical
     integrator or the complex-trajectory projection.
     """
-    dd = stretch_factor(params, t)
-    if math.isinf(dd):
-        raise DivergenceError("trajectory diverged", time=t)
-    w0, d = params.omega0, params.delta
-    w = params.omega
-    c, s = math.cos(w * t), math.sin(w * t) / w
-    return RealState(
-        P=dd * (z0.P * c - z0.Q * (w0 + d) * s),
-        Q=dd * (z0.Q * c + z0.P * (w0 - d) * s),
-    )
+    row = closed_series(params, z0, [t])[0]
+    return RealState(float(row[0]), float(row[1]))
 
 
 def survival_closed(params: SwansonParams, z0: RealState, t: float) -> float:
     """Survival probability n(t) for G(0) = I and n(0) = 1; math.inf past blow-up."""
-    dd = stretch_factor(params, t)
-    if math.isinf(dd):
+    try:
+        return float(closed_series(params, z0, [t])[0, 5])
+    except DivergenceError:
         return math.inf
-    w0, d = params.omega0, params.delta
-    w = params.omega
-    two = 2.0 * w * t
-    ex = (d * dd / (2.0 * w * w)) * (
-        ((d - w0) * z0.P**2 + (d + w0) * z0.Q**2) * (1.0 - math.cos(two))
-        - 2.0 * w * z0.P * z0.Q * math.sin(two)
-    )
-    return math.sqrt(dd) * math.exp(ex)
 
 
 def closed_series(params: SwansonParams, z0: RealState, times) -> np.ndarray:
     """Identity-seeded closed-form solution sampled on an array of times.
 
-    Returns rows (P, Q, g_pp, g_pq, g_qq, n); vectorized companion of the
-    single-time operations above for route-comparison and benchmarking.
+    Returns rows (P, Q, g_pp, g_pq, g_qq, n); the single-time operations
+    above are evaluated through it.
     Raises DivergenceError if any sampled time lies in a blow-up window.
     """
     times = np.asarray(times, dtype=float)
+    dd = _stretch(params, times)
     w0, d = params.omega0, params.delta
     w = params.omega
     two = 2.0 * w * times
-    den = 1.0 - (d * d / (w * w)) * (1.0 - np.cos(two))
-    if den.min() <= SINGULAR_DET_TOL:
-        k = int(np.argmax(den <= SINGULAR_DET_TOL))
-        raise DivergenceError("sampled times include a blow-up window", time=float(times[k]))
-    dd = 1.0 / den
     c, s = np.cos(w * times), np.sin(w * times) / w
     out = np.empty(times.shape + (6,))
     out[..., 0] = dd * (z0.P * c - z0.Q * (w0 + d) * s)

@@ -8,8 +8,9 @@ b (normalizable iff Im b > 0), and a complex phase gamma:
 
 The centre follows the complexified Hamiltonian flow z(t) = S(t) z(0); the
 uncertainty parameter follows the Möbius action of the same complex
-symplectic matrix S(t) (equivalently a scalar Riccati flow); the phase is a
-quadrature along the trajectory.
+symplectic matrix S(t) (equivalently a scalar Riccati flow); the phase has a
+closed form in the same flow (Heller, J. Chem. Phys. 62, 1544 (1975)), whose
+only sampled ingredient is the continuous branch of a complex logarithm.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import _kernels
 from .closed_form import ComplexState, Metric, RealState
@@ -36,7 +36,6 @@ __all__ = [
     "evolve_b",
     "riccati_direct",
     "project_expectations",
-    "evolve_phase",
     "evolve_state",
     "gaussian_norm",
     "eta_action",
@@ -184,43 +183,8 @@ def project_expectations(z: ComplexState, b: complex) -> RealState:
     return RealState(out[0], out[1])
 
 
-def _phase_rate(model: QuadraticHamiltonian, zs: np.ndarray, bs: np.ndarray) -> np.ndarray:
-    """Exact phase velocity for the real quarter-power normalization above.
-
-    The Im(b')/Im(b) term keeps the prefactor (Im b / pi)^(1/4) consistent as
-    the width evolves; dropping it is only correct for a Möbius-covariant
-    complex prefactor convention.
-    """
-    cpp, cpq, cqq = _hessian_coeffs(model)
-    const = model.const_h - 1j * model.const_gamma
-    p = zs[..., 0]
-    q = zs[..., 1]
-    qdot = cpp * p + cpq * q
-    bdot = -(cpp * bs * bs + 2.0 * cpq * bs + cqq)
-    hval = 0.5 * (cpp * p * p + cqq * q * q) + cpq * p * q + const
-    return p * qdot + 0.25j * (bdot.imag / bs.imag) + 0.5j * (cpp * bs + cpq) - hval
-
-
-def evolve_phase(model: QuadraticHamiltonian, times: np.ndarray, zs: np.ndarray, bs: np.ndarray) -> complex:
-    """Accumulated complex phase gamma(t_end) - gamma(0) by Simpson quadrature.
-
-    times must be a fine uniform grid; zs (n, 2) and bs (n,) hold the centre
-    and uncertainty trajectories on it.  Normalizability must hold along the
-    whole path.
-    """
-    times = np.asarray(times, dtype=float)
-    zs = np.asarray(zs, dtype=complex)
-    bs = np.asarray(bs, dtype=complex)
-    if bs.imag.min() <= 0.0:
-        k = int(np.argmax(bs.imag <= 0.0))
-        raise NonNormalizableError(f"state left the normalizable family near t = {times[k]:.6g}")
-    _require_no_linear_terms(model)
-    rate = _phase_rate(model, zs, bs)
-    return complex(simpson(rate.real, x=times), simpson(rate.imag, x=times))
-
-
 def _sampled_flow(model: QuadraticHamiltonian, z0: np.ndarray, b0: complex, times: np.ndarray):
-    """Centre and uncertainty trajectories on a time grid, with chart checks."""
+    """Centre, uncertainty and Möbius denominator on a time grid, with chart checks."""
     spp, spq, sqp, sqq = _flow_entries(model, times)
     den = sqp * b0 + sqq
     small = np.abs(den) <= POLE_TOL * max(1.0, abs(b0))
@@ -233,7 +197,7 @@ def _sampled_flow(model: QuadraticHamiltonian, z0: np.ndarray, b0: complex, time
     zs = np.empty(times.shape + (2,), dtype=complex)
     zs[..., 0] = spp * z0[0] + spq * z0[1]
     zs[..., 1] = sqp * z0[0] + sqq * z0[1]
-    return zs, bs
+    return zs, bs, den
 
 
 def evolve_state(
@@ -244,26 +208,38 @@ def evolve_state(
 ) -> GaussianState:
     """Propagate a full Gaussian state (centre, uncertainty, phase) to time t.
 
-    Centre and uncertainty evolve in closed form; the phase is integrated on
-    num_nodes uniform quadrature nodes.  Raises if the path leaves the
-    normalizable chart.
+    All three evolve in closed form.  For a homogeneous quadratic H,
+    p qdot - H = d(pq)/dt / 2, and with den = S_qp b0 + S_qq and (cpp, cpq)
+    the first row of the complex Hessian, cpp b + cpq = d ln(den)/dt.  So
+
+        gamma(t) - gamma(0) = [p q]/2 + (i/4) ln(Im b / Im b0) + (i/2) Log den - c t
+
+    with c = const_h - i const_gamma.  num_nodes sets the uniform grid on
+    [0, t] on which the path is checked to stay normalizable and clear of
+    Möbius poles, and along which Log den is kept on its continuous branch;
+    it must resolve every half-turn of den.
     """
     _require_no_linear_terms(model)
     if t == 0.0:
         return state
-    if num_nodes < 3:
-        raise ValueError("num_nodes must be at least 3")
-    if num_nodes % 2 == 0:
-        num_nodes += 1
+    if num_nodes < 2:
+        raise ValueError("num_nodes must be at least 2")
     times = np.linspace(0.0, t, num_nodes)
-    z0 = state.z.array
-    zs, bs = _sampled_flow(model, z0, state.b, times)
-    dgamma = evolve_phase(model, times, zs, bs)
-    return GaussianState(
-        z=ComplexState(complex(zs[-1, 0]), complex(zs[-1, 1])),
-        b=complex(bs[-1]),
-        gamma=state.gamma + dgamma,
+    zs, bs, den = _sampled_flow(model, state.z.array, state.b, times)
+    if bs.imag.min() <= 0.0:
+        k = int(np.argmax(bs.imag <= 0.0))
+        raise NonNormalizableError(f"state left the normalizable family near t = {times[k]:.6g}")
+    p, q = complex(zs[-1, 0]), complex(zs[-1, 1])
+    b = complex(bs[-1])
+    log_den = complex(math.log(abs(den[-1])), np.unwrap(np.angle(den))[-1])
+    const = model.const_h - 1j * model.const_gamma
+    dgamma = (
+        0.5 * (p * q - state.z.p * state.z.q)
+        + 0.25j * math.log(b.imag / state.b.imag)
+        + 0.5j * log_den
+        - const * t
     )
+    return GaussianState(z=ComplexState(p, q), b=b, gamma=state.gamma + dgamma)
 
 
 def gaussian_norm(state: GaussianState) -> float:
@@ -297,27 +273,25 @@ def eta_action(
     m_qq: complex,
     m_pq: complex,
     state: GaussianState,
-    num_nodes: int = 2001,
 ) -> GaussianState:
     """Apply the similarity map generated by the quadratic exponent (m_pp, m_qq, m_pq).
 
     Interpreted as evolution under the corresponding complex quadratic model
     from time zero to time one: Möbius action on b, linear action on the
-    centre, quadrature for the phase.
+    centre, closed form for the phase.
     """
-    return evolve_state(_generator_model(m_pp, m_qq, m_pq), state, 1.0, num_nodes=num_nodes)
+    return evolve_state(_generator_model(m_pp, m_qq, m_pq), state, 1.0)
 
 
-def fourier_action(state: GaussianState, num_nodes: int = 2001) -> GaussianState:
+def fourier_action(state: GaussianState) -> GaussianState:
     """Quarter rotation (p, q) -> (-q, p); sends b to -1/b."""
-    return eta_action(0.5 * math.pi, 0.5 * math.pi, 0.0, state, num_nodes=num_nodes)
+    return eta_action(0.5 * math.pi, 0.5 * math.pi, 0.0, state)
 
 
 def mapped_dynamics(
     params: SwansonParams,
     state: GaussianState,
     t: float,
-    num_nodes: int = 2001,
 ) -> GaussianState:
     """Evolve by conjugating a Hermitian rotation with the similarity map.
 
@@ -330,9 +304,9 @@ def mapped_dynamics(
         hess_h=params.omega * np.eye(2),
         hess_gamma=np.zeros((2, 2)),
     )
-    unmapped = eta_action(1j * theta, -1j * theta, 0.0, state, num_nodes=num_nodes)
-    rotated = evolve_state(hermitian, unmapped, t, num_nodes=num_nodes)
-    return eta_action(-1j * theta, 1j * theta, 0.0, rotated, num_nodes=num_nodes)
+    unmapped = eta_action(1j * theta, -1j * theta, 0.0, state)
+    rotated = evolve_state(hermitian, unmapped, t)
+    return eta_action(-1j * theta, 1j * theta, 0.0, rotated)
 
 
 def evaluate_wavefunction(state: GaussianState, x) -> np.ndarray:

@@ -7,7 +7,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from swansim import (
     ComplexState,
@@ -44,13 +43,6 @@ def report(number: int, ok: bool, detail: str):
     status = "PASS" if ok else "FAIL"
     print(f"acceptance criterion {number:2d}: {status}  ({detail})")
     assert ok, f"criterion {number}: {detail}"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # absorb any jit compilation outside the timed sections
-    integrate(MODEL, UNIT_INIT, PARAMS.period / 100, PARAMS.period / 100)
-    riccati_direct(MODEL, 1j, PARAMS.period / 100, PARAMS.period / 100)
 
 
 def test_criterion_1_closed_vs_ode():

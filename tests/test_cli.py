@@ -22,6 +22,13 @@ def read_csv(path: Path):
     return header, rows
 
 
+def test_import_loads_no_scipy_or_numba():
+    code = "import sys, swansim; print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numba')))"
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "[]"
+
+
 def test_help():
     cp = run_cli("--help")
     assert cp.returncode == 0
@@ -214,3 +221,9 @@ def test_config_errors(tmp_path: Path):
     assert run_cli("simulate", "--g0", "2,0,2").returncode == 2
     assert run_cli("simulate", "--step", "-0.1").returncode == 2
     assert run_cli("classify", "--im-min", "-0.5").returncode == 2
+    for argv in (("simulate",), ("sweep", "--delta-max", "0.2")):
+        for periods in ("0", "-1"):
+            cp = run_cli(*argv, "--periods", periods)
+            assert cp.returncode == 2 and "periods must be positive" in cp.stderr
+        cp = run_cli(*argv, "--p0", "nan")
+        assert cp.returncode == 2 and "invalid initial centre" in cp.stderr

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from swansim import (
     ComplexState,
@@ -262,10 +263,52 @@ class TestPhaseAndNorm:
             assert gaussian_norm(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_hermitian_ground_state_phase(self):
-        # coherent state at the origin picks up exactly the ground-state phase
+        # coherent state at the origin picks up exactly the ground-state phase;
+        # past t = pi a principal-branch logarithm would be off by pi
         model = swanson_hamiltonian(SwansonParams(1.0, 0.0))
-        out = evolve_state(model, GaussianState.coherent(RealState(0.0, 0.0)), 1.0)
-        assert out.gamma == pytest.approx(-0.5 + 0j, abs=1e-12)
+        for t in (1.0, 4.0, 5.0 * math.pi):
+            out = evolve_state(model, GaussianState.coherent(RealState(0.0, 0.0)), t)
+            assert out.gamma == pytest.approx(-0.5 * t + 0j, abs=1e-12)
+
+    def test_closed_form_phase_matches_quadrature(self):
+        # reference: quadrature of the phase velocity that keeps the
+        # (Im b / pi)^(1/4) prefactor consistent as the width evolves
+        rng = np.random.default_rng(2024)
+        for _ in range(10):
+            h = rng.normal(size=(2, 2))
+            g = 0.4 * rng.normal(size=(2, 2))
+            # a positive-definite H and a positive-semidefinite Gamma keep
+            # the flow bounded and the packet normalizable
+            model = QuadraticHamiltonian(
+                hess_h=h @ h.T + 0.2 * np.eye(2),
+                hess_gamma=g @ g.T,
+                const_h=rng.normal(),
+                const_gamma=abs(rng.normal()),
+            )
+            state = GaussianState(
+                z=ComplexState(*(rng.uniform(-1.0, 1.0, size=2) + 1j * rng.uniform(-0.3, 0.3, size=2))),
+                b=complex(rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0)),
+                gamma=complex(rng.normal(), 0.1 * rng.normal()),
+            )
+            t_end = rng.uniform(0.5, 4.0)
+            cpp, cpq, cqq = model.hess_complex[0, 0], model.hess_complex[0, 1], model.hess_complex[1, 1]
+
+            def rate(t):
+                p, q = complex_symplectic_flow(model, t).matrix @ state.z.array
+                b = evolve_b(model, state.b, t)
+                qdot = cpp * p + cpq * q
+                bdot = -(cpp * b * b + 2.0 * cpq * b + cqq)
+                return (
+                    p * qdot
+                    + 0.25j * bdot.imag / b.imag
+                    + 0.5j * (cpp * b + cpq)
+                    - model.complex_value(np.array([p, q]))
+                )
+
+            opts = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
+            ref = complex(quad(lambda t: rate(t).real, 0.0, t_end, **opts)[0], quad(lambda t: rate(t).imag, 0.0, t_end, **opts)[0])
+            out = evolve_state(model, state, t_end)
+            assert abs(out.gamma - state.gamma - ref) <= 1e-10
 
     def test_norm_route_matches_closed_survival(self):
         z0 = RealState(1.0, 0.0)
