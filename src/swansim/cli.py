@@ -1,5 +1,9 @@
 """Command-line front end: simulate, classify, validate, sweep.
 
+simulate and sweep evaluate the exact propagator (gaussian.propagate) on the
+sample grid set by --step; validate cross-checks it against the independent
+routes, the RK4 integrator (ode.integrate) among them.
+
 Outputs are deterministic: identical configuration produces byte-identical
 files (floats are written with 17 significant digits, CSV uses comma
 separators and LF line endings, JSON keys are sorted).
@@ -11,6 +15,7 @@ Exit codes: 0 ok, 2 configuration error, 3 divergence (unless
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -28,11 +33,12 @@ from .gaussian import (
     mapped_dynamics,
     metric_from_b,
     project_expectations,
+    propagate,
     riccati_direct,
 )
 from .geometry import DEFAULT_BAND, classify_metric, grid_axes, region_grid
 from .model import SwansonParams, spectral_data, swanson_hamiltonian
-from .ode import MetriplecticState, integrate
+from .ode import MetriplecticState, integrate, step_count
 
 __all__ = ["main"]
 
@@ -42,6 +48,8 @@ EXIT_DIVERGENCE = 3
 EXIT_VALIDATION = 4
 
 DEFAULT_STEPS_PER_PERIOD = 10_000
+# most samples, coupling values or grid points one run may ask for; refused before allocation
+MAX_SAMPLES = 10_000_000
 
 CSV_HEADER = "t,t_per_T,P,Q,g_pp,g_pq,g_qq,g_plus,g_minus,phi,n,divergent"
 
@@ -94,12 +102,20 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def resolved_step(self) -> float:
-        if self.step is not None:
-            if self.step <= 0:
-                raise ConfigError("step must be positive")
-            return self.step
-        return self.params.period / DEFAULT_STEPS_PER_PERIOD
+    def sample_step(self, period: float, span: float) -> float:
+        """Sample spacing of a run over [0, span]: --step, or period / 10^4.
+
+        Refused unless positive and at most the span, and if the grid would
+        hold more than MAX_SAMPLES samples.
+        """
+        step = period / DEFAULT_STEPS_PER_PERIOD if self.step is None else self.step
+        if not step > 0:
+            raise ConfigError("step must be positive")
+        if not step <= span:
+            raise ConfigError(f"step {step:g} exceeds the time span {span:g}")
+        if not (math.isfinite(span / step) and step_count(span, step) < MAX_SAMPLES):
+            raise ConfigError(f"{span / step:.3g} steps exceed the limit of {MAX_SAMPLES} samples")
+        return step
 
     def checked_periods(self) -> float:
         if not self.periods > 0:
@@ -154,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--delta", type=float, default=None, help="gain-loss coupling")
     common.add_argument("--config", type=str, default=None, help="JSON config file; flags override it")
     common.add_argument("--out", type=str, default=None, help="output file path (default: stdout)")
-    common.add_argument("--step", type=float, default=None, help="integration step (default: period/10^4)")
+    common.add_argument("--step", type=float, default=None, help="sample spacing (default: period/10^4)")
     common.add_argument("--periods", type=float, default=None, help="time span in periods (default: 1)")
     common.add_argument(
         "--allow-divergence",
@@ -204,19 +220,49 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+def _is_number(value) -> bool:
+    # bool is a subclass of int; an int beyond float range cannot become a float
+    return not isinstance(value, bool) and (
+        isinstance(value, float) or isinstance(value, int) and abs(value) <= sys.float_info.max
+    )
+
+
+def _is_numbers(value, count: int) -> bool:
+    return isinstance(value, list) and len(value) == count and all(map(_is_number, value))
+
+
+# RunConfig field type (as annotated, without "| None") -> (what a JSON value
+# must be, the check that it is, the conversion to the field's type)
+_CONFIG_TYPES = {
+    "float": ("a number", _is_number, float),
+    "int": ("an integer", lambda v: _is_number(v) and float(v).is_integer(), int),
+    "bool": ("a boolean", lambda v: isinstance(v, bool), bool),
+    "str": ("a string", lambda v: isinstance(v, str), str),
+    "tuple[float, float, float]": ("a list of 3 numbers", lambda v: _is_numbers(v, 3), lambda v: tuple(map(float, v))),
+    "complex": ("a list of 2 numbers", lambda v: _is_numbers(v, 2), lambda v: complex(*map(float, v))),
+}
+
+
+def _config_value(field: dataclasses.Field, value):
+    """A config-file value converted to its RunConfig field's type; ConfigError if it does not fit."""
+    kind = field.type.removesuffix(" | None")
+    if value is None and kind != field.type:
+        return None
+    expected, fits, convert = _CONFIG_TYPES[kind]
+    if not fits(value):
+        raise ConfigError(f"config key {field.name}: expected {expected}, got {json.dumps(value)}")
+    return convert(value)
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
     cfg = RunConfig()
-    known = set(RunConfig.__dataclass_fields__)
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     for key, value in file_values.items():
-        if key not in known:
+        if key not in fields:
             raise ConfigError(f"unknown config key: {key}")
-        if key == "g0":
-            value = tuple(float(v) for v in value)
-        elif key == "b0" and value is not None:
-            value = complex(float(value[0]), float(value[1]))
-        setattr(cfg, key, value)
-    for key in known:
+        setattr(cfg, key, _config_value(fields[key], value))
+    for key in fields:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
@@ -248,9 +294,9 @@ def _csv_rows(traj, period: float) -> list[str]:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     params = cfg.params
-    step = cfg.resolved_step()
     t_end = cfg.checked_periods() * params.period
-    traj = integrate(swanson_hamiltonian(params), cfg.initial_state(), t_end, step)
+    step = cfg.sample_step(params.period, t_end)
+    traj = propagate(swanson_hamiltonian(params), cfg.initial_state(), t_end, step)
     _write_text(cfg.out, "\n".join(_csv_rows(traj, params.period)) + "\n")
     if traj.divergence_time is not None and not cfg.allow_divergence:
         print(f"divergence detected at t = {traj.divergence_time:.6g}", file=sys.stderr)
@@ -260,6 +306,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_classify(cfg: RunConfig) -> int:
     params = cfg.params
+    if cfg.resolution**2 > MAX_SAMPLES:
+        raise ConfigError(f"a {cfg.resolution}x{cfg.resolution} grid exceeds the limit of {MAX_SAMPLES} samples")
     try:
         labels = region_grid(
             params,
@@ -349,7 +397,7 @@ def _convergence_order(params: SwansonParams) -> float:
 
 def cmd_validate(cfg: RunConfig) -> int:
     params = cfg.params
-    step = cfg.resolved_step()
+    step = cfg.sample_step(params.period, params.period)
     thresholds = dict(VALIDATION_THRESHOLDS)
     pole = _first_pole_time(params)
     failures: list[str] = []
@@ -391,20 +439,21 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.delta_step <= 0:
+    if not cfg.delta_step > 0:
         raise ConfigError("delta-step must be positive")
-    if cfg.step is not None and cfg.step <= 0:
-        raise ConfigError("step must be positive")
     periods = cfg.checked_periods()
     init = cfg.initial_state()
     rows = ["delta,label,diverged,divergence_time,max_g_plus"]
-    n_values = int(math.floor((cfg.delta_max - cfg.delta_min) / cfg.delta_step + 1e-9)) + 1
+    n_delta_steps = (cfg.delta_max - cfg.delta_min) / cfg.delta_step
+    if not (math.isfinite(n_delta_steps) and n_delta_steps < MAX_SAMPLES):
+        raise ConfigError(f"the coupling range must hold at most {MAX_SAMPLES} values")
+    n_values = int(math.floor(n_delta_steps + 1e-9)) + 1
     for k in range(max(0, n_values)):
         delta = cfg.delta_min + k * cfg.delta_step
-        params = SwansonParams(cfg.omega0, delta)
+        params = dataclasses.replace(cfg, delta=delta).params
         label = classify_metric(params, init.G, band=cfg.band)
-        step = cfg.step if cfg.step is not None else params.period / DEFAULT_STEPS_PER_PERIOD
-        traj = integrate(swanson_hamiltonian(params), init, periods * params.period, step)
+        t_end = periods * params.period
+        traj = propagate(swanson_hamiltonian(params), init, t_end, cfg.sample_step(params.period, t_end))
         g_plus = np.array([metric_eigen(Metric(r[2], r[3], r[4]))[0] for r in traj.values[:: max(1, len(traj.values) // 200)]])
         diverged = traj.divergence_time is not None
         rows.append(

@@ -11,6 +11,10 @@ uncertainty parameter follows the Möbius action of the same complex
 symplectic matrix S(t) (equivalently a scalar Riccati flow); the phase has a
 closed form in the same flow (Heller, J. Chem. Phys. 62, 1544 (1975)), whose
 only sampled ingredient is the continuous branch of a complex logarithm.
+
+The same closed forms, evaluated on a time grid, solve the classical coupled
+flow of centre, metric and survival probability exactly (Graefe & Schubert,
+PRA 83, 060101 (2011)): propagate returns it as an ode.Trajectory.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from . import _kernels
 from .closed_form import ComplexState, Metric, RealState
 from .errors import MobiusPoleError, NonNormalizableError
 from .model import OMEGA, QuadraticHamiltonian, SwansonParams, spectral_data, swanson_hamiltonian
+from .ode import BLOWUP_THRESHOLD, MetriplecticState, Trajectory, step_count
 
 __all__ = [
     "GaussianState",
@@ -38,6 +43,7 @@ __all__ = [
     "project_expectations",
     "evolve_state",
     "gaussian_norm",
+    "propagate",
     "eta_action",
     "fourier_action",
     "mapped_dynamics",
@@ -47,6 +53,9 @@ __all__ = [
 
 # Möbius denominators below this (relative) size count as a pole
 POLE_TOL = 1e-12
+
+# samples per block of propagate; bounds its working memory
+PROPAGATE_BLOCK = 2048
 
 
 def is_normalizable(b: complex) -> bool:
@@ -102,13 +111,18 @@ class ComplexSymplectic:
         return ComplexSymplectic(self.matrix @ other.matrix)
 
 
+def _metric_entries(b):
+    """(g_pp, g_pq, g_qq) of the metric of b; scalars or arrays."""
+    im = b.imag
+    re = b.real
+    return 1.0 / im, -re / im, (re * re + im * im) / im
+
+
 def metric_from_b(b: complex) -> Metric:
     """Unit-determinant covariance metric of a normalizable Gaussian."""
     if not is_normalizable(b):
         raise NonNormalizableError(f"Im(b) must be positive, got {b.imag}")
-    im = b.imag
-    re = b.real
-    return Metric(g_pp=1.0 / im, g_pq=-re / im, g_qq=(re * re + im * im) / im)
+    return Metric(*_metric_entries(b))
 
 
 def b_from_metric(g: Metric) -> complex:
@@ -129,11 +143,13 @@ def _require_no_linear_terms(model: QuadraticHamiltonian):
 def _flow_entries(model: QuadraticHamiltonian, t):
     """Entries of exp(t * Omega H'') for scalar or array t.
 
-    Omega H'' is traceless, so with mu^2 = det(Omega H'') the exponential is
-    cos(mu t) I + sin(mu t)/mu * Omega H''.
+    Omega H'' = [[-cpq, -cqq], [cpp, cpq]] is traceless, so with
+    mu^2 = det(Omega H'') = cpp cqq - cpq^2 the exponential is
+    cos(mu t) I + sin(mu t)/mu * Omega H''.  Built from scalar entries: a 2x2
+    matrix product would start the BLAS library for nothing.
     """
-    a = OMEGA @ model.hess_complex
-    mu = cmath.sqrt(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+    cpp, cpq, cqq = _hessian_coeffs(model)
+    mu = cmath.sqrt(cpp * cqq - cpq * cpq)
     t = np.asarray(t)
     arg = mu * t
     c = np.cos(arg)
@@ -141,7 +157,7 @@ def _flow_entries(model: QuadraticHamiltonian, t):
         s = t.astype(complex)
     else:
         s = np.sin(arg) / mu
-    return c + s * a[0, 0], s * a[0, 1], s * a[1, 0], c + s * a[1, 1]
+    return c - s * cpq, -s * cqq, s * cpp, c + s * cpq
 
 
 def complex_symplectic_flow(model: QuadraticHamiltonian, t: float) -> ComplexSymplectic:
@@ -161,10 +177,8 @@ def riccati_direct(model: QuadraticHamiltonian, b0: complex, t_end: float, step:
     Independent of the Möbius route; used as its cross-check.  Raises
     MobiusPoleError with a step bracket if the solution leaves the chart.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     cpp, cpq, cqq = _hessian_coeffs(model)
-    n_steps = max(1, int(round(t_end / step)))
+    n_steps = step_count(t_end, step)
     out = np.empty(n_steps + 1, dtype=complex)
     stop = _kernels.riccati_rk4(cpp, cpq, cqq, complex(b0), step, n_steps, out)
     if stop >= 0:
@@ -183,21 +197,31 @@ def project_expectations(z: ComplexState, b: complex) -> RealState:
     return RealState(out[0], out[1])
 
 
-def _sampled_flow(model: QuadraticHamiltonian, z0: np.ndarray, b0: complex, times: np.ndarray):
-    """Centre, uncertainty and Möbius denominator on a time grid, with chart checks."""
+def _sampled_flow(model: QuadraticHamiltonian, z0, b0: complex, times: np.ndarray):
+    """Centre (p, q), uncertainty b and Möbius denominator S_qp b0 + S_qq on a time grid; no chart checks."""
     spp, spq, sqp, sqq = _flow_entries(model, times)
     den = sqp * b0 + sqq
-    small = np.abs(den) <= POLE_TOL * max(1.0, abs(b0))
-    if small.any():
-        k = int(np.argmax(small))
-        lo = times[max(k - 1, 0)]
-        hi = times[min(k + 1, len(times) - 1)]
-        raise MobiusPoleError("Möbius pole crossed during evolution", bracket=(lo, hi))
-    bs = (spp * b0 + spq) / den
-    zs = np.empty(times.shape + (2,), dtype=complex)
-    zs[..., 0] = spp * z0[0] + spq * z0[1]
-    zs[..., 1] = sqp * z0[0] + sqq * z0[1]
-    return zs, bs, den
+    return spp * z0[0] + spq * z0[1], sqp * z0[0] + sqq * z0[1], (spp * b0 + spq) / den, den
+
+
+def _unwrapped_angle(den: np.ndarray, start: float = 0.0) -> np.ndarray:
+    """Arguments of den sampled along a path, continuous from the argument start before den[0]."""
+    return np.unwrap(np.concatenate(([start], np.angle(den))))[1:]
+
+
+def _phase_change(pq_change, log_im_ratio, log_den, const, t):
+    """Closed-form gamma(t) - gamma(0) from its ingredients; scalars or arrays (see evolve_state).
+
+    pq_change = p q - p0 q0, log_im_ratio = ln(Im b / Im b0), and log_den is
+    Log den on its continuous branch.
+    """
+    return 0.5 * pq_change + 0.25j * log_im_ratio + 0.5j * log_den - const * t
+
+
+def _norm_exponent(p, q, b, gamma):
+    """Logarithm of the squared norm of the packet (p, q, b, gamma); scalars or arrays."""
+    qi, pi = q.imag, p.imag
+    return -2.0 * gamma.imag + 2.0 * p.real * qi + b.imag * qi * qi + (pi - b.real * qi) ** 2 / b.imag
 
 
 def evolve_state(
@@ -225,20 +249,22 @@ def evolve_state(
     if num_nodes < 2:
         raise ValueError("num_nodes must be at least 2")
     times = np.linspace(0.0, t, num_nodes)
-    zs, bs, den = _sampled_flow(model, state.z.array, state.b, times)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ps, qs, bs, den = _sampled_flow(model, (state.z.p, state.z.q), state.b, times)
+    small = np.abs(den) <= POLE_TOL * max(1.0, abs(state.b))
+    if small.any():
+        k = int(np.argmax(small))
+        lo = times[max(k - 1, 0)]
+        hi = times[min(k + 1, len(times) - 1)]
+        raise MobiusPoleError("Möbius pole crossed during evolution", bracket=(lo, hi))
     if bs.imag.min() <= 0.0:
         k = int(np.argmax(bs.imag <= 0.0))
         raise NonNormalizableError(f"state left the normalizable family near t = {times[k]:.6g}")
-    p, q = complex(zs[-1, 0]), complex(zs[-1, 1])
+    p, q = complex(ps[-1]), complex(qs[-1])
     b = complex(bs[-1])
-    log_den = complex(math.log(abs(den[-1])), np.unwrap(np.angle(den))[-1])
+    log_den = complex(math.log(abs(den[-1])), _unwrapped_angle(den)[-1])
     const = model.const_h - 1j * model.const_gamma
-    dgamma = (
-        0.5 * (p * q - state.z.p * state.z.q)
-        + 0.25j * math.log(b.imag / state.b.imag)
-        + 0.5j * log_den
-        - const * t
-    )
+    dgamma = _phase_change(p * q - state.z.p * state.z.q, math.log(b.imag / state.b.imag), log_den, const, t)
     return GaussianState(z=ComplexState(p, q), b=b, gamma=state.gamma + dgamma)
 
 
@@ -248,18 +274,65 @@ def gaussian_norm(state: GaussianState) -> float:
     Includes the damping factor exp(-2 Im gamma) and the cross terms a
     complex centre produces; reduces to 1 for a real centre with gamma = 0.
     """
-    b = state.b
-    if not is_normalizable(b):
-        raise NonNormalizableError(f"Im(b) must be positive, got {b.imag}")
-    p, q = state.z.p, state.z.q
-    qi, pi = q.imag, p.imag
-    expo = (
-        -2.0 * state.gamma.imag
-        + 2.0 * p.real * qi
-        + b.imag * qi * qi
-        + (pi - b.real * qi) ** 2 / b.imag
-    )
-    return math.exp(expo)
+    if not state.normalizable:
+        raise NonNormalizableError(f"Im(b) must be positive, got {state.b.imag}")
+    return math.exp(_norm_exponent(state.z.p, state.z.q, state.b, state.gamma))
+
+
+def propagate(model: QuadraticHamiltonian, init: MetriplecticState, t_end: float, step: float) -> Trajectory:
+    """Exact coupled flow of centre, metric and survival probability on a uniform grid.
+
+    Same grid, row layout (P, Q, g_pp, g_pq, g_qq, n) and truncation as
+    ode.integrate, but every row is the closed-form Gaussian solution for the
+    packet with b0 = b_from_metric(G0 / sqrt(det G0)) and a real centre: the metric of the
+    Möbius image of b0, the expectation values of the complex centre S(t) z0,
+    and n0 times the squared norm.  Rows are evaluated PROPAGATE_BLOCK at a
+    time, carrying the branch of Log den from block to block, and the run
+    stops at the first block holding a divergent sample.  Divergent means, as
+    in the RK4 kernel: a non-finite entry, Im b <= 0, a Möbius pole, or the
+    largest metric eigenvalue or the centre norm above BLOWUP_THRESHOLD.  The
+    initial row is the given state and is never a stop.
+    """
+    _require_no_linear_terms(model)
+    n_steps = step_count(t_end, step)
+    out = np.empty((n_steps + 1, 6))
+    b0 = b_from_metric(init.G.normalized())
+    p0, q0 = init.Z.P, init.Z.Q
+    pole_tol = POLE_TOL * max(1.0, abs(b0))
+    const = model.const_h - 1j * model.const_gamma
+    angle = 0.0
+    with np.errstate(all="ignore"):
+        for k0 in range(0, n_steps + 1, PROPAGATE_BLOCK):
+            times = step * np.arange(k0, min(k0 + PROPAGATE_BLOCK, n_steps + 1))
+            p, q, b, den = _sampled_flow(model, (p0, q0), b0, times)
+            arg = _unwrapped_angle(den, angle)
+            angle = arg[-1]
+            abs_den = np.abs(den)
+            log_den = np.log(abs_den) + 1j * arg
+            gamma = _phase_change(p * q - p0 * q0, np.log(b.imag / b0.imag), log_den, const, times)
+            g_pp, g_pq, g_qq = _metric_entries(b)
+            rows = out[k0 : k0 + len(times)]
+            # project_expectations: Re z - Omega G Im z
+            rows[:, 0] = p.real + g_pq * p.imag + g_qq * q.imag
+            rows[:, 1] = q.real - g_pp * p.imag - g_pq * q.imag
+            rows[:, 2] = g_pp
+            rows[:, 3] = g_pq
+            rows[:, 4] = g_qq
+            rows[:, 5] = init.n * np.exp(_norm_exponent(p, q, b, gamma))
+            tr = g_pp + g_qq
+            g_plus = 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0, 0.0)))
+            bad = (
+                (b.imag <= 0.0)
+                | (abs_den <= pole_tol)
+                | ~np.isfinite(rows).all(axis=1)
+                | (g_plus > BLOWUP_THRESHOLD)
+                | (np.hypot(rows[:, 0], rows[:, 1]) > BLOWUP_THRESHOLD)
+            )
+            if k0 == 0:
+                bad[0] = False
+            if bad.any():
+                return Trajectory.from_samples(out, k0 + int(np.argmax(bad)), step)
+    return Trajectory.from_samples(out, -1, step)
 
 
 def _generator_model(m_pp: complex, m_qq: complex, m_pq: complex) -> QuadraticHamiltonian:

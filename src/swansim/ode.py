@@ -1,9 +1,13 @@
-"""Numerical engine for arbitrary quadratic models.
+"""RK4 oracle for arbitrary quadratic models, and the trajectory type it shares.
 
 Classical fixed-step RK4 throughout: the flows are smooth, periodic and
 low-dimensional, so adaptivity buys nothing and fixed steps keep the
 convergence-order tests clean.  Blow-up is detected by thresholding the
 largest metric eigenvalue and the centre norm.
+
+The CLI's simulate and sweep run the exact propagator
+(gaussian.propagate), which returns the same Trajectory on the same grid;
+integrate stays as its independent oracle for validate and the tests.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ __all__ = [
     "rhs_state",
     "rhs_metric",
     "rhs_norm",
+    "step_count",
     "integrate",
     "integrate_doubled",
 ]
@@ -60,6 +65,18 @@ class Trajectory:
     divergence_time: float | None = None
     det_drift: float = 0.0
     _states: list[MetriplecticState] | None = field(default=None, repr=False)
+
+    @classmethod
+    def from_samples(cls, out: np.ndarray, stop: int, step: float, det_drift: float = 0.0) -> "Trajectory":
+        """Rows out[k] at times step * k; stop >= 0 truncates to out[:stop] and sets the divergence time."""
+        if stop < 0:
+            return cls(times=step * np.arange(len(out)), values=out, det_drift=det_drift)
+        return cls(
+            times=step * np.arange(stop),
+            values=out[:stop],
+            divergence_time=stop * step,
+            det_drift=det_drift,
+        )
 
     @property
     def states(self) -> list[MetriplecticState]:
@@ -108,6 +125,13 @@ def rhs_norm(model: QuadraticHamiltonian, z: RealState, g: Metric, n: float) -> 
     return -(2.0 * model.gamma_value(z.array) + 0.5 * tr) * n
 
 
+def step_count(t_end: float, step: float) -> int:
+    """Steps of the uniform grid 0, step, ..., n_steps * step with n_steps = max(1, round(t_end / step))."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    return max(1, int(round(t_end / step)))
+
+
 def integrate(
     model: QuadraticHamiltonian,
     init: MetriplecticState,
@@ -122,9 +146,7 @@ def integrate(
     blow-up the trajectory is truncated and divergence_time is set to the
     first offending time.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    n_steps = max(1, int(round(t_end / step)))
+    n_steps = step_count(t_end, step)
     y0 = np.array([init.Z.P, init.Z.Q, init.G.g_pp, init.G.g_pq, init.G.g_qq, init.n])
     out = np.empty((n_steps + 1, 6))
     with np.errstate(all="ignore"):
@@ -140,16 +162,7 @@ def integrate(
             blow_threshold,
             out,
         )
-    if stop < 0:
-        times = step * np.arange(n_steps + 1)
-        return Trajectory(times=times, values=out, det_drift=drift)
-    times = step * np.arange(stop)
-    return Trajectory(
-        times=times,
-        values=out[:stop],
-        divergence_time=stop * step,
-        det_drift=drift,
-    )
+    return Trajectory.from_samples(out, stop, step, det_drift=drift)
 
 
 def integrate_doubled(model: QuadraticHamiltonian, t_end: float, step: float) -> list[DoubledFlow]:
@@ -158,9 +171,7 @@ def integrate_doubled(model: QuadraticHamiltonian, t_end: float, step: float) ->
     The system is linear with constant generator, so classical RK4 is exactly
     repeated multiplication by the degree-4 Taylor polynomial of exp(step*A).
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    n_steps = max(1, int(round(t_end / step)))
+    n_steps = step_count(t_end, step)
     a = doubled_generator(model)
     r = np.eye(4)
     term = np.eye(4)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from swansim import RegionLabel, SwansonParams, region_grid
+from swansim.cli import main
 
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
@@ -218,6 +219,8 @@ def test_config_errors(tmp_path: Path):
     assert run_cli("classify", "--config", str(unknown)).returncode == 2
 
     assert run_cli("simulate", "--omega0", "-1").returncode == 2
+    cp = run_cli("sweep", "--omega0", "0")
+    assert cp.returncode == 2 and cp.stderr == "config error: omega0 must be positive, got 0.0\n"
     assert run_cli("simulate", "--g0", "2,0,2").returncode == 2
     assert run_cli("simulate", "--step", "-0.1").returncode == 2
     assert run_cli("classify", "--im-min", "-0.5").returncode == 2
@@ -227,3 +230,58 @@ def test_config_errors(tmp_path: Path):
             assert cp.returncode == 2 and "periods must be positive" in cp.stderr
         cp = run_cli(*argv, "--p0", "nan")
         assert cp.returncode == 2 and "invalid initial centre" in cp.stderr
+
+
+def config_error(argv: list[str], capsys) -> str:
+    """Run the CLI in-process (an escaping exception fails the test); return its config error line."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"resolution": "41"}, "resolution: expected an integer"),
+        ({"resolution": 4.5}, "resolution: expected an integer"),
+        ({"resolution": True}, "resolution: expected an integer"),
+        ({"g0": 5}, "g0: expected a list of 3 numbers"),
+        ({"g0": [1, 0]}, "g0: expected a list of 3 numbers"),
+        ({"b0": [0, "2"]}, "b0: expected a list of 2 numbers"),
+        ({"delta": "x"}, "delta: expected a number"),
+        ({"delta": None}, "delta: expected a number"),
+        ({"delta": 10**400}, "delta: expected a number"),
+        ({"allow_divergence": 1}, "allow_divergence: expected a boolean"),
+        ({"out": 3}, "out: expected a string"),
+    ],
+)
+def test_config_file_types(tmp_path: Path, capsys, values, message):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps(values))
+    assert message in config_error(["classify", "--config", str(cfg)], capsys)
+
+
+def test_config_file_coerces_to_field_types(tmp_path: Path):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({"resolution": 3.0, "delta": 0, "b0": None, "g0": [1, 0, 1]}))
+    out = tmp_path / "grid.json"
+    assert main(["classify", "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["resolution"] == 3 and len(doc["labels"]) == 9
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [([cmd, "--step", "1e300"], "exceeds the time span") for cmd in ("simulate", "sweep", "validate")]
+    # about 10^10 samples; only the refusal is exercised, nothing that size is allocated
+    + [([cmd, "--step", "6e-10"], "steps exceed the limit") for cmd in ("simulate", "sweep", "validate")]
+    + [([cmd, "--periods", "inf"], "steps exceed the limit") for cmd in ("simulate", "sweep")]
+    + [
+        (["classify", "--resolution", "1000000"], "grid exceeds the limit"),
+        (["sweep", "--delta-max", "inf"], "coupling range"),
+        (["sweep", "--delta-step", "1e-300"], "coupling range"),
+    ],
+)
+def test_unbounded_work_is_refused(argv, message, capsys):
+    assert message in config_error(argv, capsys)

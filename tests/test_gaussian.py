@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -31,12 +31,15 @@ from swansim import (
     mapped_dynamics,
     metric_from_b,
     project_expectations,
+    propagate,
     riccati_direct,
     spectral_data,
     survival_closed,
     swanson_hamiltonian,
 )
+from swansim.errors import DivergenceError
 from swansim.model import OMEGA
+from swansim.ode import BLOWUP_THRESHOLD
 
 PARAMS = SwansonParams(1.0, 0.5)
 MODEL = swanson_hamiltonian(PARAMS)
@@ -423,3 +426,152 @@ class TestEvaluateWavefunction:
     def test_non_normalizable_states_evaluable(self):
         psi = evaluate_wavefunction(GaussianState(ComplexState(0j, 0j), 0.5 - 0.1j), np.array([0.0, 1.0]))
         assert np.isfinite(psi).all()
+
+
+def rotated_swanson(params: SwansonParams, angle: float, const_gamma: float = 0.0):
+    """Swanson model in phase-space coordinates rotated by angle (a real symplectic map)."""
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    base = swanson_hamiltonian(params)
+    model = QuadraticHamiltonian(
+        hess_h=rot.T @ base.hess_h @ rot,
+        hess_gamma=rot.T @ base.hess_gamma @ rot,
+        const_gamma=const_gamma,
+    )
+    return model, rot
+
+
+def bounded_b0(params: SwansonParams, re_frac: float, im_frac: float) -> complex:
+    """Initial uncertainty of moderate size well inside the bounded region of the unrotated model.
+
+    For delta < 0 that region is the disk |b - i R| < R, R = omega0 / (2 |delta|); the
+    disk of radius min(R, 2) tangent at the same point lies inside it.
+    """
+    w0, d = params.omega0, params.delta
+    if d >= 0.0:
+        return complex(re_frac - 0.5, d / w0 + 0.3 + 0.5 * im_frac)
+    radius = min(w0 / (2.0 * abs(d)), 2.0)
+    angle = 2.0 * math.pi * re_frac
+    offset = 0.5 * im_frac * radius
+    return complex(offset * math.cos(angle), radius + offset * math.sin(angle))
+
+
+def closed_form_stops(params: SwansonParams, z0: RealState, times: np.ndarray) -> tuple[int, int]:
+    """(first non-finite sample, first sample over BLOWUP_THRESHOLD or in a blow-up window) of closed_series."""
+    k_window = len(times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            ref = closed_series(params, z0, times)
+        except DivergenceError as exc:
+            k_window = int(np.searchsorted(times, exc.time))
+            ref = closed_series(params, z0, times[:k_window])
+        tr = ref[:, 2] + ref[:, 4]
+        g_plus = 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0, 0.0)))
+        over = (g_plus > BLOWUP_THRESHOLD) | (np.hypot(ref[:, 0], ref[:, 1]) > BLOWUP_THRESHOLD)
+    bad = ~np.isfinite(ref).all(axis=1)
+    upper = int(np.argmax(over)) if over.any() else k_window
+    lower = int(np.argmax(bad)) if bad.any() else k_window
+    return lower, upper
+
+
+class TestPropagate:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        omega0=st.floats(min_value=0.5, max_value=2.0),
+        ratio=st.floats(min_value=-0.8, max_value=0.8),
+        angle=st.floats(min_value=0.0, max_value=math.pi),
+        const_gamma=st.floats(min_value=-0.3, max_value=0.3),
+        centre=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi)),
+        b_fracs=st.one_of(st.none(), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))),
+    )
+    def test_matches_rk4_on_bounded_models(self, omega0, ratio, angle, const_gamma, centre, b_fracs):
+        # centres in the unit disk: farther out n grows enough that RK4's own error nears 1e-10
+        params = SwansonParams(omega0, ratio * omega0)
+        model, rot = rotated_swanson(params, angle, const_gamma)
+        g0 = np.eye(2) if b_fracs is None else metric_from_b(bounded_b0(params, *b_fracs)).matrix
+        radius, phase = centre
+        z0 = rot.T @ (radius * np.array([math.cos(phase), math.sin(phase)]))
+        init = MetriplecticState(
+            Z=RealState(float(z0[0]), float(z0[1])),
+            G=Metric.from_matrix(rot.T @ g0 @ rot),
+            n=1.5,
+        )
+        step = params.period / 10_000
+        exact = propagate(model, init, params.period, step)
+        ref = integrate(model, init, params.period, step)
+        assert exact.divergence_time is None and ref.divergence_time is None
+        np.testing.assert_array_equal(exact.times, ref.times)
+        dev = np.abs(exact.values - ref.values) / np.maximum(1.0, np.abs(ref.values))
+        assert dev.max() <= 1e-10
+
+    @pytest.mark.parametrize("ratio", [1.0, 1.05, 1.1, 1.2, -1.1])
+    def test_divergence_index(self, ratio):
+        params = SwansonParams(1.0, ratio)
+        model = swanson_hamiltonian(params)
+        z0 = RealState(0.6, 0.8)
+        init = MetriplecticState(Z=z0, G=Metric.identity(), n=1.0)
+        step = params.period / 10_000
+        exact = propagate(model, init, params.period, step)
+        rk4 = integrate(model, init, params.period, step)
+        lower, upper = closed_form_stops(params, z0, step * np.arange(10_001))
+        stop = round(exact.divergence_time / step)
+        assert stop == len(exact.values) == min(lower, upper)
+        # RK4 lags the exact overflow of n, but not past the threshold crossing
+        assert stop <= round(rk4.divergence_time / step) <= upper + 2
+        # a coarse grid steps over the threshold crossing into the blow-up window
+        coarse = propagate(model, init, params.period, params.period / 50)
+        assert len(coarse.values) == min(closed_form_stops(params, z0, params.period / 50 * np.arange(51)))
+
+    def test_matches_evolve_state_across_blocks(self):
+        params = SwansonParams(1.3, -0.6)
+        model = swanson_hamiltonian(params)
+        b0 = bounded_b0(params, 0.2, 0.7)
+        z0 = RealState(-0.4, 1.1)
+        init = MetriplecticState(Z=z0, G=metric_from_b(b0), n=1.0)
+        step = params.period / 10_000
+        traj = propagate(model, init, 5.0 * params.period, step)
+        assert traj.divergence_time is None and len(traj.values) == 50_001
+        state0 = GaussianState(ComplexState(complex(z0.P), complex(z0.Q)), b0)
+        for k in np.linspace(0, 50_000, 10).astype(int):
+            ref = gaussian_norm(evolve_state(model, state0, traj.times[k], num_nodes=4001))
+            assert traj.values[k, 5] == pytest.approx(ref, rel=1e-10)
+
+    def test_same_grid_and_truncation_as_integrate(self):
+        params = SwansonParams(1.0, 0.5)
+        model = swanson_hamiltonian(params)
+        init = MetriplecticState(Z=RealState(1.0, 0.0), G=Metric.identity(), n=1.0)
+        for t_end, step in ((1.0, 0.3), (0.01, 0.3), (params.period, params.period / 7)):
+            exact = propagate(model, init, t_end, step)
+            np.testing.assert_array_equal(exact.times, integrate(model, init, t_end, step).times)
+        np.testing.assert_array_equal(exact.values[0], [1.0, 0.0, 1.0, 0.0, 1.0, 1.0])
+        # G0 enters normalized to unit determinant
+        scaled = MetriplecticState(Z=init.Z, G=Metric(1.0 + 1e-7, 0.0, 1.0 + 1e-7), n=1.0)
+        np.testing.assert_allclose(
+            propagate(model, scaled, 1.0, 0.1).values[1:], propagate(model, init, 1.0, 0.1).values[1:], rtol=1e-13
+        )
+
+    def test_metric_threshold_just_before_pole(self):
+        # a sample 1e-9 short of the first pole: g_plus is about 2e9 while the centre stays at
+        # the origin and n is finite, so only the eigenvalue threshold stops the run
+        params = SwansonParams(1.0, 1.2)
+        w, d = params.omega, params.delta
+        pole = math.acos(1.0 - w * w / (d * d)) / (2.0 * w)
+        step = pole * (1.0 - 1e-9) / 1000
+        model = swanson_hamiltonian(params)
+        init = MetriplecticState(Z=RealState(0.0, 0.0), G=Metric.identity(), n=1.0)
+        assert len(propagate(model, init, 1.1 * pole, step).values) == 1000
+        assert 1000 <= len(integrate(model, init, 1.1 * pole, step).values) <= 1002
+
+    def test_centre_threshold_keeps_initial_row(self):
+        # like RK4, the initial row is kept even when it is over the threshold; the next one stops the run
+        model = swanson_hamiltonian(SwansonParams(1.0, 0.0))
+        init = MetriplecticState(Z=RealState(2e8, 0.0), G=Metric.identity(), n=1.0)
+        for run in (propagate, integrate):
+            traj = run(model, init, 1.0, 0.1)
+            assert len(traj.values) == 1 and traj.divergence_time == 0.1
+
+    def test_rejects_linear_terms(self):
+        model = QuadraticHamiltonian(hess_h=np.eye(2), hess_gamma=np.zeros((2, 2)), lin_h=np.array([0.1, 0.0]))
+        init = MetriplecticState(Z=RealState(1.0, 0.0), G=Metric.identity(), n=1.0)
+        with pytest.raises(NotImplementedError):
+            propagate(model, init, 1.0, 0.01)
