@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import Metric, RealState, closed_series, metric_eigen
+from .closed_form import Metric, RealState, closed_series, first_pole_time, metric_eigen
 from .errors import SwansimError
 from .gaussian import (
     GaussianState,
@@ -36,7 +36,7 @@ from .gaussian import (
     propagate,
     riccati_direct,
 )
-from .geometry import DEFAULT_BAND, classify_metric, grid_axes, region_grid
+from .geometry import DEFAULT_BAND, RegionLabel, classify_metric, region_grid
 from .model import SwansonParams, spectral_data, swanson_hamiltonian
 from .ode import MetriplecticState, integrate, step_count
 
@@ -50,6 +50,9 @@ EXIT_VALIDATION = 4
 DEFAULT_STEPS_PER_PERIOD = 10_000
 # most samples, coupling values or grid points one run may ask for; refused before allocation
 MAX_SAMPLES = 10_000_000
+
+# JSON text of the bounded, divergent and boundary labels (codes 0, 1, 2 in _labels_json)
+_QUOTED_LABELS = np.array(['"bounded"', '"divergent"', '"boundary"'], dtype=object)
 
 CSV_HEADER = "t,t_per_T,P,Q,g_pp,g_pq,g_qq,g_plus,g_minus,phi,n,divergent"
 
@@ -324,20 +327,23 @@ def cmd_classify(cfg: RunConfig) -> int:
         "im_range": [cfg.im_min, cfg.im_max],
         "resolution": cfg.resolution,
         "band": cfg.band,
-        "labels": [label.value for label in labels.ravel()],
+        "labels": None,
     }
-    _write_text(cfg.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    # json.dumps(..., indent=2) encodes in pure Python, one call per label; the
+    # label array is written in bulk and spliced in where the placeholder sits
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = text.replace('"labels": null', '"labels": ' + _labels_json(labels), 1)
+    _write_text(cfg.out, text + "\n")
     return EXIT_OK
 
 
-def _first_pole_time(params: SwansonParams) -> float | None:
-    """Earliest blow-up time of the identity-seeded flow, None if bounded."""
-    w0, d = params.omega0, params.delta
-    if d * d < w0 * w0:
-        return None
-    w = params.omega
-    arg = 1.0 - w * w / (d * d)
-    return math.acos(max(-1.0, arg)) / (2.0 * w)
+def _labels_json(labels: np.ndarray) -> str:
+    """The labels as the JSON array json.dumps(indent=2) writes for a top-level key."""
+    flat = labels.ravel()
+    codes = np.full(flat.size, 2, dtype=np.int8)
+    codes[flat == RegionLabel.BOUNDED] = 0
+    codes[flat == RegionLabel.DIVERGENT] = 1
+    return "[\n    " + ",\n    ".join(_QUOTED_LABELS[codes].tolist()) + "\n  ]"
 
 
 def _validation_errors(params: SwansonParams, step: float) -> dict:
@@ -399,7 +405,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     params = cfg.params
     step = cfg.sample_step(params.period, params.period)
     thresholds = dict(VALIDATION_THRESHOLDS)
-    pole = _first_pole_time(params)
+    pole = first_pole_time(params)
     failures: list[str] = []
     report: dict = {
         "params": {"omega0": params.omega0, "delta": params.delta},
@@ -451,7 +457,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     for k in range(max(0, n_values)):
         delta = cfg.delta_min + k * cfg.delta_step
         params = dataclasses.replace(cfg, delta=delta).params
-        label = classify_metric(params, init.G, band=cfg.band)
+        try:
+            label = classify_metric(params, init.G, band=cfg.band)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         t_end = periods * params.period
         traj = propagate(swanson_hamiltonian(params), init, t_end, cfg.sample_step(params.period, t_end))
         g_plus = np.array([metric_eigen(Metric(r[2], r[3], r[4]))[0] for r in traj.values[:: max(1, len(traj.values) // 200)]])

@@ -26,6 +26,7 @@ __all__ = [
     "doubled_flow",
     "metric_closed",
     "stretch_factor",
+    "first_pole_time",
     "complex_trajectory",
     "real_trajectory",
     "survival_closed",
@@ -107,8 +108,11 @@ class Metric:
         return self.g_pp * self.g_qq - self.g_pq * self.g_pq
 
     def normalized(self) -> "Metric":
-        """Rescale to unit determinant (used to absorb integrator drift)."""
-        s = 1.0 / math.sqrt(self.det)
+        """Rescale to unit determinant (used to absorb integrator drift); ValueError if det <= 0."""
+        det = self.det
+        if not det > 0:
+            raise ValueError(f"cannot normalize an indefinite metric: det = {det!r} <= 0")
+        s = 1.0 / math.sqrt(det)
         return Metric(self.g_pp * s, self.g_pq * s, self.g_qq * s)
 
 
@@ -201,6 +205,20 @@ def stretch_factor(params: SwansonParams, t: float) -> float:
         return math.inf
 
 
+def first_pole_time(params: SwansonParams) -> float | None:
+    """Earliest blow-up time of the identity-seeded flow, None if bounded.
+
+    The first zero of the stretch factor's denominator: stretch_factor is
+    finite before it and inf from it until the window closes.
+    """
+    w0, d = params.omega0, params.delta
+    if d * d < w0 * w0:
+        return None
+    w = params.omega
+    arg = 1.0 - w * w / (d * d)
+    return math.acos(max(-1.0, arg)) / (2.0 * w)
+
+
 def complex_trajectory(params: SwansonParams, z0: ComplexState, t: float) -> ComplexState:
     """Complexified Hamiltonian trajectory; finite for all times and parameters."""
     w0, d = params.omega0, params.delta
@@ -262,11 +280,10 @@ def metric_eigen(g: Metric) -> tuple[float, float, float]:
     g_plus * g_minus = 1 by the unit determinant.  phi uses atan2 to fix the
     quadrant; the isotropic metric returns phi = 0 by convention.
     """
-    tr = g.g_pp + g.g_qq
-    disc = max(tr * tr - 4.0, 0.0)
-    root = math.sqrt(disc)
-    g_plus = 0.5 * (tr + root)
-    g_minus = 0.5 * (tr - root)
+    # |g_plus - g_minus| from hypot rather than sqrt(tr^2 - 4), which cancels
+    # near the isotropic metric; g_minus = 1/g_plus then needs no subtraction
+    g_plus = 0.5 * (g.g_pp + g.g_qq + math.hypot(g.g_pp - g.g_qq, 2.0 * g.g_pq))
+    g_minus = 1.0 / g_plus
     if g.g_pq == 0.0 and g.g_pp == g.g_qq:
         phi = 0.0
     else:

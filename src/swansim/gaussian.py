@@ -291,12 +291,13 @@ def propagate(model: QuadraticHamiltonian, init: MetriplecticState, t_end: float
     stops at the first block holding a divergent sample.  Divergent means, as
     in the RK4 kernel: a non-finite entry, Im b <= 0, a Möbius pole, or the
     largest metric eigenvalue or the centre norm above BLOWUP_THRESHOLD.  The
-    initial row is the given state and is never a stop.
+    initial row is the given state and is never a stop.  An initial metric
+    with det <= 0 is refused with ValueError.
     """
     _require_no_linear_terms(model)
+    b0 = b_from_metric(init.G.normalized())
     n_steps = step_count(t_end, step)
     out = np.empty((n_steps + 1, 6))
-    b0 = b_from_metric(init.G.normalized())
     p0, q0 = init.Z.P, init.Z.Q
     pole_tol = POLE_TOL * max(1.0, abs(b0))
     const = model.const_h - 1j * model.const_gamma

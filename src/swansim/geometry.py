@@ -91,12 +91,45 @@ def plane_slope(params: SwansonParams, pt0: HyperboloidPoint) -> float:
     return params.delta * pt0.z / den
 
 
-def _label_from_margin(margin: float, band: float) -> RegionLabel:
-    if margin > band:
-        return RegionLabel.BOUNDED
-    if margin < -band:
-        return RegionLabel.DIVERGENT
-    return RegionLabel.BOUNDARY
+# RegionLabel for each int8 code _label_codes assigns
+_LABELS = np.array([RegionLabel.BOUNDED, RegionLabel.DIVERGENT, RegionLabel.BOUNDARY], dtype=object)
+
+
+def _require_band(band: float):
+    if not (math.isfinite(band) and band > 0):
+        raise ValueError(f"band must be finite and positive, got {band}")
+
+
+def _label_codes(margin, band: float) -> np.ndarray:
+    """Codes into _LABELS: bounded above band, divergent below -band, boundary otherwise (NaN included).
+
+    A scalar margin gives a 0-d array, which indexes _LABELS to a single label.
+    """
+    codes = np.full(np.shape(margin), 2, dtype=np.int8)
+    codes[margin > band] = 0
+    codes[margin < -band] = 1
+    return codes
+
+
+def _b_margin(params: SwansonParams, re, im):
+    """How far b = re + i*im lies inside the bounded region (negative outside); scalars or arrays.
+
+    delta > 0: im - delta/omega0, the half-plane Im b > delta/omega0;
+    delta < 0: radius - |b - i*radius| with radius = omega0/(2|delta|), the
+    disk tangent to the real axis at 0; delta = 0: inf, bounded everywhere.
+    The result broadcasts against re and im but need not have their full shape.
+    """
+    d = params.delta
+    if d == 0.0:
+        return math.inf
+    if d > 0.0:
+        return im - d / params.omega0
+    radius = params.omega0 / (2.0 * abs(d))
+    # np.hypot on scalars too, so that classify_b and region_grid round alike
+    # (math.hypot is not the C hypot); a subnormal delta overflows radius to
+    # inf, and inf - inf is NaN: a boundary label
+    with np.errstate(invalid="ignore"):
+        return radius - np.hypot(re, im - radius)
 
 
 def classify_metric(params: SwansonParams, g0: Metric, band: float = DEFAULT_BAND) -> RegionLabel:
@@ -105,10 +138,9 @@ def classify_metric(params: SwansonParams, g0: Metric, band: float = DEFAULT_BAN
     An exactly critical slope is never labelled bounded; the band around it
     absorbs cases numerics cannot resolve.
     """
-    if band <= 0:
-        raise ValueError("band must be positive")
+    _require_band(band)
     s = plane_slope(params, xyz_from_metric(g0))
-    return _label_from_margin(1.0 - abs(s), band)
+    return _LABELS[_label_codes(1.0 - abs(s), band)]
 
 
 def classify_b(params: SwansonParams, b0: complex, band: float = DEFAULT_BAND) -> RegionLabel:
@@ -120,19 +152,10 @@ def classify_b(params: SwansonParams, b0: complex, band: float = DEFAULT_BAND) -
     bounded in the Hermitian limit.  Agrees with classify_metric applied to
     the induced metric.
     """
-    if band <= 0:
-        raise ValueError("band must be positive")
+    _require_band(band)
     if not is_normalizable(b0):
         raise NonNormalizableError(f"Im(b) must be positive, got {b0.imag}")
-    d = params.delta
-    if d == 0.0:
-        return RegionLabel.BOUNDED
-    if d > 0.0:
-        margin = b0.imag - d / params.omega0
-    else:
-        radius = params.omega0 / (2.0 * abs(d))
-        margin = radius - abs(b0 - 1j * radius)
-    return _label_from_margin(margin, band)
+    return _LABELS[_label_codes(_b_margin(params, b0.real, b0.imag), band)]
 
 
 def grid_axes(re_range: tuple[float, float], im_range: tuple[float, float], resolution: int):
@@ -141,10 +164,11 @@ def grid_axes(re_range: tuple[float, float], im_range: tuple[float, float], reso
         raise ValueError("resolution must be at least 2")
     re_lo, re_hi = re_range
     im_lo, im_hi = im_range
-    if not (im_lo > 0.0 and im_hi > im_lo):
-        raise ValueError("im_range must lie in the upper half-plane and be increasing")
-    if not re_hi > re_lo:
-        raise ValueError("re_range must be increasing")
+    # a non-finite width would fill the axes with inf and NaN
+    if not (im_lo > 0.0 and im_hi > im_lo and math.isfinite(im_hi - im_lo)):
+        raise ValueError("im_range must be finite, lie in the upper half-plane and be increasing")
+    if not (re_hi > re_lo and math.isfinite(re_hi - re_lo)):
+        raise ValueError("re_range must be finite and increasing")
     return np.linspace(re_lo, re_hi, resolution), np.linspace(im_lo, im_hi, resolution)
 
 
@@ -158,11 +182,10 @@ def region_grid(
     """Classification labels on a rectangular grid of initial b values.
 
     Returns an object array of RegionLabel with shape (resolution, resolution);
-    rows run over ascending Im(b), columns over ascending Re(b).
+    rows run over ascending Im(b), columns over ascending Re(b).  The label of
+    every point is classify_b's, from one array evaluation of the same margin.
     """
+    _require_band(band)
     re_vals, im_vals = grid_axes(re_range, im_range, resolution)
-    labels = np.empty((resolution, resolution), dtype=object)
-    for i, im in enumerate(im_vals):
-        for j, re in enumerate(re_vals):
-            labels[i, j] = classify_b(params, complex(re, im), band=band)
-    return labels
+    margin = _b_margin(params, re_vals[None, :], im_vals[:, None])
+    return _LABELS[_label_codes(np.broadcast_to(margin, (resolution, resolution)), band)]

@@ -144,8 +144,10 @@ def integrate(
     n_steps = round(t_end / step); pass a commensurate step for exact spans.
     The metric determinant is renormalized to one after every step.  On
     blow-up the trajectory is truncated and divergence_time is set to the
-    first offending time.
+    first offending time.  ValueError if the initial metric has det <= 0.
     """
+    if not init.G.det > 0:
+        raise ValueError(f"initial metric must be positive definite, got det = {init.G.det!r} <= 0")
     n_steps = step_count(t_end, step)
     y0 = np.array([init.Z.P, init.Z.Q, init.G.g_pp, init.G.g_pq, init.G.g_qq, init.n])
     out = np.empty((n_steps + 1, 6))

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swansim import RegionLabel, SwansonParams, region_grid
 from swansim.cli import main
@@ -285,3 +287,72 @@ def test_config_file_coerces_to_field_types(tmp_path: Path):
 )
 def test_unbounded_work_is_refused(argv, message, capsys):
     assert message in config_error(argv, capsys)
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 21])
+@pytest.mark.parametrize("delta", [0.5, -0.5, 0.0])
+def test_classify_json_bytes(tmp_path: Path, resolution, delta):
+    # the bulk-written label array must match the json module's own encoding byte for byte
+    out = tmp_path / "grid.json"
+    argv = [
+        "classify", f"--delta={delta}", "--re-min=-1.5", "--re-max=2.5", "--im-min=0.05", "--im-max=1.7",
+        f"--resolution={resolution}", "--band=0.03", f"--out={out}",
+    ]
+    assert main(argv) == 0
+    labels = region_grid(SwansonParams(1.0, delta), (-1.5, 2.5), (0.05, 1.7), resolution, band=0.03)
+    doc = {
+        "params": {"omega0": 1.0, "delta": delta},
+        "re_range": [-1.5, 2.5],
+        "im_range": [0.05, 1.7],
+        "resolution": resolution,
+        "band": 0.03,
+        "labels": [label.value for label in labels.ravel()],
+    }
+    assert out.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_band_must_be_finite_and_positive(tmp_path: Path, capsys):
+    for band in ("nan", "inf", "-inf", "0", "-0.1"):
+        assert "band must be finite and positive" in config_error(["classify", "--resolution=3", f"--band={band}"], capsys)
+    cfg = tmp_path / "band.json"
+    cfg.write_text(json.dumps({"band": math.nan}))
+    assert cfg.read_text() == '{"band": NaN}'
+    for argv in (["classify", "--resolution=3"], ["sweep", "--delta-max=0.2"]):
+        assert "band must be finite and positive" in config_error([*argv, "--config", str(cfg)], capsys)
+
+
+def test_classify_refuses_non_finite_ranges(capsys):
+    assert "im_range must be finite" in config_error(["classify", "--im-max=inf"], capsys)
+    assert "re_range must be finite" in config_error(["classify", "--re-min=-1e308", "--re-max=1e308"], capsys)
+
+
+# numbers a hostile caller might pass, as text, plus ones argparse itself refuses
+hostile_number = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0", "1e308", "-1e308", "5e-324", "-5e-324", "x", ""]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(min_value=-3.0, max_value=3.0).map(repr),
+)
+hostile_resolution = st.one_of(st.integers(min_value=-5, max_value=60).map(str), st.sampled_from(["nan", "2.5", "1e3"]))
+CLASSIFY_NUMBER_FLAGS = ("omega0", "delta", "re-min", "re-max", "im-min", "im-max", "band")
+
+
+@given(
+    numbers=st.fixed_dictionaries({}, optional={flag: hostile_number for flag in CLASSIFY_NUMBER_FLAGS}),
+    resolution=hostile_resolution,
+)
+@settings(max_examples=150, deadline=None)
+def test_classify_fuzz_exits_cleanly(tmp_path_factory, numbers, resolution):
+    # in-process: an escaping exception fails the test; argparse's own refusal is SystemExit(2)
+    out = tmp_path_factory.mktemp("fuzz") / "grid.json"
+    argv = ["classify", f"--resolution={resolution}", f"--out={out}"]
+    argv += [f"--{flag}={value}" for flag, value in numbers.items()]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2)
+    if code == 0:
+        doc = json.loads(out.read_text())
+        assert math.isfinite(doc["band"]) and doc["band"] > 0
+        assert len(doc["labels"]) == doc["resolution"] ** 2
+        assert set(doc["labels"]) <= {"bounded", "divergent", "boundary"}

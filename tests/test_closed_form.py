@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from swansim import (
     closed_series,
     complex_trajectory,
     doubled_flow,
+    first_pole_time,
     metric_closed,
     metric_eigen,
     real_trajectory,
@@ -113,6 +115,24 @@ class TestStretchFactor:
     def test_supercritical_flag(self, delta):
         params = SwansonParams(1.0, delta)
         assert math.isinf(stretch_factor(params, math.pi / (2.0 * params.omega)))
+
+
+class TestFirstPoleTime:
+    @pytest.mark.parametrize("ratio", [0.0, 0.5, -0.999])
+    def test_none_when_bounded(self, ratio):
+        assert first_pole_time(SwansonParams(1.0, ratio)) is None
+
+    def test_critical_value(self):
+        params = SwansonParams(1.0, 1.0)
+        assert first_pole_time(params) == pytest.approx(math.pi / (2.0 * params.omega), rel=1e-15)
+
+    @pytest.mark.parametrize("ratio", [1.0001, 1.05, 1.2, 2.0, 5.0, -1.1])
+    def test_stretch_factor_blows_up_there(self, ratio):
+        params = SwansonParams(1.3, 1.3 * ratio)
+        t = first_pole_time(params)
+        for before in (0.0, 0.5 * t, t * (1.0 - 1e-6)):
+            assert math.isfinite(stretch_factor(params, before))
+        assert stretch_factor(params, t) == math.inf
 
 
 class TestComplexTrajectory:
@@ -228,6 +248,37 @@ class TestMetricEigen:
         r = np.array([[c, -s], [s, c]])
         d = r.T @ g.matrix @ r
         assert abs(d[0, 1]) < 1e-9
+
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_near_isotropic_against_high_precision(self, seed):
+        # within 1e-6 of the identity sqrt(tr^2 - 4) keeps about half the digits;
+        # the reference eigenvalues of the same float entries come from 50-digit arithmetic
+        rng = np.random.default_rng(seed)
+        mpmath.mp.dps = 50
+        for scale in (1e-6, 1e-8, 1e-11):
+            g_pp = 1.0 + scale * rng.uniform(-1.0, 1.0)
+            g_pq = scale * rng.uniform(-1.0, 1.0)
+            g = Metric(g_pp, g_pq, (1.0 + g_pq**2) / g_pp)
+            a, b, c = (mpmath.mpf(v) for v in (g.g_pp, g.g_pq, g.g_qq))
+            split = mpmath.sqrt((a - c) ** 2 + 4 * b * b)
+            ref_plus = (a + c + split) / 2
+            ref_minus = (a * c - b * b) / ref_plus
+            g_plus, g_minus, _ = metric_eigen(g)
+            assert abs(g_plus - ref_plus) <= 4e-16 * ref_plus
+            assert abs(g_minus - ref_minus) <= 4e-16 * ref_minus
+
+
+class TestMetricNormalized:
+    def test_unit_determinant(self):
+        g = Metric(2.0, 1.0, 3.0).normalized()
+        assert g.det == pytest.approx(1.0, abs=1e-15)
+
+    def test_refuses_indefinite_metric(self):
+        with pytest.raises(ValueError, match="det = -3"):
+            Metric(1.0, 2.0, 1.0).normalized()
+        with pytest.raises(ValueError, match="det = 0.0"):
+            Metric(1.0, 1.0, 1.0).normalized()
 
 
 class TestClosedSeries:

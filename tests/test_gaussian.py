@@ -570,6 +570,13 @@ class TestPropagate:
             traj = run(model, init, 1.0, 0.1)
             assert len(traj.values) == 1 and traj.divergence_time == 0.1
 
+    def test_rejects_indefinite_initial_metric(self):
+        model = swanson_hamiltonian(SwansonParams(1.0, 0.5))
+        for g in (Metric(1.0, 2.0, 1.0), Metric(1.0, 1.0, 1.0)):
+            init = MetriplecticState(Z=RealState(1.0, 0.0), G=g, n=1.0)
+            with pytest.raises(ValueError, match="det = .* <= 0"):
+                propagate(model, init, 1.0, 0.1)
+
     def test_rejects_linear_terms(self):
         model = QuadraticHamiltonian(hess_h=np.eye(2), hess_gamma=np.zeros((2, 2)), lin_h=np.array([0.1, 0.0]))
         init = MetriplecticState(Z=RealState(1.0, 0.0), G=Metric.identity(), n=1.0)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swansim import (
@@ -128,6 +128,14 @@ class TestClassify:
         assert classify_b(SwansonParams(1.0, -0.5), 1j) is RegionLabel.BOUNDED
         assert classify_b(SwansonParams(1.0, 0.0), 0.2 + 3j) is RegionLabel.BOUNDED
 
+    def test_margin_equal_to_band_is_boundary(self):
+        # margins Im b - delta/omega0 of exactly +-band (all values exact in binary)
+        for b0 in (0.75j, 0.25j):
+            assert classify_b(PARAMS, b0, band=0.25) is RegionLabel.BOUNDARY
+        labels = region_grid(PARAMS, (-1.0, 1.0), (0.25, 0.75), 3, band=0.25)
+        assert set(labels.ravel()) == {RegionLabel.BOUNDARY}
+        assert classify_metric(PARAMS, Metric.identity(), band=0.5) is RegionLabel.BOUNDARY
+
     def test_classify_b_rejects_lower_half_plane(self):
         with pytest.raises(NonNormalizableError):
             classify_b(PARAMS, 0.4 - 0.1j)
@@ -188,6 +196,50 @@ class TestRegionGrid:
             region_grid(PARAMS, (-2.0, 2.0), (-0.1, 2.0), 5)
         with pytest.raises(ValueError):
             region_grid(PARAMS, (-2.0, 2.0), (0.1, 2.0), 1)
+
+    @pytest.mark.parametrize(
+        "re_range, im_range",
+        [
+            ((-2.0, math.inf), (0.1, 2.0)),
+            ((-math.inf, 2.0), (0.1, 2.0)),
+            ((-1e308, 1e308), (0.1, 2.0)),
+            ((-2.0, 2.0), (0.1, math.inf)),
+            ((-2.0, 2.0), (math.nan, 2.0)),
+            ((math.nan, 2.0), (0.1, 2.0)),
+        ],
+    )
+    def test_rejects_non_finite_ranges(self, re_range, im_range):
+        with pytest.raises(ValueError, match="finite"):
+            region_grid(PARAMS, re_range, im_range, 5)
+
+    @given(
+        delta=st.one_of(st.just(0.0), st.floats(min_value=-3.0, max_value=3.0)),
+        re_lo=st.floats(min_value=-5.0, max_value=5.0),
+        re_width=st.floats(min_value=1e-3, max_value=10.0),
+        im_lo=st.floats(min_value=1e-3, max_value=3.0),
+        im_width=st.floats(min_value=1e-3, max_value=5.0),
+        band=st.floats(min_value=1e-9, max_value=0.5),
+        resolution=st.integers(min_value=2, max_value=60),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_classify_b_pointwise(self, delta, re_lo, re_width, im_lo, im_width, band, resolution):
+        params = SwansonParams(1.0, delta)
+        re_range, im_range = (re_lo, re_lo + re_width), (im_lo, im_lo + im_width)
+        labels = region_grid(params, re_range, im_range, resolution, band=band)
+        assert labels.shape == (resolution, resolution)
+        re_vals, im_vals = grid_axes(re_range, im_range, resolution)
+        expected = [[classify_b(params, complex(re, im), band=band) for re in re_vals] for im in im_vals]
+        assert labels.tolist() == expected
+
+
+@pytest.mark.parametrize("band", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_band_must_be_finite_and_positive(band):
+    with pytest.raises(ValueError, match="band must be finite and positive"):
+        classify_b(PARAMS, 1j, band=band)
+    with pytest.raises(ValueError, match="band must be finite and positive"):
+        classify_metric(PARAMS, Metric.identity(), band=band)
+    with pytest.raises(ValueError, match="band must be finite and positive"):
+        region_grid(PARAMS, (-2.0, 2.0), (0.1, 2.0), 3, band=band)
 
 
 class TestConservationLaws:

@@ -219,3 +219,11 @@ class TestIntegrateDoubled:
             assert np.abs(
                 [g.g_pp - traj.values[k, 2], g.g_pq - traj.values[k, 3], g.g_qq - traj.values[k, 4]]
             ).max() < 1e-6
+
+
+def test_integrate_refuses_indefinite_initial_metric():
+    # Metric checks only the diagonal; a det <= 0 start would otherwise stop at step 1 as a fake divergence
+    for g in (Metric(1.0, 2.0, 1.0), Metric(1.0, 1.0, 1.0)):
+        init = MetriplecticState(Z=RealState(1.0, 0.0), G=g, n=1.0)
+        with pytest.raises(ValueError, match="det = .* <= 0"):
+            integrate(MODEL, init, 1.0, 0.1)
