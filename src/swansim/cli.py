@@ -8,8 +8,8 @@ Outputs are deterministic: identical configuration produces byte-identical
 files (floats are written with 17 significant digits, CSV uses comma
 separators and LF line endings, JSON keys are sorted).
 
-Exit codes: 0 ok, 2 configuration error, 3 divergence (unless
---allow-divergence), 4 validation failure.
+Exit codes: 0 ok, 2 configuration or numerical (SwansimError) error, 3
+divergence (unless --allow-divergence), 4 validation failure.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -55,6 +56,8 @@ MAX_SAMPLES = 10_000_000
 _QUOTED_LABELS = np.array(['"bounded"', '"divergent"', '"boundary"'], dtype=object)
 
 CSV_HEADER = "t,t_per_T,P,Q,g_pp,g_pq,g_qq,g_plus,g_minus,phi,n,divergent"
+# a sample row: its 11 numeric cells as _fmt writes them, then the divergence flag 0
+_CSV_ROW = ",".join(["%.17g"] * 11) + ",0"
 
 VALIDATION_THRESHOLDS = {
     "Z": 1e-6,
@@ -209,6 +212,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--q0", type=float, default=None)
     p_swp.add_argument("--g0", type=_parse_triple, default=None)
 
+    # argparse reads only -N and -N.N as negative numbers, so -5e-1 or -0.5,1
+    # after a flag would be taken for an option name; no option starts with a digit
+    for subparser in sub.choices.values():
+        subparser._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 
@@ -281,16 +288,14 @@ def _write_text(path: str | None, text: str):
 
 
 def _csv_rows(traj, period: float) -> list[str]:
-    rows = [CSV_HEADER]
-    for t, row in zip(traj.times, traj.values):
-        g = Metric(row[2], row[3], row[4])
-        g_plus, g_minus, phi = metric_eigen(g)
-        cells = [t, t / period, row[0], row[1], row[2], row[3], row[4], g_plus, g_minus, phi, row[5]]
-        rows.append(",".join(_fmt(c) for c in cells) + ",0")
+    v = traj.values
+    eigen = metric_eigen(v[:, 2], v[:, 3], v[:, 4])
+    table = np.column_stack((traj.times, traj.times / period, v[:, :5], *eigen, v[:, 5]))
+    # row by row: a tolist() of the whole table would hold every cell as a float object at once
+    rows = [CSV_HEADER] + [_CSV_ROW % tuple(row.tolist()) for row in table]
     if traj.divergence_time is not None:
         t = traj.divergence_time
-        nan = float("nan")
-        cells = [t, t / period] + [nan] * 9
+        cells = [t, t / period] + [math.nan] * 9
         rows.append(",".join(_fmt(c) for c in cells) + ",1")
     return rows
 
@@ -363,13 +368,13 @@ def _validation_errors(params: SwansonParams, step: float) -> dict:
 def _mobius_vs_riccati(params: SwansonParams, step: float) -> float:
     model = swanson_hamiltonian(params)
     t_end = params.period
-    n_steps = max(1, int(round(t_end / step)))
-    times = step * np.arange(n_steps + 1)
+    n_steps = step_count(t_end, step)
+    stride = max(1, n_steps // 100)
+    times = step * np.arange(0, n_steps + 1, stride)
     worst = 0.0
     for b0 in (spectral_data(params).ground_b, 1j, 0.8 + 1.5j, -0.6 + 2j):
-        direct = riccati_direct(model, b0, t_end, step)
-        mob = np.array([evolve_b(model, b0, t) for t in times[:: max(1, n_steps // 100)]])
-        ref = direct[:: max(1, n_steps // 100)]
+        ref = riccati_direct(model, b0, t_end, step)[::stride]
+        mob = np.array([evolve_b(model, b0, t) for t in times])
         worst = max(worst, float(np.abs(mob - ref).max()))
     return worst
 
@@ -449,12 +454,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError("delta-step must be positive")
     periods = cfg.checked_periods()
     init = cfg.initial_state()
+    if cfg.delta_max < cfg.delta_min:
+        raise ConfigError(f"delta-max {cfg.delta_max:g} is below delta-min {cfg.delta_min:g}")
     rows = ["delta,label,diverged,divergence_time,max_g_plus"]
     n_delta_steps = (cfg.delta_max - cfg.delta_min) / cfg.delta_step
     if not (math.isfinite(n_delta_steps) and n_delta_steps < MAX_SAMPLES):
         raise ConfigError(f"the coupling range must hold at most {MAX_SAMPLES} values")
     n_values = int(math.floor(n_delta_steps + 1e-9)) + 1
-    for k in range(max(0, n_values)):
+    for k in range(n_values):
         delta = cfg.delta_min + k * cfg.delta_step
         params = dataclasses.replace(cfg, delta=delta).params
         try:
@@ -463,7 +470,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
             raise ConfigError(str(exc)) from exc
         t_end = periods * params.period
         traj = propagate(swanson_hamiltonian(params), init, t_end, cfg.sample_step(params.period, t_end))
-        g_plus = np.array([metric_eigen(Metric(r[2], r[3], r[4]))[0] for r in traj.values[:: max(1, len(traj.values) // 200)]])
+        # propagate keeps row 0, so the sample is never empty
+        sample = traj.values[:: max(1, len(traj.values) // 200)]
+        g_plus = metric_eigen(sample[:, 2], sample[:, 3], sample[:, 4])[0]
         diverged = traj.divergence_time is not None
         rows.append(
             ",".join(
@@ -472,7 +481,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                     label.value,
                     "1" if diverged else "0",
                     _fmt(traj.divergence_time) if diverged else "",
-                    _fmt(float(g_plus.max())) if len(g_plus) else "",
+                    _fmt(g_plus.max()),
                 ]
             )
         )

@@ -274,18 +274,18 @@ def closed_series(params: SwansonParams, z0: RealState, times) -> np.ndarray:
     return out
 
 
-def metric_eigen(g: Metric) -> tuple[float, float, float]:
-    """Eigenvalues (g_plus, g_minus) and rotation angle phi of the eigenframe.
+def metric_eigen(g_pp, g_pq, g_qq):
+    """Eigenvalues (g_plus, g_minus) and rotation angle phi of the eigenframe; scalars or arrays.
 
-    g_plus * g_minus = 1 by the unit determinant.  phi uses atan2 to fix the
-    quadrant; the isotropic metric returns phi = 0 by convention.
+    The entries are those of a unit-determinant metric, so g_plus * g_minus = 1.
+    phi uses atan2 to fix the quadrant; the isotropic metric returns phi = 0 by
+    convention.  Scalar entries give numpy scalars.
     """
     # |g_plus - g_minus| from hypot rather than sqrt(tr^2 - 4), which cancels
     # near the isotropic metric; g_minus = 1/g_plus then needs no subtraction
-    g_plus = 0.5 * (g.g_pp + g.g_qq + math.hypot(g.g_pp - g.g_qq, 2.0 * g.g_pq))
+    g_plus = 0.5 * (g_pp + g_qq + np.hypot(g_pp - g_qq, 2.0 * g_pq))
     g_minus = 1.0 / g_plus
-    if g.g_pq == 0.0 and g.g_pp == g.g_qq:
-        phi = 0.0
-    else:
-        phi = 0.5 * math.atan2(2.0 * g.g_pq, g.g_pp - g.g_qq)
+    isotropic = (g_pq == 0.0) & (g_pp == g_qq)
+    # [()] turns the 0-d array np.where makes of scalars into a scalar
+    phi = np.where(isotropic, 0.0, 0.5 * np.arctan2(2.0 * g_pq, g_pp - g_qq))[()]
     return g_plus, g_minus, phi

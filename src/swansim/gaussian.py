@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .closed_form import ComplexState, Metric, RealState
+from .closed_form import ComplexState, Metric, RealState, metric_eigen
 from .errors import MobiusPoleError, NonNormalizableError
 from .model import OMEGA, QuadraticHamiltonian, SwansonParams, spectral_data, swanson_hamiltonian
 from .ode import BLOWUP_THRESHOLD, MetriplecticState, Trajectory, step_count
@@ -189,12 +189,15 @@ def riccati_direct(model: QuadraticHamiltonian, b0: complex, t_end: float, step:
     return out
 
 
+def _centre(p, q, g_pp, g_pq, g_qq):
+    """Real expectation values Re z - Omega G Im z of a complex centre z = (p, q); scalars or arrays."""
+    return p.real + g_pq * p.imag + g_qq * q.imag, q.real - g_pp * p.imag - g_pq * q.imag
+
+
 def project_expectations(z: ComplexState, b: complex) -> RealState:
     """Real expectation values of a complex-centred normalizable Gaussian."""
     g = metric_from_b(b)
-    zv = z.array
-    out = zv.real - OMEGA @ g.matrix @ zv.imag
-    return RealState(out[0], out[1])
+    return RealState(*_centre(z.p, z.q, g.g_pp, g.g_pq, g.g_qq))
 
 
 def _sampled_flow(model: QuadraticHamiltonian, z0, b0: complex, times: np.ndarray):
@@ -313,20 +316,16 @@ def propagate(model: QuadraticHamiltonian, init: MetriplecticState, t_end: float
             gamma = _phase_change(p * q - p0 * q0, np.log(b.imag / b0.imag), log_den, const, times)
             g_pp, g_pq, g_qq = _metric_entries(b)
             rows = out[k0 : k0 + len(times)]
-            # project_expectations: Re z - Omega G Im z
-            rows[:, 0] = p.real + g_pq * p.imag + g_qq * q.imag
-            rows[:, 1] = q.real - g_pp * p.imag - g_pq * q.imag
+            rows[:, 0], rows[:, 1] = _centre(p, q, g_pp, g_pq, g_qq)
             rows[:, 2] = g_pp
             rows[:, 3] = g_pq
             rows[:, 4] = g_qq
             rows[:, 5] = init.n * np.exp(_norm_exponent(p, q, b, gamma))
-            tr = g_pp + g_qq
-            g_plus = 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0, 0.0)))
             bad = (
                 (b.imag <= 0.0)
                 | (abs_den <= pole_tol)
                 | ~np.isfinite(rows).all(axis=1)
-                | (g_plus > BLOWUP_THRESHOLD)
+                | (metric_eigen(g_pp, g_pq, g_qq)[0] > BLOWUP_THRESHOLD)
                 | (np.hypot(rows[:, 0], rows[:, 1]) > BLOWUP_THRESHOLD)
             )
             if k0 == 0:

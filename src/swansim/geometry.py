@@ -124,12 +124,16 @@ def _b_margin(params: SwansonParams, re, im):
         return math.inf
     if d > 0.0:
         return im - d / params.omega0
-    radius = params.omega0 / (2.0 * abs(d))
+    # radius - |b - i*radius| = (2*radius*im - |b|^2) / (radius + |b - i*radius|)
+    # without the cancellation of a large radius; numerator and denominator are
+    # divided by max(1, radius), so neither overflows when radius or 1/radius does
+    a = min(1.0, 2.0 * abs(d) / params.omega0)
+    c = min(1.0, params.omega0 / (2.0 * abs(d)))
     # np.hypot on scalars too, so that classify_b and region_grid round alike
-    # (math.hypot is not the C hypot); a subnormal delta overflows radius to
-    # inf, and inf - inf is NaN: a boundary label
-    with np.errstate(invalid="ignore"):
-        return radius - np.hypot(re, im - radius)
+    # (math.hypot is not the C hypot); |b|^2 may overflow far outside the disk,
+    # where -inf is the right margin
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (2.0 * c * im - a * (re * re + im * im)) / (c + np.hypot(a * re, c - a * im))
 
 
 def classify_metric(params: SwansonParams, g0: Metric, band: float = DEFAULT_BAND) -> RegionLabel:

@@ -13,7 +13,7 @@ integrate stays as its independent oracle for validate and the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class Trajectory:
     values: np.ndarray
     divergence_time: float | None = None
     det_drift: float = 0.0
-    _states: list[MetriplecticState] | None = field(default=None, repr=False)
 
     @classmethod
     def from_samples(cls, out: np.ndarray, stop: int, step: float, det_drift: float = 0.0) -> "Trajectory":
@@ -79,21 +78,9 @@ class Trajectory:
         )
 
     @property
-    def states(self) -> list[MetriplecticState]:
-        if self._states is None:
-            self._states = [
-                MetriplecticState(
-                    Z=RealState(float(row[0]), float(row[1])),
-                    G=Metric(float(row[2]), float(row[3]), float(row[4])),
-                    n=float(row[5]),
-                )
-                for row in self.values
-            ]
-        return self._states
-
-    @property
     def final(self) -> MetriplecticState:
-        return self.states[-1]
+        row = self.values[-1].tolist()
+        return MetriplecticState(Z=RealState(row[0], row[1]), G=Metric(row[2], row[3], row[4]), n=row[5])
 
 
 def rhs_state(model: QuadraticHamiltonian, z: RealState, g: Metric) -> np.ndarray:

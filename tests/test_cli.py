@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -9,8 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swansim import RegionLabel, SwansonParams, region_grid
-from swansim.cli import main
+from swansim import (
+    Metric,
+    MetriplecticState,
+    RealState,
+    RegionLabel,
+    SwansonParams,
+    metric_eigen,
+    metric_from_b,
+    propagate,
+    region_grid,
+    swanson_hamiltonian,
+)
+from swansim.cli import _build_parser, _parse_complex_pair, _parse_triple, main
 
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
@@ -192,10 +204,12 @@ def test_sweep_transition(tmp_path: Path):
 
 
 def test_sweep_empty_range(tmp_path: Path):
+    # a reversed coupling range is refused before anything is written
     out = tmp_path / "empty.csv"
     cp = run_cli("sweep", "--delta-min", "2", "--delta-max", "1", "--delta-step", "0.1", "--out", str(out))
-    assert cp.returncode == 0, cp.stderr
-    assert out.read_text() == "delta,label,diverged,divergence_time,max_g_plus\n"
+    assert cp.returncode == 2
+    assert cp.stderr == "config error: delta-max 1 is below delta-min 2\n"
+    assert not out.exists()
 
 
 def test_config_file_and_flag_override(tmp_path: Path):
@@ -226,6 +240,8 @@ def test_config_errors(tmp_path: Path):
     assert run_cli("simulate", "--g0", "2,0,2").returncode == 2
     assert run_cli("simulate", "--step", "-0.1").returncode == 2
     assert run_cli("classify", "--im-min", "-0.5").returncode == 2
+    cp = run_cli("sweep", "--delta-min", "2", "--delta-max", "1", "--delta-step", "0.1")
+    assert cp.returncode == 2 and cp.stderr == "config error: delta-max 1 is below delta-min 2\n"
     for argv in (("simulate",), ("sweep", "--delta-max", "0.2")):
         for periods in ("0", "-1"):
             cp = run_cli(*argv, "--periods", periods)
@@ -356,3 +372,71 @@ def test_classify_fuzz_exits_cleanly(tmp_path_factory, numbers, resolution):
         assert math.isfinite(doc["band"]) and doc["band"] > 0
         assert len(doc["labels"]) == doc["resolution"] ** 2
         assert set(doc["labels"]) <= {"bounded", "divergent", "boundary"}
+
+
+# a negative value with an exponent or a leading point, for each kind of numeric flag
+NEGATIVE_VALUES = {
+    float: ("-5e-1", -0.5),
+    _parse_triple: ("-5e-1,-.5,-1e0", (-0.5, -0.5, -1.0)),
+    _parse_complex_pair: ("-.5e0,-2e-1", complex(-0.5, -0.2)),
+}
+
+
+def test_negative_values_are_not_option_names():
+    # argparse alone reads only -N and -N.N as numbers and takes -5e-1 for an option name
+    parser = _build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    checked = set()
+    for command, subparser in subparsers.choices.items():
+        for action in subparser._actions:
+            if action.type not in NEGATIVE_VALUES:
+                continue
+            text, value = NEGATIVE_VALUES[action.type]
+            for flag in action.option_strings:
+                args = parser.parse_args([command, flag, text])
+                assert getattr(args, action.dest) == value, (command, flag)
+                checked.add((command, flag))
+    assert {("classify", "--re-min"), ("simulate", "--delta"), ("simulate", "--b0"), ("sweep", "--g0")} <= checked
+    assert {command for command, _ in checked} == set(subparsers.choices)
+
+
+def expected_csv(params: SwansonParams, init: MetriplecticState, periods: float) -> bytes:
+    """simulate's CSV built cell by cell from propagate's rows and a scalar metric_eigen per row."""
+    traj = propagate(swanson_hamiltonian(params), init, periods * params.period, params.period / 10_000)
+    lines = ["t,t_per_T,P,Q,g_pp,g_pq,g_qq,g_plus,g_minus,phi,n,divergent"]
+    for t, row in zip(traj.times.tolist(), traj.values.tolist()):
+        cells = [t, t / params.period, *row[:5], *metric_eigen(row[2], row[3], row[4]), row[5]]
+        lines.append(",".join(f"{x:.17g}" for x in cells) + ",0")
+    if traj.divergence_time is not None:
+        t = traj.divergence_time
+        lines.append(",".join(f"{x:.17g}" for x in [t, t / params.period] + [math.nan] * 9) + ",1")
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "omega0, delta, b0, exit_code",
+    [(1.1, -0.55, None, 0), (0.9, 0.4, complex(0.2, 1.1), 0), (1.0, 1.1, None, 3)],
+)
+def test_simulate_csv_bytes(tmp_path: Path, omega0, delta, b0, exit_code):
+    out = tmp_path / "run.csv"
+    argv = ["simulate", f"--omega0={omega0}", f"--delta={delta}", "--p0=0.6", "--q0=-0.8", f"--out={out}"]
+    if b0 is not None:
+        argv.append(f"--b0={b0.real},{b0.imag}")
+    assert main(argv) == exit_code
+    g0 = Metric.identity() if b0 is None else metric_from_b(b0)
+    init = MetriplecticState(Z=RealState(0.6, -0.8), G=g0, n=1.0)
+    assert out.read_bytes() == expected_csv(SwansonParams(omega0, delta), init, 1.0)
+
+
+def test_sweep_max_g_plus_is_the_largest_sampled_eigenvalue(tmp_path: Path):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--delta-min=0.3", "--delta-max=1.15", "--delta-step=0.4", "--p0=0.6", "--q0=0.8", f"--out={out}"]
+    assert main(argv) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 3
+    init = MetriplecticState(Z=RealState(0.6, 0.8), G=Metric.identity(), n=1.0)
+    for k, cells in enumerate(rows):
+        params = SwansonParams(1.0, 0.3 + k * 0.4)
+        traj = propagate(swanson_hamiltonian(params), init, params.period, params.period / 10_000)
+        sample = traj.values[:: max(1, len(traj.values) // 200)].tolist()
+        assert cells[4] == f"{max(metric_eigen(r[2], r[3], r[4])[0] for r in sample):.17g}"

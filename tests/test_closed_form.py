@@ -224,10 +224,10 @@ class TestSurvivalClosed:
 
 class TestMetricEigen:
     def test_isotropic_convention(self):
-        assert metric_eigen(Metric.identity()) == (1.0, 1.0, 0.0)
+        assert metric_eigen(1.0, 0.0, 1.0) == (1.0, 1.0, 0.0)
 
     def test_diagonal_metric(self):
-        g_plus, g_minus, phi = metric_eigen(Metric(1.0 / 3.0, 0.0, 3.0))
+        g_plus, g_minus, phi = metric_eigen(1.0 / 3.0, 0.0, 3.0)
         assert g_plus == pytest.approx(3.0, abs=1e-12)
         assert g_minus == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert abs(phi) == pytest.approx(math.pi / 2.0, abs=1e-12)
@@ -238,7 +238,7 @@ class TestMetricEigen:
     )
     def test_against_eigendecomposition(self, g_pp, g_pq):
         g = Metric(g_pp, g_pq, (1.0 + g_pq**2) / g_pp)
-        g_plus, g_minus, phi = metric_eigen(g)
+        g_plus, g_minus, phi = metric_eigen(g.g_pp, g.g_pq, g.g_qq)
         ev = np.linalg.eigvalsh(g.matrix)
         assert g_minus == pytest.approx(ev[0], rel=1e-10, abs=1e-10)
         assert g_plus == pytest.approx(ev[1], rel=1e-10, abs=1e-10)
@@ -249,6 +249,17 @@ class TestMetricEigen:
         d = r.T @ g.matrix @ r
         assert abs(d[0, 1]) < 1e-9
 
+
+    def test_arrays_match_scalars(self):
+        # isotropic entries, g_pq = -0.0 included, keep phi = +0 inside an array too
+        rng = np.random.default_rng(3)
+        g_pp = np.concatenate(([1.0, 1.0], rng.uniform(0.2, 5.0, 20)))
+        g_pq = np.concatenate(([0.0, -0.0], rng.uniform(-2.0, 2.0, 20)))
+        g_qq = (1.0 + g_pq**2) / g_pp
+        columns = metric_eigen(g_pp, g_pq, g_qq)
+        for k in range(len(g_pp)):
+            assert [col[k] for col in columns] == list(metric_eigen(g_pp[k], g_pq[k], g_qq[k]))
+        assert math.copysign(1.0, columns[2][1]) == 1.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_near_isotropic_against_high_precision(self, seed):
@@ -264,7 +275,7 @@ class TestMetricEigen:
             split = mpmath.sqrt((a - c) ** 2 + 4 * b * b)
             ref_plus = (a + c + split) / 2
             ref_minus = (a * c - b * b) / ref_plus
-            g_plus, g_minus, _ = metric_eigen(g)
+            g_plus, g_minus, _ = metric_eigen(g.g_pp, g.g_pq, g.g_qq)
             assert abs(g_plus - ref_plus) <= 4e-16 * ref_plus
             assert abs(g_minus - ref_minus) <= 4e-16 * ref_minus
 

@@ -136,6 +136,22 @@ class TestClassify:
         assert set(labels.ravel()) == {RegionLabel.BOUNDARY}
         assert classify_metric(PARAMS, Metric.identity(), band=0.5) is RegionLabel.BOUNDARY
 
+    @pytest.mark.parametrize("delta", [-1e-17, -1e-320])
+    def test_vanishing_negative_coupling_is_bounded(self, delta):
+        # the disk of radius omega0/(2|delta|) fills the upper half-plane and the
+        # margin tends to Im b, also where radius - |b - i*radius| cancels (-1e-17)
+        # or the radius overflows (-1e-320)
+        params = SwansonParams(1.0, delta)
+        assert classify_b(params, 0.3 + 1j, band=0.99) is RegionLabel.BOUNDED
+        assert set(region_grid(params, (-2.0, 2.0), (0.05, 2.0), 5).ravel()) == {RegionLabel.BOUNDED}
+        assert not blowup_detected(swanson_hamiltonian(params), 0.3 + 1j, params.period)
+
+    def test_shrinking_disk_is_divergent(self):
+        # radius 5e-311 is subnormal and 1/radius overflows; the margin tends to -|b|
+        params = SwansonParams(1e-300, -1e10)
+        assert classify_b(params, 0.3 + 1j, band=1.04) is RegionLabel.DIVERGENT
+        assert set(region_grid(params, (-2.0, 2.0), (0.05, 2.0), 5).ravel()) == {RegionLabel.DIVERGENT}
+
     def test_classify_b_rejects_lower_half_plane(self):
         with pytest.raises(NonNormalizableError):
             classify_b(PARAMS, 0.4 - 0.1j)
@@ -266,7 +282,7 @@ class TestConservationLaws:
             g_pq = rng.uniform(-1.5, 1.5)
             g = Metric(g_pp, g_pq, (1.0 + g_pq**2) / g_pp)
             z = xyz_from_metric(g).z
-            g_plus, g_minus, _ = metric_eigen(g)
+            g_plus, g_minus, _ = metric_eigen(g.g_pp, g.g_pq, g.g_qq)
             assert g_plus == pytest.approx(z + math.sqrt(z * z - 1.0), abs=1e-10)
             assert g_minus == pytest.approx(z - math.sqrt(z * z - 1.0), abs=1e-10)
 

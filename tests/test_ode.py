@@ -161,12 +161,6 @@ class TestIntegrate:
         det = traj.values[:, 2] * traj.values[:, 4] - traj.values[:, 3] ** 2
         assert np.abs(det - 1.0).max() < 1e-12
 
-    def test_states_materialization(self):
-        traj = integrate(MODEL, UNIT_INIT, PARAMS.period / 10, PARAMS.period / 100)
-        states = traj.states
-        assert len(states) == len(traj.times)
-        assert states[0].Z.P == 1.0 and states[0].n == 1.0
-
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             integrate(MODEL, UNIT_INIT, 1.0, 0.0)
