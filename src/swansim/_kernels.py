@@ -18,7 +18,7 @@ __all__ = [
 NUMBA_ENABLED = False
 
 
-def metriplectic_rk4(hess_h, lin_h, hess_g, lin_g, const_g, y0, step, n_steps, blow_threshold, out):
+def metriplectic_rk4(hess_h, hess_g, const_g, y0, step, n_steps, blow_threshold, out):
     """Fixed-step RK4 on the coupled centre/metric/norm system.
 
     State layout: y = (P, Q, g_pp, g_pq, g_qq, n).  After every step the
@@ -33,13 +33,9 @@ def metriplectic_rk4(hess_h, lin_h, hess_g, lin_g, const_g, y0, step, n_steps, b
     a00 = hess_h[0, 0]
     a01 = hess_h[0, 1]
     a11 = hess_h[1, 1]
-    ah0 = lin_h[0]
-    ah1 = lin_h[1]
     b00 = hess_g[0, 0]
     b01 = hess_g[0, 1]
     b11 = hess_g[1, 1]
-    bg0 = lin_g[0]
-    bg1 = lin_g[1]
 
     y = y0.copy()
     yw = np.empty(6)
@@ -63,10 +59,10 @@ def metriplectic_rk4(hess_h, lin_h, hess_g, lin_g, const_g, y0, step, n_steps, b
             gpq = yw[3]
             gqq = yw[4]
             nn = yw[5]
-            hp = a00 * P + a01 * Q + ah0
-            hq = a01 * P + a11 * Q + ah1
-            gp = b00 * P + b01 * Q + bg0
-            gq = b01 * P + b11 * Q + bg1
+            hp = a00 * P + a01 * Q
+            hq = a01 * P + a11 * Q
+            gp = b00 * P + b01 * Q
+            gq = b01 * P + b11 * Q
             det = gpp * gqq - gpq * gpq
             ks[s, 0] = -hq - (gqq * gp - gpq * gq) / det
             ks[s, 1] = hp + (gpq * gp - gpp * gq) / det
@@ -83,7 +79,7 @@ def metriplectic_rk4(hess_h, lin_h, hess_g, lin_g, const_g, y0, step, n_steps, b
             ks[s, 2] = 2.0 * m00 + b00 - (w00 * gpp + w01 * gpq)
             ks[s, 3] = m01 + m10 + b01 - (w00 * gpq + w01 * gqq)
             ks[s, 4] = 2.0 * m11 + b11 - (w10 * gpq + w11 * gqq)
-            gam = 0.5 * (b00 * P * P + b11 * Q * Q) + b01 * P * Q + bg0 * P + bg1 * Q + const_g
+            gam = 0.5 * (b00 * P * P + b11 * Q * Q) + b01 * P * Q + const_g
             ks[s, 5] = -(2.0 * gam + 0.5 * (b11 * gpp - 2.0 * b01 * gpq + b00 * gqq)) * nn
         for j in range(6):
             y[j] = y[j] + (step / 6.0) * (ks[0, j] + 2.0 * ks[1, j] + 2.0 * ks[2, j] + ks[3, j])

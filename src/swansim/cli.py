@@ -129,13 +129,12 @@ class RunConfig:
         return self.periods
 
     def initial_metric(self) -> Metric:
-        if self.b0 is not None:
-            if self.b0.imag <= 0:
-                raise ConfigError("b0 must have positive imaginary part")
-            return metric_from_b(self.b0)
-        g_pp, g_pq, g_qq = self.g0
         try:
-            g = Metric(g_pp, g_pq, g_qq)
+            if self.b0 is not None:
+                if self.b0.imag <= 0:
+                    raise ConfigError("b0 must have positive imaginary part")
+                return metric_from_b(self.b0)
+            g = Metric(*self.g0)
         except ValueError as exc:
             raise ConfigError(f"invalid initial metric: {exc}") from exc
         if abs(g.det - 1.0) > 1e-6:

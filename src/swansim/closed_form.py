@@ -1,10 +1,12 @@
-"""Analytic solutions for the Swanson oscillator.
+"""Analytic solutions for the Swanson oscillator seeded with the identity metric.
 
-Everything here follows from one fact: the doubled-phase-space generator
-A = doubled_generator(model) satisfies A^2 = -omega^2 * I, so its flow is
-exp(A t) = cos(omega t) I + sin(omega t)/omega * A and all dynamical
-quantities reduce to trigonometric expressions plus a fractional-linear
-projection.
+The complexified flow of the Swanson model is a rotation at frequency
+omega = sqrt(omega0^2 + delta^2) (complex_trajectory), so every
+identity-seeded quantity (centre, metric, survival probability) is a
+trigonometric expression sharing one scale factor, which diverges
+periodically once |delta| >= omega0 (closed_series).  The metric of an
+arbitrary initial metric is gaussian.metric_closed, the Möbius route.
+The state and metric types every module shares live here too.
 """
 
 from __future__ import annotations
@@ -15,16 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .model import SwansonParams, doubled_generator, swanson_hamiltonian
+from .model import SwansonParams
 
 __all__ = [
     "SINGULAR_DET_TOL",
     "Metric",
-    "DoubledFlow",
     "RealState",
     "ComplexState",
-    "doubled_flow",
-    "metric_closed",
     "stretch_factor",
     "first_pole_time",
     "complex_trajectory",
@@ -34,8 +33,8 @@ __all__ = [
     "metric_eigen",
 ]
 
-# determinant of the projection denominator below which the metric is
-# declared divergent rather than inverted (separates blow-up from roundoff)
+# stretch-factor denominator below which a sample counts as inside a blow-up
+# window rather than inverted (separates blow-up from roundoff)
 SINGULAR_DET_TOL = 1e-12
 
 
@@ -116,72 +115,6 @@ class Metric:
         return Metric(self.g_pp * s, self.g_pq * s, self.g_qq * s)
 
 
-@dataclass(frozen=True)
-class DoubledFlow:
-    """Flow matrix of the doubled (4-dimensional) phase space.
-
-    Acts on metrics by the fractional-linear projection
-    G(t) = (pp G0 + pq)(qp G0 + qq)^{-1}.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError("doubled flow must be 4x4")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def pp(self) -> np.ndarray:
-        return self.matrix[:2, :2]
-
-    @property
-    def pq(self) -> np.ndarray:
-        return self.matrix[:2, 2:]
-
-    @property
-    def qp(self) -> np.ndarray:
-        return self.matrix[2:, :2]
-
-    @property
-    def qq(self) -> np.ndarray:
-        return self.matrix[2:, 2:]
-
-    def propagate_metric(self, g0: Metric, time: float | None = None) -> Metric:
-        """Apply the fractional-linear action to an initial metric.
-
-        Raises DivergenceError when the denominator factor is singular (the
-        signed determinant also goes negative between the periodic blow-up
-        times of supercritical flows, which is equally outside the chart).
-        """
-        m0 = g0.matrix
-        num = self.pp @ m0 + self.pq
-        den = self.qp @ m0 + self.qq
-        det = den[0, 0] * den[1, 1] - den[0, 1] * den[1, 0]
-        if det <= SINGULAR_DET_TOL:
-            raise DivergenceError("metric projection is singular: flow diverged", time=time)
-        g = num @ np.array([[den[1, 1], -den[0, 1]], [-den[1, 0], den[0, 0]]]) / det
-        return Metric(float(g[0, 0]), 0.5 * float(g[0, 1] + g[1, 0]), float(g[1, 1]))
-
-
-def doubled_flow(params: SwansonParams, t: float) -> DoubledFlow:
-    """Closed-form doubled flow cos(wt) I + sin(wt)/w * A."""
-    w = params.omega
-    a = doubled_generator(swanson_hamiltonian(params))
-    return DoubledFlow(math.cos(w * t) * np.eye(4) + (math.sin(w * t) / w) * a)
-
-
-def metric_closed(params: SwansonParams, g0: Metric, t: float) -> Metric:
-    """Metric at time t for an arbitrary initial metric.
-
-    Raises DivergenceError at (and between) the periodic blow-up times.
-    """
-    return doubled_flow(params, t).propagate_metric(g0, time=t)
-
-
 def _stretch(params: SwansonParams, times: np.ndarray) -> np.ndarray:
     """Stretch factor 1/den on an array of times; DivergenceError in a blow-up window."""
     d, w = params.delta, params.omega
@@ -232,8 +165,8 @@ def complex_trajectory(params: SwansonParams, z0: ComplexState, t: float) -> Com
 def real_trajectory(params: SwansonParams, z0: RealState, t: float) -> RealState:
     """Expectation-value trajectory for identity initial metric.
 
-    Only valid for G(0) = I; other initial metrics go through the numerical
-    integrator or the complex-trajectory projection.
+    Only valid for G(0) = I; other initial metrics go through the exact
+    propagator (gaussian.propagate) or the RK4 oracle.
     """
     row = closed_series(params, z0, [t])[0]
     return RealState(float(row[0]), float(row[1]))

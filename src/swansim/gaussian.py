@@ -14,7 +14,8 @@ only sampled ingredient is the continuous branch of a complex logarithm.
 
 The same closed forms, evaluated on a time grid, solve the classical coupled
 flow of centre, metric and survival probability exactly (Graefe & Schubert,
-PRA 83, 060101 (2011)): propagate returns it as an ode.Trajectory.
+PRA 83, 060101 (2011)): propagate returns it as an ode.Trajectory, and
+metric_closed gives the Swanson metric from any initial metric at one time.
 """
 
 from __future__ import annotations
@@ -27,18 +28,18 @@ import numpy as np
 
 from . import _kernels
 from .closed_form import ComplexState, Metric, RealState, metric_eigen
-from .errors import MobiusPoleError, NonNormalizableError
-from .model import OMEGA, QuadraticHamiltonian, SwansonParams, spectral_data, swanson_hamiltonian
+from .errors import DivergenceError, MobiusPoleError, NonNormalizableError
+from .model import QuadraticHamiltonian, SwansonParams, spectral_data, swanson_hamiltonian
 from .ode import BLOWUP_THRESHOLD, MetriplecticState, Trajectory, step_count
 
 __all__ = [
     "GaussianState",
-    "ComplexSymplectic",
     "is_normalizable",
     "metric_from_b",
     "b_from_metric",
     "complex_symplectic_flow",
     "evolve_b",
+    "metric_closed",
     "riccati_direct",
     "project_expectations",
     "evolve_state",
@@ -80,42 +81,12 @@ class GaussianState:
         return is_normalizable(self.b)
 
 
-@dataclass(frozen=True)
-class ComplexSymplectic:
-    """Complex 2x2 symplectic matrix S, S^T Omega S = Omega."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("symplectic matrix must be 2x2")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def symplectic_defect(self) -> float:
-        m = self.matrix
-        return float(np.abs(m.T @ OMEGA @ m - OMEGA).max())
-
-    def mobius(self, b: complex) -> complex:
-        """Fractional-linear action on the uncertainty parameter."""
-        m = self.matrix
-        den = m[1, 0] * b + m[1, 1]
-        if abs(den) <= POLE_TOL * max(1.0, abs(b)):
-            raise MobiusPoleError("Möbius denominator vanished")
-        return (m[0, 0] * b + m[0, 1]) / den
-
-    def __matmul__(self, other: "ComplexSymplectic") -> "ComplexSymplectic":
-        return ComplexSymplectic(self.matrix @ other.matrix)
-
-
 def _metric_entries(b):
     """(g_pp, g_pq, g_qq) of the metric of b; scalars or arrays."""
     im = b.imag
     re = b.real
-    return 1.0 / im, -re / im, (re * re + im * im) / im
+    # 0.0 - re rather than -re: a real part of +0 gives g_pq = +0, not -0
+    return 1.0 / im, (0.0 - re) / im, (re * re + im * im) / im
 
 
 def metric_from_b(b: complex) -> Metric:
@@ -133,11 +104,6 @@ def b_from_metric(g: Metric) -> complex:
 def _hessian_coeffs(model: QuadraticHamiltonian) -> tuple[complex, complex, complex]:
     hc = model.hess_complex
     return complex(hc[0, 0]), complex(hc[0, 1]), complex(hc[1, 1])
-
-
-def _require_no_linear_terms(model: QuadraticHamiltonian):
-    if np.any(model.lin_h != 0.0) or np.any(model.lin_gamma != 0.0):
-        raise NotImplementedError("Gaussian flows support purely quadratic models (no linear terms)")
 
 
 def _flow_entries(model: QuadraticHamiltonian, t):
@@ -160,15 +126,33 @@ def _flow_entries(model: QuadraticHamiltonian, t):
     return c - s * cpq, -s * cqq, s * cpp, c + s * cpq
 
 
-def complex_symplectic_flow(model: QuadraticHamiltonian, t: float) -> ComplexSymplectic:
-    """Flow matrix S(t) of the complexified Hamiltonian equations, S(0) = I."""
+def complex_symplectic_flow(model: QuadraticHamiltonian, t: float) -> np.ndarray:
+    """Flow matrix S(t) of the complexified Hamiltonian equations, S(0) = I, as a complex 2x2 array."""
     spp, spq, sqp, sqq = _flow_entries(model, float(t))
-    return ComplexSymplectic(np.array([[spp, spq], [sqp, sqq]]))
+    return np.array([[spp, spq], [sqp, sqq]], dtype=complex)
 
 
 def evolve_b(model: QuadraticHamiltonian, b0: complex, t: float) -> complex:
-    """Uncertainty parameter at time t via the Möbius action of S(t)."""
-    return complex_symplectic_flow(model, t).mobius(b0)
+    """Uncertainty parameter at time t via the Möbius action of S(t); MobiusPoleError at a pole."""
+    spp, spq, sqp, sqq = _flow_entries(model, float(t))
+    den = sqp * b0 + sqq
+    if abs(den) <= POLE_TOL * max(1.0, abs(b0)):
+        raise MobiusPoleError("Möbius denominator vanished")
+    return (spp * b0 + spq) / den
+
+
+def metric_closed(params: SwansonParams, g0: Metric, t: float) -> Metric:
+    """Metric at time t for an arbitrary unit-determinant initial metric.
+
+    The metric of the Möbius image of b0 = b_from_metric(g0) (Graefe &
+    Schubert, PRA 83, 060101 (2011)).  Raises DivergenceError with .time = t
+    at a blow-up time and in the windows between them, where the image is a
+    pole or has left the upper half-plane.
+    """
+    try:
+        return metric_from_b(evolve_b(swanson_hamiltonian(params), b_from_metric(g0), t))
+    except (MobiusPoleError, NonNormalizableError) as exc:
+        raise DivergenceError(f"metric flow diverged: {exc}", time=t) from exc
 
 
 def riccati_direct(model: QuadraticHamiltonian, b0: complex, t_end: float, step: float) -> np.ndarray:
@@ -246,7 +230,6 @@ def evolve_state(
     Möbius poles, and along which Log den is kept on its continuous branch;
     it must resolve every half-turn of den.
     """
-    _require_no_linear_terms(model)
     if t == 0.0:
         return state
     if num_nodes < 2:
@@ -297,7 +280,6 @@ def propagate(model: QuadraticHamiltonian, init: MetriplecticState, t_end: float
     initial row is the given state and is never a stop.  An initial metric
     with det <= 0 is refused with ValueError.
     """
-    _require_no_linear_terms(model)
     b0 = b_from_metric(init.G.normalized())
     n_steps = step_count(t_end, step)
     out = np.empty((n_steps + 1, 6))

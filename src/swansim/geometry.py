@@ -16,7 +16,7 @@ import numpy as np
 
 from .closed_form import Metric
 from .errors import DegeneratePlaneError, NonNormalizableError
-from .gaussian import is_normalizable, metric_from_b
+from .gaussian import is_normalizable
 from .model import SwansonParams
 
 __all__ = [

@@ -8,7 +8,7 @@ special case H = omega0*(p^2 + q^2)/2, Gamma = delta*p*q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,56 +65,33 @@ def _as_symmetric(m, name: str) -> np.ndarray:
     return a
 
 
-def _as_vector(v, name: str) -> np.ndarray:
-    a = np.asarray(v, dtype=float)
-    if a.shape != (2,):
-        raise ValueError(f"{name} must be a 2-vector")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} must be finite")
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class QuadraticHamiltonian:
-    """General complex quadratic Hamiltonian H - i*Gamma.
+    """General complex quadratic Hamiltonian H - i*Gamma without linear terms.
 
     hess_h / hess_gamma are the (symmetric) Hessians of the Hermitian and
-    anti-Hermitian parts in (p, q) ordering; lin_* and const_* are the
-    gradients at the origin and the constant offsets.
+    anti-Hermitian parts in (p, q) ordering; const_* are the constant offsets.
     """
 
     hess_h: np.ndarray
     hess_gamma: np.ndarray
-    lin_h: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    lin_gamma: np.ndarray = field(default_factory=lambda: np.zeros(2))
     const_h: float = 0.0
     const_gamma: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "hess_h", _as_symmetric(self.hess_h, "hess_h"))
         object.__setattr__(self, "hess_gamma", _as_symmetric(self.hess_gamma, "hess_gamma"))
-        object.__setattr__(self, "lin_h", _as_vector(self.lin_h, "lin_h"))
-        object.__setattr__(self, "lin_gamma", _as_vector(self.lin_gamma, "lin_gamma"))
 
     @property
     def hess_complex(self) -> np.ndarray:
         """Hessian of the full complex Hamiltonian, hess_h - i*hess_gamma."""
         return self.hess_h - 1j * self.hess_gamma
 
-    @property
-    def lin_complex(self) -> np.ndarray:
-        return self.lin_h - 1j * self.lin_gamma
-
     def complex_value(self, z) -> complex:
         """Evaluate H - i*Gamma at a (possibly complex) phase-space point."""
         z = np.asarray(z)
         c = self.const_h - 1j * self.const_gamma
-        return complex(0.5 * z @ self.hess_complex @ z + self.lin_complex @ z + c)
-
-    def gamma_value(self, z) -> float:
-        z = np.asarray(z, dtype=float)
-        return float(0.5 * z @ self.hess_gamma @ z + self.lin_gamma @ z + self.const_gamma)
+        return complex(0.5 * z @ self.hess_complex @ z + c)
 
 
 @dataclass(frozen=True)

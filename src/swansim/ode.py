@@ -1,9 +1,11 @@
-"""RK4 oracle for arbitrary quadratic models, and the trajectory type it shares.
+"""RK4 oracle for quadratic models, and the trajectory type it shares.
 
-Classical fixed-step RK4 throughout: the flows are smooth, periodic and
-low-dimensional, so adaptivity buys nothing and fixed steps keep the
-convergence-order tests clean.  Blow-up is detected by thresholding the
-largest metric eigenvalue and the centre norm.
+Classical fixed-step RK4 on the coupled centre/metric/norm flow: the flows
+are smooth, periodic and low-dimensional, so adaptivity buys nothing and
+fixed steps keep the convergence-order tests clean.  The right-hand side is
+written once, inline in _kernels.metriplectic_rk4; the tests pin one step of
+it to the matrix form of the same equations.  Blow-up is detected by
+thresholding the largest metric eigenvalue and the centre norm.
 
 The CLI's simulate and sweep run the exact propagator
 (gaussian.propagate), which returns the same Trajectory on the same grid;
@@ -18,19 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .closed_form import DoubledFlow, Metric, RealState
-from .model import OMEGA, QuadraticHamiltonian, doubled_generator
+from .closed_form import Metric, RealState
+from .model import QuadraticHamiltonian
 
 __all__ = [
     "BLOWUP_THRESHOLD",
     "MetriplecticState",
     "Trajectory",
-    "rhs_state",
-    "rhs_metric",
-    "rhs_norm",
     "step_count",
     "integrate",
-    "integrate_doubled",
 ]
 
 # metric eigenvalue / centre norm beyond which a trajectory counts as divergent
@@ -83,35 +81,6 @@ class Trajectory:
         return MetriplecticState(Z=RealState(row[0], row[1]), G=Metric(row[2], row[3], row[4]), n=row[5])
 
 
-def rhs_state(model: QuadraticHamiltonian, z: RealState, g: Metric) -> np.ndarray:
-    """Centre velocity: symplectic gradient of H minus metric gradient of Gamma."""
-    det = g.det
-    if abs(det) < 1e-12:
-        raise ValueError("metric is near-singular")
-    zv = z.array
-    grad_h = model.hess_h @ zv + model.lin_h
-    grad_g = model.hess_gamma @ zv + model.lin_gamma
-    g_inv = np.array([[g.g_qq, -g.g_pq], [-g.g_pq, g.g_pp]]) / det
-    return OMEGA @ grad_h - g_inv @ grad_g
-
-
-def rhs_metric(model: QuadraticHamiltonian, g: Metric) -> np.ndarray:
-    """Metric velocity; symmetric, and trace(G^-1 Gdot) = 0 so det G is conserved."""
-    hh, gg = model.hess_h, model.hess_gamma
-    gm = g.matrix
-    m = hh @ OMEGA @ gm
-    gg_om = OMEGA.T @ gg @ OMEGA
-    return m + m.T + gg - gm @ gg_om @ gm
-
-
-def rhs_norm(model: QuadraticHamiltonian, z: RealState, g: Metric, n: float) -> float:
-    """Survival-probability rate -(2 Gamma(Z) + tr(Omega^T Gamma'' Omega G)/2) n."""
-    gg = model.hess_gamma
-    gg_om = OMEGA.T @ gg @ OMEGA
-    tr = gg_om[0, 0] * g.g_pp + (gg_om[0, 1] + gg_om[1, 0]) * g.g_pq + gg_om[1, 1] * g.g_qq
-    return -(2.0 * model.gamma_value(z.array) + 0.5 * tr) * n
-
-
 def step_count(t_end: float, step: float) -> int:
     """Steps of the uniform grid 0, step, ..., n_steps * step with n_steps = max(1, round(t_end / step))."""
     if step <= 0:
@@ -141,9 +110,7 @@ def integrate(
     with np.errstate(all="ignore"):
         stop, drift = _kernels.metriplectic_rk4(
             model.hess_h,
-            model.lin_h,
             model.hess_gamma,
-            model.lin_gamma,
             model.const_gamma,
             y0,
             step,
@@ -153,23 +120,3 @@ def integrate(
         )
     return Trajectory.from_samples(out, stop, step, det_drift=drift)
 
-
-def integrate_doubled(model: QuadraticHamiltonian, t_end: float, step: float) -> list[DoubledFlow]:
-    """RK4 on the linear doubled-phase-space flow, sampled at every step.
-
-    The system is linear with constant generator, so classical RK4 is exactly
-    repeated multiplication by the degree-4 Taylor polynomial of exp(step*A).
-    """
-    n_steps = step_count(t_end, step)
-    a = doubled_generator(model)
-    r = np.eye(4)
-    term = np.eye(4)
-    for order in range(1, 5):
-        term = term @ (step * a) / order
-        r = r + term
-    flows = [DoubledFlow(np.eye(4))]
-    phi = np.eye(4)
-    for _ in range(n_steps):
-        phi = r @ phi
-        flows.append(DoubledFlow(phi))
-    return flows

@@ -248,6 +248,11 @@ def test_config_errors(tmp_path: Path):
             assert cp.returncode == 2 and "periods must be positive" in cp.stderr
         cp = run_cli(*argv, "--p0", "nan")
         assert cp.returncode == 2 and "invalid initial centre" in cp.stderr
+    # b0 whose metric overflows (g_qq) or divides by a subnormal Im b (g_pp)
+    for b0 in ("1e300,1", "0,1e-320"):
+        cp = run_cli("simulate", "--b0", b0)
+        assert cp.returncode == 2
+        assert cp.stderr == "config error: invalid initial metric: metric entries must be finite\n"
 
 
 def config_error(argv: list[str], capsys) -> str:
@@ -426,6 +431,20 @@ def test_simulate_csv_bytes(tmp_path: Path, omega0, delta, b0, exit_code):
     g0 = Metric.identity() if b0 is None else metric_from_b(b0)
     init = MetriplecticState(Z=RealState(0.6, -0.8), G=g0, n=1.0)
     assert out.read_bytes() == expected_csv(SwansonParams(omega0, delta), init, 1.0)
+
+
+@pytest.mark.parametrize(
+    "argv, first_row",
+    [
+        (["--delta=0.5"], "0,0,1,0,1,0,1,1,1,0,1,0"),
+        # g_pq = +0 with g_pp < g_qq puts the larger eigenvalue on the q axis: phi = +pi/2
+        (["--delta=0.5", "--b0=0,2"], "0,0,1,0,0.5,0,2,2,0.5,1.5707963267948966,1,0"),
+    ],
+)
+def test_simulate_first_row_has_no_negative_zero(tmp_path: Path, argv, first_row):
+    out = tmp_path / "run.csv"
+    assert main(["simulate", *argv, f"--out={out}"]) == 0
+    assert out.read_text().splitlines()[1] == first_row
 
 
 def test_sweep_max_g_plus_is_the_largest_sampled_eigenvalue(tmp_path: Path):

@@ -16,13 +16,14 @@ from swansim import (
     SwansonParams,
     closed_series,
     complex_trajectory,
-    doubled_flow,
+    doubled_generator,
     first_pole_time,
     metric_closed,
     metric_eigen,
     real_trajectory,
     stretch_factor,
     survival_closed,
+    swanson_hamiltonian,
 )
 
 PARAMS = SwansonParams(1.0, 0.5)
@@ -41,26 +42,40 @@ def random_bounded_metric(rng, params=PARAMS) -> Metric:
             return Metric(g_pp, g_pq, g_qq)
 
 
+def doubled_flow(params: SwansonParams, t: float) -> np.ndarray:
+    """Doubled (4x4) flow exp(A t) = cos(wt) I + sin(wt)/w A, since A = doubled_generator has A^2 = -w^2 I."""
+    w = params.omega
+    a = doubled_generator(swanson_hamiltonian(params))
+    return math.cos(w * t) * np.eye(4) + (math.sin(w * t) / w) * a
+
+
+def doubled_metric(params: SwansonParams, g0: Metric, t: float) -> np.ndarray:
+    """The doubled flow's fractional-linear action G(t) = (pp G0 + pq)(qp G0 + qq)^-1: the oracle of metric_closed."""
+    phi = doubled_flow(params, t)
+    m0 = g0.matrix
+    return (phi[:2, :2] @ m0 + phi[:2, 2:]) @ np.linalg.inv(phi[2:, :2] @ m0 + phi[2:, 2:])
+
+
 class TestDoubledFlow:
     def test_identity_at_zero(self):
-        assert np.allclose(doubled_flow(PARAMS, 0.0).matrix, np.eye(4), atol=1e-15)
+        assert np.allclose(doubled_flow(PARAMS, 0.0), np.eye(4), atol=1e-15)
 
     def test_half_period_is_minus_identity(self):
         t = math.pi / PARAMS.omega
-        assert np.allclose(doubled_flow(PARAMS, t).matrix, -np.eye(4), atol=1e-12)
+        assert np.allclose(doubled_flow(PARAMS, t), -np.eye(4), atol=1e-12)
 
     def test_block_structure(self):
         phi = doubled_flow(PARAMS, 0.37)
-        assert np.allclose(phi.pp, phi.qq, atol=1e-15)
-        assert np.allclose(phi.pq, -phi.qp, atol=1e-15)
+        assert np.allclose(phi[:2, :2], phi[2:, 2:], atol=1e-15)
+        assert np.allclose(phi[:2, 2:], -phi[2:, :2], atol=1e-15)
 
     @given(
         t1=st.floats(min_value=-10.0, max_value=10.0),
         t2=st.floats(min_value=-10.0, max_value=10.0),
     )
     def test_one_parameter_group(self, t1, t2):
-        lhs = doubled_flow(PARAMS, t1 + t2).matrix
-        rhs = doubled_flow(PARAMS, t1).matrix @ doubled_flow(PARAMS, t2).matrix
+        lhs = doubled_flow(PARAMS, t1 + t2)
+        rhs = doubled_flow(PARAMS, t1) @ doubled_flow(PARAMS, t2)
         assert np.abs(lhs - rhs).max() < 1e-10
 
 
@@ -101,6 +116,28 @@ class TestMetricClosed:
                 a = metric_closed(PARAMS, g0, t)
                 b = metric_closed(PARAMS, g0, t + half)
                 assert np.allclose(a.matrix, b.matrix, atol=1e-10)
+
+    @pytest.mark.parametrize("delta", [0.5, -0.5, 0.9, -0.9])
+    def test_matches_doubled_flow(self, delta):
+        params = SwansonParams(1.0, delta)
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            g0 = random_bounded_metric(rng, params)
+            assert not np.allclose(g0.matrix, np.eye(2), atol=1e-2)
+            for t in np.linspace(0.0, 2.0 * params.period, 41):
+                ref = doubled_metric(params, g0, float(t))
+                got = metric_closed(params, g0, float(t)).matrix
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_supercritical_window_raises_with_its_time(self):
+        # between the first pole and its mirror image the flow is outside the chart
+        params = SwansonParams(1.0, 1.2)
+        pole = first_pole_time(params)
+        for frac in (1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6):
+            t = pole + frac * (0.5 * params.period - 2.0 * pole)
+            with pytest.raises(DivergenceError) as info:
+                metric_closed(params, Metric.identity(), t)
+            assert info.value.time == t
 
 
 class TestStretchFactor:

@@ -34,7 +34,6 @@ def test_hamiltonian_hessians():
     model = swanson_hamiltonian(SwansonParams(1.0, 0.5))
     assert np.array_equal(model.hess_h, np.eye(2))
     assert np.array_equal(model.hess_gamma, [[0.0, 0.5], [0.5, 0.0]])
-    assert np.array_equal(model.lin_h, np.zeros(2))
     assert model.const_h == 0.0 and model.const_gamma == 0.0
 
 

@@ -10,14 +10,10 @@ from swansim import (
     RealState,
     SwansonParams,
     closed_series,
-    doubled_flow,
     integrate,
-    integrate_doubled,
-    rhs_metric,
-    rhs_norm,
-    rhs_state,
     swanson_hamiltonian,
 )
+from swansim.model import OMEGA
 
 PARAMS = SwansonParams(1.0, 0.5)
 MODEL = swanson_hamiltonian(PARAMS)
@@ -32,11 +28,50 @@ def random_model(rng) -> QuadraticHamiltonian:
     return QuadraticHamiltonian(
         hess_h=sym(),
         hess_gamma=sym(),
-        lin_h=rng.normal(size=2),
-        lin_gamma=rng.normal(size=2),
         const_h=rng.normal(),
         const_gamma=rng.normal(),
     )
+
+
+# The coupled flow in matrix form: the reference for the RK4 kernel's inline
+# right-hand side, written independently of it.
+
+
+def rhs_state(model: QuadraticHamiltonian, z: RealState, g: Metric) -> np.ndarray:
+    """Centre velocity: symplectic gradient of H minus metric gradient of Gamma."""
+    zv = z.array
+    return OMEGA @ model.hess_h @ zv - np.linalg.inv(g.matrix) @ model.hess_gamma @ zv
+
+
+def rhs_metric(model: QuadraticHamiltonian, g: Metric) -> np.ndarray:
+    """Metric velocity; symmetric, and trace(G^-1 Gdot) = 0 so det G is conserved."""
+    gm = g.matrix
+    m = model.hess_h @ OMEGA @ gm
+    return m + m.T + model.hess_gamma - gm @ OMEGA.T @ model.hess_gamma @ OMEGA @ gm
+
+
+def rhs_norm(model: QuadraticHamiltonian, z: RealState, g: Metric, n: float) -> float:
+    """Survival-probability rate -(2 Gamma(Z) + tr(Omega^T Gamma'' Omega G)/2) n."""
+    zv = z.array
+    gamma = 0.5 * zv @ model.hess_gamma @ zv + model.const_gamma
+    return -(2.0 * gamma + 0.5 * np.trace(OMEGA.T @ model.hess_gamma @ OMEGA @ g.matrix)) * n
+
+
+def rk4_step(model: QuadraticHamiltonian, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of the matrix-form flow on y = (P, Q, g_pp, g_pq, g_qq, n), then det G -> 1."""
+
+    def rate(y):
+        z, g = RealState(y[0], y[1]), Metric(y[2], y[3], y[4])
+        gdot = rhs_metric(model, g)
+        return np.array([*rhs_state(model, z, g), gdot[0, 0], gdot[0, 1], gdot[1, 1], rhs_norm(model, z, g, y[5])])
+
+    k1 = rate(y)
+    k2 = rate(y + 0.5 * h * k1)
+    k3 = rate(y + 0.5 * h * k2)
+    k4 = rate(y + h * k3)
+    y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    y[2:5] /= math.sqrt(y[2] * y[4] - y[3] * y[3])
+    return y
 
 
 class TestRightHandSides:
@@ -177,42 +212,19 @@ class TestIntegrate:
         ratio = err[steps_coarse] / err[2 * steps_coarse]
         assert 11.0 < ratio < 23.0
 
-
-class TestIntegrateDoubled:
-    def test_identity_at_zero(self):
-        flows = integrate_doubled(MODEL, PARAMS.period / 100, PARAMS.period / 100)
-        assert np.allclose(flows[0].matrix, np.eye(4), atol=1e-15)
-
-    def test_matches_closed_flow(self):
-        step = PARAMS.period / 10_000
-        t_end = PARAMS.period / 4.0
-        flows = integrate_doubled(MODEL, t_end, step)
-        ref = doubled_flow(PARAMS, len(flows[:-1]) * step)
-        assert np.abs(flows[-1].matrix - ref.matrix).max() < 1e-8
-
-    def test_hermitian_flow_is_block_rotation(self):
-        model = swanson_hamiltonian(SwansonParams(1.0, 0.0))
-        flows = integrate_doubled(model, 1.3, 1.3 / 2_000)
-        phi = flows[-1]
-        assert np.abs(phi.pq).max() < 1e-10 and np.abs(phi.qp).max() < 1e-10
-        c, s = math.cos(1.3), math.sin(1.3)
-        assert np.allclose(phi.pp, [[c, -s], [s, c]], atol=1e-8)
-        assert np.allclose(phi.qq, [[c, -s], [s, c]], atol=1e-8)
-
-    def test_unit_determinant(self):
-        flows = integrate_doubled(MODEL, PARAMS.period, PARAMS.period / 5_000)
-        assert abs(np.linalg.det(flows[-1].matrix) - 1.0) < 1e-9
-
-    def test_projection_consistent_with_integrate(self):
-        # the two computation routes for the metric must agree
-        step = PARAMS.period / 10_000
-        traj = integrate(MODEL, UNIT_INIT, PARAMS.period, step)
-        flows = integrate_doubled(MODEL, PARAMS.period, step)
-        for k in range(0, len(flows), 500):
-            g = flows[k].propagate_metric(Metric.identity())
-            assert np.abs(
-                [g.g_pp - traj.values[k, 2], g.g_pq - traj.values[k, 3], g.g_qq - traj.values[k, 4]]
-            ).max() < 1e-6
+    def test_one_step_matches_matrix_form_rk4(self):
+        # the kernel's inline right-hand side against the matrix form, on random models
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            model = random_model(rng)
+            g_pp, g_pq = rng.uniform(0.3, 3.0), rng.uniform(-1.5, 1.5)
+            y0 = np.array([*rng.uniform(-1.0, 1.0, size=2), g_pp, g_pq, (1.0 + g_pq**2) / g_pp, rng.uniform(0.2, 3.0)])
+            init = MetriplecticState(Z=RealState(y0[0], y0[1]), G=Metric(*y0[2:5]), n=y0[5])
+            h = rng.uniform(0.01, 0.1)
+            traj = integrate(model, init, h, h)
+            assert traj.divergence_time is None and len(traj.values) == 2
+            ref = rk4_step(model, y0, h)
+            assert np.abs(traj.values[1] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_integrate_refuses_indefinite_initial_metric():
