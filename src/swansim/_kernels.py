@@ -1,11 +1,10 @@
-"""Hot inner loops of the RK4 oracles: scalar loops in plain Python that
-fill caller-owned output arrays."""
+"""Hot inner loops of the RK4 oracles: scalar loops on Python floats and
+complex numbers held in locals (indexing numpy elements costs several times
+the arithmetic), each writing one row of a caller-owned array per step."""
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 __all__ = [
     "NUMBA_ENABLED",
@@ -28,98 +27,95 @@ def metriplectic_rk4(hess_h, hess_g, const_g, y0, step, n_steps, blow_threshold,
     Fills out[k] for k = 0..n_steps and returns (stop, drift): stop == -1 on
     a completed run, otherwise the first step index whose state is divergent
     (rows out[:stop] are valid); drift is the largest |det - 1| seen before
-    renormalization.
+    renormalization.  The arithmetic runs on Python floats held in locals; a
+    stage that divides by a zero determinant would leave a non-finite state,
+    so its ZeroDivisionError stops the run at that step.
     """
-    a00 = hess_h[0, 0]
-    a01 = hess_h[0, 1]
-    a11 = hess_h[1, 1]
-    b00 = hess_g[0, 0]
-    b01 = hess_g[0, 1]
-    b11 = hess_g[1, 1]
+    a00, a01, a11 = float(hess_h[0, 0]), float(hess_h[0, 1]), float(hess_h[1, 1])
+    b00, b01, b11 = float(hess_g[0, 0]), float(hess_g[0, 1]), float(hess_g[1, 1])
+    const_g = float(const_g)
+    step = float(step)
+    half, sixth = 0.5 * step, step / 6.0
+    isfinite, sqrt = math.isfinite, math.sqrt
 
-    y = y0.copy()
-    yw = np.empty(6)
-    ks = np.empty((4, 6))
-    out[0] = y
+    def rate(P, Q, gpp, gpq, gqq, nn):
+        hp = a00 * P + a01 * Q
+        hq = a01 * P + a11 * Q
+        gp = b00 * P + b01 * Q
+        gq = b01 * P + b11 * Q
+        det = gpp * gqq - gpq * gpq
+        # m = hess_h . Omega . G gives the commutator part as m + m^T
+        m00 = a01 * gpp - a00 * gpq
+        m01 = a01 * gpq - a00 * gqq
+        m10 = a11 * gpp - a01 * gpq
+        m11 = a11 * gpq - a01 * gqq
+        # w = G . (Omega^T hess_g Omega) = G . adj(hess_g)
+        w00 = gpp * b11 - gpq * b01
+        w01 = -gpp * b01 + gpq * b00
+        w10 = gpq * b11 - gqq * b01
+        w11 = -gpq * b01 + gqq * b00
+        gam = 0.5 * (b00 * P * P + b11 * Q * Q) + b01 * P * Q + const_g
+        return (
+            -hq - (gqq * gp - gpq * gq) / det,
+            hp + (gpq * gp - gpp * gq) / det,
+            2.0 * m00 + b00 - (w00 * gpp + w01 * gpq),
+            m01 + m10 + b01 - (w00 * gpq + w01 * gqq),
+            2.0 * m11 + b11 - (w10 * gpq + w11 * gqq),
+            -(2.0 * gam + 0.5 * (b11 * gpp - 2.0 * b01 * gpq + b00 * gqq)) * nn,
+        )
+
+    out[0] = y0
+    z0, z1, z2, z3, z4, z5 = y0.tolist()
     drift = 0.0
     for k in range(1, n_steps + 1):
-        for s in range(4):
-            if s == 0:
-                for j in range(6):
-                    yw[j] = y[j]
-            elif s == 3:
-                for j in range(6):
-                    yw[j] = y[j] + step * ks[2, j]
-            else:
-                for j in range(6):
-                    yw[j] = y[j] + 0.5 * step * ks[s - 1, j]
-            P = yw[0]
-            Q = yw[1]
-            gpp = yw[2]
-            gpq = yw[3]
-            gqq = yw[4]
-            nn = yw[5]
-            hp = a00 * P + a01 * Q
-            hq = a01 * P + a11 * Q
-            gp = b00 * P + b01 * Q
-            gq = b01 * P + b11 * Q
-            det = gpp * gqq - gpq * gpq
-            ks[s, 0] = -hq - (gqq * gp - gpq * gq) / det
-            ks[s, 1] = hp + (gpq * gp - gpp * gq) / det
-            # m = hess_h . Omega . G gives the commutator part as m + m^T
-            m00 = a01 * gpp - a00 * gpq
-            m01 = a01 * gpq - a00 * gqq
-            m10 = a11 * gpp - a01 * gpq
-            m11 = a11 * gpq - a01 * gqq
-            # w = G . (Omega^T hess_g Omega) = G . adj(hess_g)
-            w00 = gpp * b11 - gpq * b01
-            w01 = -gpp * b01 + gpq * b00
-            w10 = gpq * b11 - gqq * b01
-            w11 = -gpq * b01 + gqq * b00
-            ks[s, 2] = 2.0 * m00 + b00 - (w00 * gpp + w01 * gpq)
-            ks[s, 3] = m01 + m10 + b01 - (w00 * gpq + w01 * gqq)
-            ks[s, 4] = 2.0 * m11 + b11 - (w10 * gpq + w11 * gqq)
-            gam = 0.5 * (b00 * P * P + b11 * Q * Q) + b01 * P * Q + const_g
-            ks[s, 5] = -(2.0 * gam + 0.5 * (b11 * gpp - 2.0 * b01 * gpq + b00 * gqq)) * nn
-        for j in range(6):
-            y[j] = y[j] + (step / 6.0) * (ks[0, j] + 2.0 * ks[1, j] + 2.0 * ks[2, j] + ks[3, j])
-
-        ok = True
-        for j in range(6):
-            if not math.isfinite(y[j]):
-                ok = False
-        if ok and (y[2] <= 0.0 or y[4] <= 0.0):
-            ok = False
-        if ok:
-            det = y[2] * y[4] - y[3] * y[3]
-            tr = y[2] + y[4]
-            # The computed det is authoritative only at moderate amplitude;
-            # for large metrics it is cancellation noise, and renormalizing
-            # by it (or rejecting on its sign) corrupts an otherwise accurate
-            # solution on approach to a blow-up.
-            if tr < 1e3:
-                if det <= 0.0 or not math.isfinite(det):
-                    ok = False
-                else:
-                    d1 = abs(det - 1.0)
-                    if d1 > drift:
-                        drift = d1
-                    scale = 1.0 / math.sqrt(det)
-                    y[2] *= scale
-                    y[3] *= scale
-                    y[4] *= scale
-                    det = 1.0
-                    tr = y[2] + y[4]
-            if ok:
-                disc = tr * tr - 4.0 * det
-                if disc < 0.0:
-                    disc = 0.0
-                g_plus = 0.5 * (tr + math.sqrt(disc))
-                if g_plus > blow_threshold or math.hypot(y[0], y[1]) > blow_threshold:
-                    ok = False
-        if not ok:
+        try:
+            p1, q1, a1, b1, c1, n1 = rate(z0, z1, z2, z3, z4, z5)
+            p2, q2, a2, b2, c2, n2 = rate(
+                z0 + half * p1, z1 + half * q1, z2 + half * a1, z3 + half * b1, z4 + half * c1, z5 + half * n1
+            )
+            p3, q3, a3, b3, c3, n3 = rate(
+                z0 + half * p2, z1 + half * q2, z2 + half * a2, z3 + half * b2, z4 + half * c2, z5 + half * n2
+            )
+            p4, q4, a4, b4, c4, n4 = rate(
+                z0 + step * p3, z1 + step * q3, z2 + step * a3, z3 + step * b3, z4 + step * c3, z5 + step * n3
+            )
+        except ZeroDivisionError:
             return k, drift
-        out[k] = y
+        z0 = z0 + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+        z1 = z1 + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+        z2 = z2 + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        z3 = z3 + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        z4 = z4 + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        z5 = z5 + sixth * (n1 + 2.0 * n2 + 2.0 * n3 + n4)
+
+        if not (isfinite(z0) and isfinite(z1) and isfinite(z2) and isfinite(z3) and isfinite(z4) and isfinite(z5)):
+            return k, drift
+        if z2 <= 0.0 or z4 <= 0.0:
+            return k, drift
+        det = z2 * z4 - z3 * z3
+        tr = z2 + z4
+        # The computed det is authoritative only at moderate amplitude; for
+        # large metrics it is cancellation noise, and renormalizing by it (or
+        # rejecting on its sign) corrupts an otherwise accurate solution on
+        # approach to a blow-up.
+        if tr < 1e3:
+            if det <= 0.0 or not isfinite(det):
+                return k, drift
+            d1 = abs(det - 1.0)
+            if d1 > drift:
+                drift = d1
+            scale = 1.0 / sqrt(det)
+            z2 *= scale
+            z3 *= scale
+            z4 *= scale
+            det = 1.0
+            tr = z2 + z4
+        disc = tr * tr - 4.0 * det
+        if disc < 0.0:
+            disc = 0.0
+        if 0.5 * (tr + sqrt(disc)) > blow_threshold or math.hypot(z0, z1) > blow_threshold:
+            return k, drift
+        out[k] = (z0, z1, z2, z3, z4, z5)
     return -1, drift
 
 

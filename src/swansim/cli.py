@@ -103,10 +103,18 @@ class RunConfig:
 
     @property
     def params(self) -> SwansonParams:
+        """The model; ConfigError if invalid or if its squared frequency overflows a double."""
         try:
-            return SwansonParams(self.omega0, self.delta)
+            params = SwansonParams(self.omega0, self.delta)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # the flow's mu^2 is omega^2; past omega ~ 1.3e154 it is inf and every sample turns to NaN
+        if not math.isfinite(params.omega * params.omega):
+            raise ConfigError(
+                f"omega0 {params.omega0:g} with delta {params.delta:g} gives a period of {params.period:.3g}, "
+                "too short for its squared frequency to be a finite double"
+            )
+        return params
 
     def sample_step(self, period: float, span: float) -> float:
         """Sample spacing of a run over [0, span]: --step, or period / 10^4.

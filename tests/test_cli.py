@@ -248,6 +248,11 @@ def test_config_errors(tmp_path: Path):
             assert cp.returncode == 2 and "periods must be positive" in cp.stderr
         cp = run_cli(*argv, "--p0", "nan")
         assert cp.returncode == 2 and "invalid initial centre" in cp.stderr
+    # a period of 6e-300: omega^2 overflows, which once gave numpy warnings and a NaN error or a fake divergence
+    for command in ("validate", "simulate"):
+        cp = run_cli(command, "--omega0", "1e300")
+        assert cp.returncode == 2 and cp.stderr.count("\n") == 1
+        assert cp.stderr.startswith("config error: omega0 1e+300") and "period of 6.28e-300" in cp.stderr
     # b0 whose metric overflows (g_qq) or divides by a subnormal Im b (g_pp)
     for b0 in ("1e300,1", "0,1e-320"):
         cp = run_cli("simulate", "--b0", b0)

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from swansim import _kernels
 from swansim import (
     Metric,
     MetriplecticState,
@@ -14,6 +16,7 @@ from swansim import (
     swanson_hamiltonian,
 )
 from swansim.model import OMEGA
+from swansim.ode import BLOWUP_THRESHOLD
 
 PARAMS = SwansonParams(1.0, 0.5)
 MODEL = swanson_hamiltonian(PARAMS)
@@ -58,7 +61,7 @@ def rhs_norm(model: QuadraticHamiltonian, z: RealState, g: Metric, n: float) -> 
 
 
 def rk4_step(model: QuadraticHamiltonian, y: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of the matrix-form flow on y = (P, Q, g_pp, g_pq, g_qq, n), then det G -> 1."""
+    """One classical RK4 step of the matrix-form flow on y = (P, Q, g_pp, g_pq, g_qq, n)."""
 
     def rate(y):
         z, g = RealState(y[0], y[1]), Metric(y[2], y[3], y[4])
@@ -69,9 +72,34 @@ def rk4_step(model: QuadraticHamiltonian, y: np.ndarray, h: float) -> np.ndarray
     k2 = rate(y + 0.5 * h * k1)
     k3 = rate(y + 0.5 * h * k2)
     k4 = rate(y + h * k3)
-    y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    y[2:5] /= math.sqrt(y[2] * y[4] - y[3] * y[3])
-    return y
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_run(model: QuadraticHamiltonian, y0: np.ndarray, h: float, n_steps: int) -> tuple[np.ndarray, int]:
+    """Matrix-form RK4 with integrate's contract: (rows, stop), stop = -1 or the first divergent step.
+
+    After each step det G -> 1 while tr G < 1e3; a step is divergent if it is
+    non-finite, loses positive-definiteness, or has a metric eigenvalue or
+    centre norm over BLOWUP_THRESHOLD.
+    """
+    rows = [y0]
+    for k in range(1, n_steps + 1):
+        try:
+            y = rk4_step(model, rows[-1], h)
+        except np.linalg.LinAlgError:  # a stage met a singular metric
+            return np.array(rows), k
+        if not np.isfinite(y).all() or y[2] <= 0.0 or y[4] <= 0.0:
+            return np.array(rows), k
+        if y[2] + y[4] < 1e3:
+            det = y[2] * y[4] - y[3] * y[3]
+            if det <= 0.0:
+                return np.array(rows), k
+            y[2:5] /= math.sqrt(det)
+        g_plus = np.linalg.eigvalsh(Metric(y[2], y[3], y[4]).matrix).max()
+        if max(g_plus, math.hypot(y[0], y[1])) > BLOWUP_THRESHOLD:
+            return np.array(rows), k
+        rows.append(y)
+    return np.array(rows), -1
 
 
 class TestRightHandSides:
@@ -223,8 +251,49 @@ class TestIntegrate:
             h = rng.uniform(0.01, 0.1)
             traj = integrate(model, init, h, h)
             assert traj.divergence_time is None and len(traj.values) == 2
-            ref = rk4_step(model, y0, h)
+            rows, stop = rk4_run(model, y0, h, 1)
+            assert stop == -1
+            ref = rows[1]
             assert np.abs(traj.values[1] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "model, g0",
+        [
+            (swanson_hamiltonian(SwansonParams(1.0, 0.5)), Metric.identity()),
+            (swanson_hamiltonian(SwansonParams(1.0, -0.9)), Metric(2.0, 0.6, 0.68)),
+            (QuadraticHamiltonian(hess_h=[[1.2, 0.3], [0.3, 0.8]], hess_gamma=[[0.2, 0.05], [0.05, 0.1]], const_gamma=-0.3),
+             Metric.identity()),
+        ],
+        ids=["swanson-0.5", "swanson-minus-0.9-g0", "general-damped"],
+    )
+    def test_run_matches_matrix_form_rk4(self, model, g0):
+        # a whole period at T/1000: renormalization and row writes of every step, not only the first
+        period = 2.0 * math.pi
+        init = MetriplecticState(Z=RealState(1.0, 0.3), G=g0, n=1.0)
+        traj = integrate(model, init, period, period / 1000)
+        rows, stop = rk4_run(model, np.array([1.0, 0.3, g0.g_pp, g0.g_pq, g0.g_qq, 1.0]), period / 1000, 1000)
+        assert stop == -1 and traj.divergence_time is None and traj.values.shape == rows.shape
+        assert (np.abs(traj.values - rows) <= 1e-10 * np.maximum(1.0, np.abs(rows))).all()
+
+    @pytest.mark.parametrize("delta", [1.2, -1.1])
+    def test_supercritical_stop_matches_matrix_form_rk4(self, delta):
+        params = SwansonParams(1.0, delta)
+        step = params.period / 1000
+        traj = integrate(swanson_hamiltonian(params), UNIT_INIT, params.period, step)
+        rows, stop = rk4_run(swanson_hamiltonian(params), np.array([1.0, 0.0, 1.0, 0.0, 1.0, 1.0]), step, 1000)
+        assert stop > 0 and traj.divergence_time == stop * step and len(traj.values) == stop
+        # past tr G = 1e3 the metric is ill-conditioned and rounding differences grow (measured 1e-9)
+        moderate = rows[:, 2] + rows[:, 4] < 1e3
+        assert (np.abs(traj.values - rows)[moderate] <= 1e-10 * np.maximum(1.0, np.abs(rows[moderate]))).all()
+
+    def test_zero_determinant_stops_at_step_one(self):
+        # stage 1 divides by det G = 0; numpy would give inf or nan, the float kernel stops without a warning
+        y0 = np.array([1.0, 0.5, 0.0, 0.0, 0.0, 1.0])
+        out = np.full((4, 6), 7.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _kernels.metriplectic_rk4(np.eye(2), np.zeros((2, 2)), 0.0, y0, 0.1, 3, BLOWUP_THRESHOLD, out) == (1, 0.0)
+        assert np.array_equal(out[0], y0)
 
 
 def test_integrate_refuses_indefinite_initial_metric():
