@@ -102,6 +102,21 @@ def rk4_run(model: QuadraticHamiltonian, y0: np.ndarray, h: float, n_steps: int)
     return np.array(rows), -1
 
 
+# bounded runs for the whole-run pin: (model, G0, period)
+BOUNDED_RUNS = {
+    "swanson-0.5": (MODEL, Metric.identity(), PARAMS.period),
+    "swanson-minus-0.9-g0": (
+        swanson_hamiltonian(SwansonParams(1.0, -0.9)), Metric(2.0, 0.6, 0.68), SwansonParams(1.0, -0.9).period
+    ),
+    # positive-definite H'' and Gamma'', with a constant rate: damped; the period is that of H alone
+    "general-damped": (
+        QuadraticHamiltonian(hess_h=[[1.2, 0.3], [0.3, 0.8]], hess_gamma=[[0.2, 0.05], [0.05, 0.1]], const_gamma=-0.3),
+        Metric.identity(),
+        2.0 * math.pi / math.sqrt(1.2 * 0.8 - 0.3 * 0.3),
+    ),
+}
+
+
 class TestRightHandSides:
     def test_state_hamiltonian_flow(self):
         model = QuadraticHamiltonian(hess_h=np.eye(2), hess_gamma=np.zeros((2, 2)))
@@ -256,19 +271,10 @@ class TestIntegrate:
             ref = rows[1]
             assert np.abs(traj.values[1] - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize(
-        "model, g0",
-        [
-            (swanson_hamiltonian(SwansonParams(1.0, 0.5)), Metric.identity()),
-            (swanson_hamiltonian(SwansonParams(1.0, -0.9)), Metric(2.0, 0.6, 0.68)),
-            (QuadraticHamiltonian(hess_h=[[1.2, 0.3], [0.3, 0.8]], hess_gamma=[[0.2, 0.05], [0.05, 0.1]], const_gamma=-0.3),
-             Metric.identity()),
-        ],
-        ids=["swanson-0.5", "swanson-minus-0.9-g0", "general-damped"],
-    )
-    def test_run_matches_matrix_form_rk4(self, model, g0):
+    @pytest.mark.parametrize("name", BOUNDED_RUNS)
+    def test_run_matches_matrix_form_rk4(self, name):
         # a whole period at T/1000: renormalization and row writes of every step, not only the first
-        period = 2.0 * math.pi
+        model, g0, period = BOUNDED_RUNS[name]
         init = MetriplecticState(Z=RealState(1.0, 0.3), G=g0, n=1.0)
         traj = integrate(model, init, period, period / 1000)
         rows, stop = rk4_run(model, np.array([1.0, 0.3, g0.g_pp, g0.g_pq, g0.g_qq, 1.0]), period / 1000, 1000)
