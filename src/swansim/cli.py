@@ -8,14 +8,19 @@ Outputs are deterministic: identical configuration produces byte-identical
 files (floats are written with 17 significant digits, CSV uses comma
 separators and LF line endings, JSON keys are sorted).
 
-Exit codes: 0 ok, 2 configuration or numerical (SwansimError) error, 3
-divergence (unless --allow-divergence), 4 validation failure.
+Outputs are streamed: the CSV in blocks of rows, the classify labels in runs
+of equal labels, so no chunk of text grows with the run.
+
+Exit codes: 0 ok, 2 configuration or numerical (SwansimError) error or an
+unwritable --out, 3 divergence (unless --allow-divergence), 4 validation
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -37,7 +42,7 @@ from .gaussian import (
     propagate,
     riccati_direct,
 )
-from .geometry import DEFAULT_BAND, RegionLabel, classify_metric, region_grid
+from .geometry import DEFAULT_BAND, classify_metric, region_grid
 from .model import SwansonParams, spectral_data, swanson_hamiltonian
 from .ode import MetriplecticState, integrate, step_count
 
@@ -52,12 +57,16 @@ DEFAULT_STEPS_PER_PERIOD = 10_000
 # most samples, coupling values or grid points one run may ask for; refused before allocation
 MAX_SAMPLES = 10_000_000
 
-# JSON text of the bounded, divergent and boundary labels (codes 0, 1, 2 in _labels_json)
-_QUOTED_LABELS = np.array(['"bounded"', '"divergent"', '"boundary"'], dtype=object)
+# JSON text of the bounded, divergent and boundary labels: region_grid's codes 0, 1, 2
+_QUOTED_LABELS = ('"bounded"', '"divergent"', '"boundary"')
+# most labels in one chunk of classify's output; a longer run of equal labels is cut
+_LABEL_RUN_CAP = 8192
 
 CSV_HEADER = "t,t_per_T,P,Q,g_pp,g_pq,g_qq,g_plus,g_minus,phi,n,divergent"
-# a sample row: its 11 numeric cells as _fmt writes them, then the divergence flag 0
-_CSV_ROW = ",".join(["%.17g"] * 11) + ",0"
+# a sample line: its 11 numeric cells as _fmt writes them, then the divergence flag 0
+_CSV_ROW = ",".join(["%.17g"] * 11) + ",0\n"
+# CSV rows formatted per chunk; one tolist() per block holds its cells as float objects
+_CSV_BLOCK_ROWS = 4096
 
 VALIDATION_THRESHOLDS = {
     "Z": 1e-6,
@@ -103,18 +112,11 @@ class RunConfig:
 
     @property
     def params(self) -> SwansonParams:
-        """The model; ConfigError if invalid or if its squared frequency overflows a double."""
+        """The model; ConfigError if SwansonParams refuses it."""
         try:
-            params = SwansonParams(self.omega0, self.delta)
+            return SwansonParams(self.omega0, self.delta)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        # the flow's mu^2 is omega^2; past omega ~ 1.3e154 it is inf and every sample turns to NaN
-        if not math.isfinite(params.omega * params.omega):
-            raise ConfigError(
-                f"omega0 {params.omega0:g} with delta {params.delta:g} gives a period of {params.period:.3g}, "
-                "too short for its squared frequency to be a finite double"
-            )
-        return params
 
     def sample_step(self, period: float, span: float) -> float:
         """Sample spacing of a run over [0, span]: --step, or period / 10^4.
@@ -286,25 +288,32 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _write_text(path: str | None, text: str):
+def _write_chunks(path: str | None, chunks):
+    """Write an iterable of text chunks to path, or to stdout; ConfigError if path cannot be written."""
     if path is None:
-        sys.stdout.write(text)
-    else:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
-def _csv_rows(traj, period: float) -> list[str]:
+def _csv_chunks(traj, period: float):
+    """simulate's CSV: the header, blocks of _CSV_BLOCK_ROWS sample lines, then the flagged divergence line."""
     v = traj.values
     eigen = metric_eigen(v[:, 2], v[:, 3], v[:, 4])
     table = np.column_stack((traj.times, traj.times / period, v[:, :5], *eigen, v[:, 5]))
-    # row by row: a tolist() of the whole table would hold every cell as a float object at once
-    rows = [CSV_HEADER] + [_CSV_ROW % tuple(row.tolist()) for row in table]
+    yield CSV_HEADER + "\n"
+    for start in range(0, len(table), _CSV_BLOCK_ROWS):
+        yield "".join([_CSV_ROW % tuple(row) for row in table[start : start + _CSV_BLOCK_ROWS].tolist()])
     if traj.divergence_time is not None:
         t = traj.divergence_time
         cells = [t, t / period] + [math.nan] * 9
-        rows.append(",".join(_fmt(c) for c in cells) + ",1")
-    return rows
+        yield ",".join(_fmt(c) for c in cells) + ",1\n"
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -312,7 +321,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     t_end = cfg.checked_periods() * params.period
     step = cfg.sample_step(params.period, t_end)
     traj = propagate(swanson_hamiltonian(params), cfg.initial_state(), t_end, step)
-    _write_text(cfg.out, "\n".join(_csv_rows(traj, params.period)) + "\n")
+    _write_chunks(cfg.out, _csv_chunks(traj, params.period))
     if traj.divergence_time is not None and not cfg.allow_divergence:
         print(f"divergence detected at t = {traj.divergence_time:.6g}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -324,7 +333,7 @@ def cmd_classify(cfg: RunConfig) -> int:
     if cfg.resolution**2 > MAX_SAMPLES:
         raise ConfigError(f"a {cfg.resolution}x{cfg.resolution} grid exceeds the limit of {MAX_SAMPLES} samples")
     try:
-        labels = region_grid(
+        codes = region_grid(
             params,
             (cfg.re_min, cfg.re_max),
             (cfg.im_min, cfg.im_max),
@@ -342,20 +351,28 @@ def cmd_classify(cfg: RunConfig) -> int:
         "labels": None,
     }
     # json.dumps(..., indent=2) encodes in pure Python, one call per label; the
-    # label array is written in bulk and spliced in where the placeholder sits
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    text = text.replace('"labels": null', '"labels": ' + _labels_json(labels), 1)
-    _write_text(cfg.out, text + "\n")
+    # label array is written in runs where the placeholder sits
+    head, _, tail = json.dumps(doc, indent=2, sort_keys=True).partition('"labels": null')
+    _write_chunks(cfg.out, itertools.chain([head + '"labels": '], _label_chunks(codes), [tail + "\n"]))
     return EXIT_OK
 
 
-def _labels_json(labels: np.ndarray) -> str:
-    """The labels as the JSON array json.dumps(indent=2) writes for a top-level key."""
-    flat = labels.ravel()
-    codes = np.full(flat.size, 2, dtype=np.int8)
-    codes[flat == RegionLabel.BOUNDED] = 0
-    codes[flat == RegionLabel.DIVERGENT] = 1
-    return "[\n    " + ",\n    ".join(_QUOTED_LABELS[codes].tolist()) + "\n  ]"
+def _label_chunks(codes: np.ndarray):
+    """A non-empty code array's labels as the JSON array json.dumps(indent=2) writes for a top-level key.
+
+    Each run of equal codes is one repeated ",\\n    " + label, cut every
+    _LABEL_RUN_CAP labels.
+    """
+    flat = codes.ravel()
+    cuts = (np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist()
+    starts = [0] + cuts
+    yield "[\n    " + _QUOTED_LABELS[flat[0]]
+    for start, end, code in zip(starts, cuts + [flat.size], flat[starts].tolist()):
+        item = ",\n    " + _QUOTED_LABELS[code]
+        # the first label is already written with the bracket
+        for lo in range(max(start, 1), end, _LABEL_RUN_CAP):
+            yield item * min(_LABEL_RUN_CAP, end - lo)
+    yield "\n  ]"
 
 
 def _validation_errors(params: SwansonParams, step: float) -> dict:
@@ -452,7 +469,7 @@ def cmd_validate(cfg: RunConfig) -> int:
             failures.append(f"convergence order {order:.3f} outside [3.7, 4.3]")
     report["failures"] = failures
     report["pass"] = not failures
-    _write_text(cfg.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_chunks(cfg.out, [json.dumps(report, indent=2, sort_keys=True) + "\n"])
     return EXIT_OK if not failures else EXIT_VALIDATION
 
 
@@ -492,7 +509,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 ]
             )
         )
-    _write_text(cfg.out, "\n".join(rows) + "\n")
+    _write_chunks(cfg.out, ["\n".join(rows) + "\n"])
     return EXIT_OK
 
 

@@ -91,19 +91,15 @@ def plane_slope(params: SwansonParams, pt0: HyperboloidPoint) -> float:
     return params.delta * pt0.z / den
 
 
-# RegionLabel for each int8 code _label_codes assigns
-_LABELS = np.array([RegionLabel.BOUNDED, RegionLabel.DIVERGENT, RegionLabel.BOUNDARY], dtype=object)
-
-
 def _require_band(band: float):
     if not (math.isfinite(band) and band > 0):
         raise ValueError(f"band must be finite and positive, got {band}")
 
 
 def _label_codes(margin, band: float) -> np.ndarray:
-    """Codes into _LABELS: bounded above band, divergent below -band, boundary otherwise (NaN included).
+    """Codes into list(RegionLabel): bounded above band, divergent below -band, boundary otherwise (NaN included).
 
-    A scalar margin gives a 0-d array, which indexes _LABELS to a single label.
+    A scalar margin gives a 0-d array, which indexes list(RegionLabel) to a single label.
     """
     codes = np.full(np.shape(margin), 2, dtype=np.int8)
     codes[margin > band] = 0
@@ -144,7 +140,7 @@ def classify_metric(params: SwansonParams, g0: Metric, band: float = DEFAULT_BAN
     """
     _require_band(band)
     s = plane_slope(params, xyz_from_metric(g0))
-    return _LABELS[_label_codes(1.0 - abs(s), band)]
+    return list(RegionLabel)[_label_codes(1.0 - abs(s), band)]
 
 
 def classify_b(params: SwansonParams, b0: complex, band: float = DEFAULT_BAND) -> RegionLabel:
@@ -159,7 +155,7 @@ def classify_b(params: SwansonParams, b0: complex, band: float = DEFAULT_BAND) -
     _require_band(band)
     if not is_normalizable(b0):
         raise NonNormalizableError(f"Im(b) must be positive, got {b0.imag}")
-    return _LABELS[_label_codes(_b_margin(params, b0.real, b0.imag), band)]
+    return list(RegionLabel)[_label_codes(_b_margin(params, b0.real, b0.imag), band)]
 
 
 def grid_axes(re_range: tuple[float, float], im_range: tuple[float, float], resolution: int):
@@ -183,13 +179,15 @@ def region_grid(
     resolution: int,
     band: float = DEFAULT_BAND,
 ) -> np.ndarray:
-    """Classification labels on a rectangular grid of initial b values.
+    """Classification codes on a rectangular grid of initial b values.
 
-    Returns an object array of RegionLabel with shape (resolution, resolution);
-    rows run over ascending Im(b), columns over ascending Re(b).  The label of
-    every point is classify_b's, from one array evaluation of the same margin.
+    Returns an int8 array with shape (resolution, resolution); code k stands
+    for list(RegionLabel)[k] (0 bounded, 1 divergent, 2 boundary).  Rows run
+    over ascending Im(b), columns over ascending Re(b).  The code of every
+    point is that of classify_b's label, from one array evaluation of the same
+    margin.
     """
     _require_band(band)
     re_vals, im_vals = grid_axes(re_range, im_range, resolution)
     margin = _b_margin(params, re_vals[None, :], im_vals[:, None])
-    return _LABELS[_label_codes(np.broadcast_to(margin, (resolution, resolution)), band)]
+    return _label_codes(np.broadcast_to(margin, (resolution, resolution)), band)

@@ -41,6 +41,12 @@ class SwansonParams:
             raise ValueError("parameters must be finite")
         if self.omega0 <= 0:
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
+        # the flow's mu^2 is omega^2; past omega ~ 1.3e154 it is inf and every sample turns to NaN
+        if not math.isfinite(self.omega * self.omega):
+            raise ValueError(
+                f"omega0 {self.omega0:g} with delta {self.delta:g} gives a period of {self.period:.3g}, "
+                "too short for its squared frequency to be a finite double"
+            )
 
     @property
     def omega(self) -> float:

@@ -3,11 +3,13 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swansim import (
@@ -22,7 +24,11 @@ from swansim import (
     region_grid,
     swanson_hamiltonian,
 )
-from swansim.cli import _build_parser, _parse_complex_pair, _parse_triple, main
+from swansim import cli
+from swansim.cli import _build_parser, _label_chunks, _parse_complex_pair, _parse_triple, main
+
+# JSON value of each region_grid code: code k is list(RegionLabel)[k]
+LABEL_VALUES = [label.value for label in RegionLabel]
 
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
@@ -124,7 +130,7 @@ def test_classify_schema_and_agreement(tmp_path: Path):
     assert set(doc["labels"]) <= {"bounded", "divergent", "boundary"}
 
     expected = region_grid(SwansonParams(1.0, 0.5), (-2.0, 2.0), (0.05, 2.0), 21)
-    assert doc["labels"] == [lab.value for lab in expected.ravel()]
+    assert doc["labels"] == [LABEL_VALUES[code] for code in expected.ravel()]
 
 
 def test_classify_hermitian_all_bounded(tmp_path: Path):
@@ -225,39 +231,37 @@ def test_config_file_and_flag_override(tmp_path: Path):
     assert json.loads(out.read_text())["params"]["delta"] == 0.5
 
 
-def test_config_errors(tmp_path: Path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert run_cli("classify", "--config", str(bad)).returncode == 2
+def test_config_errors(tmp_path: Path, capsys):
+    # in-process, with warnings raised as errors: a numpy RuntimeWarning escapes and fails the test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        config_error(["classify", "--config", str(bad)], capsys)
 
-    unknown = tmp_path / "unknown.json"
-    unknown.write_text(json.dumps({"nope": 1}))
-    assert run_cli("classify", "--config", str(unknown)).returncode == 2
+        unknown = tmp_path / "unknown.json"
+        unknown.write_text(json.dumps({"nope": 1}))
+        config_error(["classify", "--config", str(unknown)], capsys)
 
-    assert run_cli("simulate", "--omega0", "-1").returncode == 2
-    cp = run_cli("sweep", "--omega0", "0")
-    assert cp.returncode == 2 and cp.stderr == "config error: omega0 must be positive, got 0.0\n"
-    assert run_cli("simulate", "--g0", "2,0,2").returncode == 2
-    assert run_cli("simulate", "--step", "-0.1").returncode == 2
-    assert run_cli("classify", "--im-min", "-0.5").returncode == 2
-    cp = run_cli("sweep", "--delta-min", "2", "--delta-max", "1", "--delta-step", "0.1")
-    assert cp.returncode == 2 and cp.stderr == "config error: delta-max 1 is below delta-min 2\n"
-    for argv in (("simulate",), ("sweep", "--delta-max", "0.2")):
-        for periods in ("0", "-1"):
-            cp = run_cli(*argv, "--periods", periods)
-            assert cp.returncode == 2 and "periods must be positive" in cp.stderr
-        cp = run_cli(*argv, "--p0", "nan")
-        assert cp.returncode == 2 and "invalid initial centre" in cp.stderr
-    # a period of 6e-300: omega^2 overflows, which once gave numpy warnings and a NaN error or a fake divergence
-    for command in ("validate", "simulate"):
-        cp = run_cli(command, "--omega0", "1e300")
-        assert cp.returncode == 2 and cp.stderr.count("\n") == 1
-        assert cp.stderr.startswith("config error: omega0 1e+300") and "period of 6.28e-300" in cp.stderr
-    # b0 whose metric overflows (g_qq) or divides by a subnormal Im b (g_pp)
-    for b0 in ("1e300,1", "0,1e-320"):
-        cp = run_cli("simulate", "--b0", b0)
-        assert cp.returncode == 2
-        assert cp.stderr == "config error: invalid initial metric: metric entries must be finite\n"
+        config_error(["simulate", "--omega0", "-1"], capsys)
+        assert config_error(["sweep", "--omega0", "0"], capsys) == "config error: omega0 must be positive, got 0.0\n"
+        config_error(["simulate", "--g0", "2,0,2"], capsys)
+        config_error(["simulate", "--step", "-0.1"], capsys)
+        config_error(["classify", "--im-min", "-0.5"], capsys)
+        err = config_error(["sweep", "--delta-min", "2", "--delta-max", "1", "--delta-step", "0.1"], capsys)
+        assert err == "config error: delta-max 1 is below delta-min 2\n"
+        for argv in (["simulate"], ["sweep", "--delta-max", "0.2"]):
+            for periods in ("0", "-1"):
+                assert "periods must be positive" in config_error([*argv, "--periods", periods], capsys)
+            assert "invalid initial centre" in config_error([*argv, "--p0", "nan"], capsys)
+        # a period of 6e-300: omega^2 overflows, which once gave numpy warnings and a NaN error or a fake divergence
+        for command in ("validate", "simulate"):
+            err = config_error([command, "--omega0", "1e300"], capsys)
+            assert err.startswith("config error: omega0 1e+300") and "period of 6.28e-300" in err
+        # b0 whose metric overflows (g_qq) or divides by a subnormal Im b (g_pp)
+        for b0 in ("1e300,1", "0,1e-320"):
+            err = config_error(["simulate", "--b0", b0], capsys)
+            assert err == "config error: invalid initial metric: metric entries must be finite\n"
 
 
 def config_error(argv: list[str], capsys) -> str:
@@ -315,26 +319,80 @@ def test_unbounded_work_is_refused(argv, message, capsys):
     assert message in config_error(argv, capsys)
 
 
-@pytest.mark.parametrize("resolution", [2, 3, 21])
+# at 301 a run of bounded labels is longer than cli._LABEL_RUN_CAP, so it is written in pieces
+@pytest.mark.parametrize("resolution", [2, 3, 21, 301])
 @pytest.mark.parametrize("delta", [0.5, -0.5, 0.0])
 def test_classify_json_bytes(tmp_path: Path, resolution, delta):
-    # the bulk-written label array must match the json module's own encoding byte for byte
+    # the label array written in runs must match the json module's own encoding byte for byte
     out = tmp_path / "grid.json"
     argv = [
         "classify", f"--delta={delta}", "--re-min=-1.5", "--re-max=2.5", "--im-min=0.05", "--im-max=1.7",
         f"--resolution={resolution}", "--band=0.03", f"--out={out}",
     ]
     assert main(argv) == 0
-    labels = region_grid(SwansonParams(1.0, delta), (-1.5, 2.5), (0.05, 1.7), resolution, band=0.03)
+    codes = region_grid(SwansonParams(1.0, delta), (-1.5, 2.5), (0.05, 1.7), resolution, band=0.03)
     doc = {
         "params": {"omega0": 1.0, "delta": delta},
         "re_range": [-1.5, 2.5],
         "im_range": [0.05, 1.7],
         "resolution": resolution,
         "band": 0.03,
-        "labels": [label.value for label in labels.ravel()],
+        "labels": [LABEL_VALUES[code] for code in codes.ravel()],
     }
     assert out.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+def label_runs(runs) -> list[int]:
+    return [code for code, length in runs for _ in range(length)]
+
+
+# runs of equal codes, some longer than the chunk cap
+code_runs = st.lists(st.tuples(st.integers(0, 2), st.integers(1, 2 * cli._LABEL_RUN_CAP + 3)), min_size=1, max_size=4)
+
+
+@given(codes=st.one_of(st.lists(st.integers(0, 2), min_size=1, max_size=200), code_runs.map(label_runs)))
+@example(codes=[0, 1, 2] * 7)
+@example(codes=[2])
+@example(codes=label_runs([(1, 1), (0, 3 * cli._LABEL_RUN_CAP + 1), (2, cli._LABEL_RUN_CAP)]))
+@example(codes=np.array([[1, 1], [0, 2]], dtype=np.int8))
+@settings(max_examples=60, deadline=None)
+def test_label_chunks_match_json_dumps(codes):
+    codes = np.asarray(codes, dtype=np.int8)
+    chunks = list(_label_chunks(codes))
+    expected = json.dumps({"labels": [LABEL_VALUES[code] for code in codes.ravel()]}, indent=2)
+    assert '{\n  "labels": ' + "".join(chunks) + "\n}" == expected
+    # no chunk grows with the grid: at most _LABEL_RUN_CAP labels each
+    assert max(map(len, chunks)) <= cli._LABEL_RUN_CAP * len(',\n    "divergent"')
+
+
+@pytest.mark.parametrize("delta", [0.5, -0.5])
+def test_classify_peak_memory_stays_bounded(tmp_path: Path, delta):
+    # a whole-document string at 801^2 peaks near 34 MiB; the streamed output stays well under 20 MiB
+    out = tmp_path / "grid.json"
+    tracemalloc.start()
+    try:
+        assert main(["classify", f"--delta={delta}", "--resolution=801", f"--out={out}"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert len(json.loads(out.read_text())["labels"]) == 801 * 801
+
+
+UNWRITABLE_ARGV = {
+    "simulate": ["simulate", "--periods=0.01"],
+    "classify": ["classify", "--resolution=3"],
+    "validate": ["validate", "--step=0.1"],
+    "sweep": ["sweep", "--delta-max=0.2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNWRITABLE_ARGV))
+def test_unwritable_out_is_a_config_error(tmp_path: Path, capsys, command):
+    for path in (tmp_path / "missing" / "out.txt", tmp_path):
+        err = config_error([*UNWRITABLE_ARGV[command], f"--out={path}"], capsys)
+        assert err.startswith(f"config error: cannot write output file {path}: ")
+    assert not (tmp_path / "missing").exists()
 
 
 def test_band_must_be_finite_and_positive(tmp_path: Path, capsys):
@@ -436,6 +494,31 @@ def test_simulate_csv_bytes(tmp_path: Path, omega0, delta, b0, exit_code):
     g0 = Metric.identity() if b0 is None else metric_from_b(b0)
     init = MetriplecticState(Z=RealState(0.6, -0.8), G=g0, n=1.0)
     assert out.read_bytes() == expected_csv(SwansonParams(omega0, delta), init, 1.0)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_simulate_csv_bytes_at_block_edges(tmp_path: Path, offset):
+    # sample rows one short of, equal to and one past a block of cli._CSV_BLOCK_ROWS
+    rows = cli._CSV_BLOCK_ROWS + offset
+    periods = (rows - 1) / 10_000
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--delta=0.5", f"--periods={periods!r}", f"--out={out}"]) == 0
+    init = MetriplecticState(Z=RealState(1.0, 0.0), G=Metric.identity(), n=1.0)
+    expected = expected_csv(SwansonParams(1.0, 0.5), init, periods)
+    assert expected.count(b"\n") == rows + 1
+    assert out.read_bytes() == expected
+
+
+def test_simulate_divergence_row_follows_a_block_edge(tmp_path: Path, monkeypatch):
+    params = SwansonParams(1.0, 1.1)
+    init = MetriplecticState(Z=RealState(1.0, 0.0), G=Metric.identity(), n=1.0)
+    expected = expected_csv(params, init, 1.0)
+    # header and flagged row aside, the sample rows fill whole blocks of this size
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", (expected.count(b"\n") - 2) // 2)
+    assert (expected.count(b"\n") - 2) % cli._CSV_BLOCK_ROWS == 0
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--delta=1.1", f"--out={out}"]) == 3
+    assert out.read_bytes() == expected
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,12 @@ from swansim.geometry import grid_axes
 
 PARAMS = SwansonParams(1.0, 0.5)
 
+
+def grid_labels(*args, **kwargs) -> np.ndarray:
+    """region_grid's int8 codes as RegionLabel objects: code k is list(RegionLabel)[k]."""
+    return np.array(list(RegionLabel), dtype=object)[region_grid(*args, **kwargs)]
+
+
 upper_half_b = st.builds(
     complex,
     st.floats(min_value=-3.0, max_value=3.0),
@@ -132,7 +138,7 @@ class TestClassify:
         # margins Im b - delta/omega0 of exactly +-band (all values exact in binary)
         for b0 in (0.75j, 0.25j):
             assert classify_b(PARAMS, b0, band=0.25) is RegionLabel.BOUNDARY
-        labels = region_grid(PARAMS, (-1.0, 1.0), (0.25, 0.75), 3, band=0.25)
+        labels = grid_labels(PARAMS, (-1.0, 1.0), (0.25, 0.75), 3, band=0.25)
         assert set(labels.ravel()) == {RegionLabel.BOUNDARY}
         assert classify_metric(PARAMS, Metric.identity(), band=0.5) is RegionLabel.BOUNDARY
 
@@ -143,14 +149,14 @@ class TestClassify:
         # or the radius overflows (-1e-320)
         params = SwansonParams(1.0, delta)
         assert classify_b(params, 0.3 + 1j, band=0.99) is RegionLabel.BOUNDED
-        assert set(region_grid(params, (-2.0, 2.0), (0.05, 2.0), 5).ravel()) == {RegionLabel.BOUNDED}
+        assert set(grid_labels(params, (-2.0, 2.0), (0.05, 2.0), 5).ravel()) == {RegionLabel.BOUNDED}
         assert not blowup_detected(swanson_hamiltonian(params), 0.3 + 1j, params.period)
 
     def test_shrinking_disk_is_divergent(self):
         # radius 5e-311 is subnormal and 1/radius overflows; the margin tends to -|b|
         params = SwansonParams(1e-300, -1e10)
         assert classify_b(params, 0.3 + 1j, band=1.04) is RegionLabel.DIVERGENT
-        assert set(region_grid(params, (-2.0, 2.0), (0.05, 2.0), 5).ravel()) == {RegionLabel.DIVERGENT}
+        assert set(grid_labels(params, (-2.0, 2.0), (0.05, 2.0), 5).ravel()) == {RegionLabel.DIVERGENT}
 
     def test_classify_b_rejects_lower_half_plane(self):
         with pytest.raises(NonNormalizableError):
@@ -179,12 +185,18 @@ class TestClassify:
 
 
 class TestRegionGrid:
+    def test_returns_int8_codes_into_region_label(self):
+        codes = region_grid(PARAMS, (-2.0, 2.0), (0.05, 2.0), 41)
+        assert codes.dtype == np.int8 and codes.shape == (41, 41)
+        assert set(np.unique(codes).tolist()) == {0, 1, 2}
+        assert [label.value for label in RegionLabel] == ["bounded", "divergent", "boundary"]
+
     def test_hermitian_all_bounded(self):
-        labels = region_grid(SwansonParams(1.0, 0.0), (-2.0, 2.0), (0.1, 2.0), 11)
+        labels = grid_labels(SwansonParams(1.0, 0.0), (-2.0, 2.0), (0.1, 2.0), 11)
         assert all(lab is RegionLabel.BOUNDED for lab in labels.ravel())
 
     def test_positive_coupling_horizontal_boundary(self):
-        labels = region_grid(PARAMS, (-2.0, 2.0), (0.05, 2.0), 41)
+        labels = grid_labels(PARAMS, (-2.0, 2.0), (0.05, 2.0), 41)
         _, im_vals = grid_axes((-2.0, 2.0), (0.05, 2.0), 41)
         for i, im in enumerate(im_vals):
             row = set(labels[i, :])
@@ -197,7 +209,7 @@ class TestRegionGrid:
 
     def test_negative_coupling_disk(self):
         params = SwansonParams(1.0, -1.0)
-        labels = region_grid(params, (-1.5, 1.5), (0.05, 1.5), 41)
+        labels = grid_labels(params, (-1.5, 1.5), (0.05, 1.5), 41)
         re_vals, im_vals = grid_axes((-1.5, 1.5), (0.05, 1.5), 41)
         for i, im in enumerate(im_vals):
             for j, re in enumerate(re_vals):
@@ -241,7 +253,7 @@ class TestRegionGrid:
     def test_matches_classify_b_pointwise(self, delta, re_lo, re_width, im_lo, im_width, band, resolution):
         params = SwansonParams(1.0, delta)
         re_range, im_range = (re_lo, re_lo + re_width), (im_lo, im_lo + im_width)
-        labels = region_grid(params, re_range, im_range, resolution, band=band)
+        labels = grid_labels(params, re_range, im_range, resolution, band=band)
         assert labels.shape == (resolution, resolution)
         re_vals, im_vals = grid_axes(re_range, im_range, resolution)
         expected = [[classify_b(params, complex(re, im), band=band) for re in re_vals] for im in im_vals]

@@ -25,6 +25,18 @@ def test_params_reject_nonpositive_omega0():
         SwansonParams(-1.0, 0.5)
 
 
+@pytest.mark.parametrize("omega0, delta", [(1.35e154, 0.0), (1.0, -1.35e154), (1e154, 1e154), (1e300, 0.5)])
+def test_params_reject_overflowing_squared_frequency(omega0, delta):
+    # omega^2 past the largest double would turn every sample of the flow into NaN
+    with pytest.raises(ValueError, match="too short for its squared frequency to be a finite double"):
+        SwansonParams(omega0, delta)
+
+
+def test_params_accept_large_finite_squared_frequency():
+    params = SwansonParams(1e150, 0.5)
+    assert math.isfinite(params.omega**2) and params.period == pytest.approx(2.0 * math.pi * 1e-150)
+
+
 def test_hamiltonian_hermitian_limit():
     model = swanson_hamiltonian(SwansonParams(1.0, 0.0))
     assert np.array_equal(model.hess_gamma, np.zeros((2, 2)))
