@@ -23,6 +23,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -291,8 +292,16 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 def _write_chunks(path: str | None, chunks):
     """Write an iterable of text chunks to path, or to stdout; ConfigError if path cannot be written."""
     if path is None:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
+        try:
+            for chunk in chunks:
+                sys.stdout.write(chunk)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early, as `| head` does: the rest is dropped, and stdout
+            # goes to devnull so that the flush at exit does not fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

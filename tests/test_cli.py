@@ -395,6 +395,16 @@ def test_unwritable_out_is_a_config_error(tmp_path: Path, capsys, command):
     assert not (tmp_path / "missing").exists()
 
 
+def test_closed_stdout_ends_quietly():
+    # a reader that stops after 20 bytes, as `| head` does: the output is cut, with no traceback
+    proc = subprocess.Popen([sys.executable, "-m", "swansim", "classify", "--resolution=801"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(20) == b'{\n  "band": 0.02,\n  '
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+
+
 def test_band_must_be_finite_and_positive(tmp_path: Path, capsys):
     for band in ("nan", "inf", "-inf", "0", "-0.1"):
         assert "band must be finite and positive" in config_error(["classify", "--resolution=3", f"--band={band}"], capsys)
