@@ -162,73 +162,6 @@ class RunConfig:
         return MetriplecticState(Z=centre, G=self.initial_metric(), n=self.n0)
 
 
-def _parse_triple(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated numbers g_pp,g_pq,g_qq")
-    return tuple(float(p) for p in parts)
-
-
-def _parse_complex_pair(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected two comma-separated numbers re,im")
-    return complex(float(parts[0]), float(parts[1]))
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="swansim",
-        description="Metriplectic and Gaussian wave-packet dynamics of the Swanson oscillator",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--omega0", type=float, default=None, help="oscillator frequency (> 0)")
-    common.add_argument("--delta", type=float, default=None, help="gain-loss coupling")
-    common.add_argument("--config", type=str, default=None, help="JSON config file; flags override it")
-    common.add_argument("--out", type=str, default=None, help="output file path (default: stdout)")
-    common.add_argument("--step", type=float, default=None, help="sample spacing (default: period/10^4)")
-    common.add_argument("--periods", type=float, default=None, help="time span in periods (default: 1)")
-    common.add_argument(
-        "--allow-divergence",
-        action="store_true",
-        default=None,
-        help="exit 0 instead of 3 when the run diverges",
-    )
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", parents=[common], help="time series of centre, metric and norm")
-    p_sim.add_argument("--p0", type=float, default=None, help="initial momentum")
-    p_sim.add_argument("--q0", type=float, default=None, help="initial position")
-    p_sim.add_argument("--g0", type=_parse_triple, default=None, help="initial metric g_pp,g_pq,g_qq")
-    p_sim.add_argument("--b0", type=_parse_complex_pair, default=None, help="initial uncertainty re,im (overrides --g0)")
-    p_sim.add_argument("--n0", type=float, default=None, help="initial survival probability")
-
-    p_cls = sub.add_parser("classify", parents=[common], help="divergence regions in the uncertainty plane")
-    p_cls.add_argument("--re-min", type=float, default=None)
-    p_cls.add_argument("--re-max", type=float, default=None)
-    p_cls.add_argument("--im-min", type=float, default=None)
-    p_cls.add_argument("--im-max", type=float, default=None)
-    p_cls.add_argument("--resolution", type=int, default=None)
-    p_cls.add_argument("--band", type=float, default=None, help="boundary half-width")
-
-    sub.add_parser("validate", parents=[common], help="cross-check all computation routes")
-
-    p_swp = sub.add_parser("sweep", parents=[common], help="sweep the coupling and record outcomes")
-    p_swp.add_argument("--delta-min", type=float, default=None)
-    p_swp.add_argument("--delta-max", type=float, default=None)
-    p_swp.add_argument("--delta-step", type=float, default=None)
-    p_swp.add_argument("--p0", type=float, default=None)
-    p_swp.add_argument("--q0", type=float, default=None)
-    p_swp.add_argument("--g0", type=_parse_triple, default=None)
-
-    # argparse reads only -N and -N.N as negative numbers, so -5e-1 or -0.5,1
-    # after a flag would be taken for an option name; no option starts with a digit
-    for subparser in sub.choices.values():
-        subparser._negative_number_matcher = re.compile(r"^-\.?\d")
-    return parser
-
-
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -264,28 +197,46 @@ _CONFIG_TYPES = {
 
 
 def _config_value(field: dataclasses.Field, value):
-    """A config-file value converted to its RunConfig field's type; ConfigError if it does not fit."""
+    """A config value converted to its RunConfig field's type; ConfigError if it does not fit."""
     kind = field.type.removesuffix(" | None")
     if value is None and kind != field.type:
         return None
     expected, fits, convert = _CONFIG_TYPES[kind]
     if not fits(value):
-        raise ConfigError(f"config key {field.name}: expected {expected}, got {json.dumps(value)}")
+        raise ConfigError(f"{field.name}: expected {expected}, got {json.dumps(value)}")
     return convert(value)
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
+def _number(text: str) -> int | float:
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _flag_value(field: dataclasses.Field, text):
+    """The JSON value a flag's text stands for: a number or a comma-separated
+    list of numbers, else the text itself (always for a str field); a switch's True as is."""
+    if text is True or field.type.startswith("str"):
+        return text
+    try:
+        values = [_number(part) for part in text.split(",")]
+    except ValueError:
+        return text
+    return values if len(values) > 1 else values[0]
+
+
+def _merge_config(args: dict) -> RunConfig:
+    """RunConfig from the --config file's values, overridden by the flags given in args."""
+    file_values = _load_config_file(args.pop("config")) if "config" in args else {}
     cfg = RunConfig()
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     for key, value in file_values.items():
         if key not in fields:
             raise ConfigError(f"unknown config key: {key}")
         setattr(cfg, key, _config_value(fields[key], value))
-    for key in fields:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
+    for key, text in args.items():
+        setattr(cfg, key, _config_value(fields[key], _flag_value(fields[key], text)))
     return cfg
 
 
@@ -522,18 +473,64 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# subcommand -> (handler, help line, the RunConfig fields it takes as flags);
+# every subcommand also takes --config
+_COMMANDS = {
+    "simulate": (cmd_simulate, "time series of centre, metric and norm",
+                 ("omega0", "delta", "out", "step", "periods", "allow_divergence", "p0", "q0", "g0", "b0", "n0")),
+    "classify": (cmd_classify, "divergence regions in the uncertainty plane",
+                 ("omega0", "delta", "out", "re_min", "re_max", "im_min", "im_max", "resolution", "band")),
+    "validate": (cmd_validate, "cross-check all computation routes", ("omega0", "delta", "out", "step")),
+    "sweep": (cmd_sweep, "sweep the coupling and record outcomes",
+              ("omega0", "out", "step", "periods", "delta_min", "delta_max", "delta_step", "p0", "q0", "g0")),
+}
+
+# help line of each flag that has one
+_FLAG_HELP = {
+    "omega0": "oscillator frequency (> 0)",
+    "delta": "gain-loss coupling",
+    "out": "output file path (default: stdout)",
+    "step": "sample spacing (default: period/10^4)",
+    "periods": "time span in periods (default: 1)",
+    "allow_divergence": "exit 0 instead of 3 when the run diverges",
+    "p0": "initial momentum",
+    "q0": "initial position",
+    "g0": "initial metric g_pp,g_pq,g_qq",
+    "b0": "initial uncertainty re,im (overrides --g0)",
+    "n0": "initial survival probability",
+    "band": "boundary half-width",
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Refuse bad argv (unknown flag, missing value or subcommand) in one line, exit 2."""
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """Flags hold text only: _merge_config checks it against the RunConfig field like a config value."""
+    description = "Metriplectic and Gaussian wave-packet dynamics of the Swanson oscillator"
+    parser = _Parser(prog="swansim", description=description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_line, names) in _COMMANDS.items():
+        # an absent flag leaves no attribute, so only given flags override the config file
+        subparser = sub.add_parser(command, help=help_line, argument_default=argparse.SUPPRESS)
+        subparser.add_argument("--config", help="JSON config file; flags override it")
+        for name in names:
+            switch = {"action": "store_true"} if RunConfig.__annotations__[name] == "bool" else {}
+            subparser.add_argument("--" + name.replace("_", "-"), help=_FLAG_HELP.get(name), **switch)
+        # argparse reads only -N and -N.N as negative numbers, so -5e-1 or -0.5,1
+        # after a flag would be taken for an option name; no option starts with a digit
+        subparser._negative_number_matcher = re.compile(r"^-\.?\d")
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    handler = _COMMANDS[args.pop("command")][0]
     try:
-        cfg = _merge_config(args)
-        handler = {
-            "simulate": cmd_simulate,
-            "classify": cmd_classify,
-            "validate": cmd_validate,
-            "sweep": cmd_sweep,
-        }[args.command]
-        return handler(cfg)
+        return handler(_merge_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

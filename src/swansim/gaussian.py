@@ -29,7 +29,7 @@ import numpy as np
 from . import _kernels
 from .closed_form import ComplexState, Metric, RealState, metric_eigen
 from .errors import DivergenceError, MobiusPoleError, NonNormalizableError
-from .model import QuadraticHamiltonian, SwansonParams, spectral_data, swanson_hamiltonian
+from .model import MIN_FREQUENCY, QuadraticHamiltonian, SwansonParams, spectral_data, swanson_hamiltonian
 from .ode import BLOWUP_THRESHOLD, MetriplecticState, Trajectory, step_count
 
 __all__ = [
@@ -57,6 +57,9 @@ POLE_TOL = 1e-12
 
 # samples per block of propagate; bounds its working memory
 PROPAGATE_BLOCK = 2048
+
+# uniform times from 0 to t_end at which blowup_detected samples the Möbius flow
+BLOWUP_SAMPLES = 4001
 
 
 def is_normalizable(b: complex) -> bool:
@@ -119,7 +122,7 @@ def _flow_entries(model: QuadraticHamiltonian, t):
     t = np.asarray(t)
     arg = mu * t
     c = np.cos(arg)
-    if abs(mu) < 1e-150:
+    if abs(mu) < MIN_FREQUENCY:
         s = t.astype(complex)
     else:
         s = np.sin(arg) / mu
@@ -376,21 +379,16 @@ def evaluate_wavefunction(state: GaussianState, x) -> np.ndarray:
     return pref * np.exp(1j * state.gamma) * np.exp(1j * (state.z.p * u + 0.5 * state.b * u * u))
 
 
-def blowup_detected(
-    model: QuadraticHamiltonian,
-    b0,
-    t_end: float,
-    num_samples: int = 4001,
-) -> np.ndarray | bool:
+def blowup_detected(model: QuadraticHamiltonian, b0, t_end: float) -> np.ndarray | bool:
     """Dynamical divergence probe: does the uncertainty flow leave the chart?
 
-    Samples the Möbius flow of b0 (scalar or array) on a uniform grid and
+    Samples the Möbius flow of b0 (scalar or array) on BLOWUP_SAMPLES uniform times and
     flags any path whose Im(b) reaches zero, whose magnitude explodes, or
     whose Möbius denominator vanishes.  Purely observational: no analytic
     classification enters, so this can serve as the oracle for one.
     """
     b0 = np.asarray(b0, dtype=complex)
-    times = np.linspace(0.0, t_end, num_samples)
+    times = np.linspace(0.0, t_end, BLOWUP_SAMPLES)
     spp, spq, sqp, sqq = _flow_entries(model, times)
     den = np.multiply.outer(sqp, b0) + sqq.reshape(sqq.shape + (1,) * b0.ndim)
     num = np.multiply.outer(spp, b0) + spq.reshape(spq.shape + (1,) * b0.ndim)

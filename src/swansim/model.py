@@ -28,6 +28,10 @@ __all__ = [
 OMEGA = np.array([[0.0, -1.0], [1.0, 0.0]])
 OMEGA.setflags(write=False)
 
+# smallest flow frequency taken as nonzero: below it exp(t * Omega H'') is the
+# free-particle flow, and a Swanson model's squared frequencies underflow
+MIN_FREQUENCY = 1e-150
+
 
 @dataclass(frozen=True)
 class SwansonParams:
@@ -46,6 +50,11 @@ class SwansonParams:
             raise ValueError(
                 f"omega0 {self.omega0:g} with delta {self.delta:g} gives a period of {self.period:.3g}, "
                 "too short for its squared frequency to be a finite double"
+            )
+        if not self.omega >= MIN_FREQUENCY:
+            raise ValueError(
+                f"omega0 {self.omega0:g} with delta {self.delta:g} gives a frequency of {self.omega:.3g}, "
+                f"below the smallest supported frequency {MIN_FREQUENCY:g}"
             )
 
     @property

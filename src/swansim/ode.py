@@ -90,13 +90,7 @@ def step_count(t_end: float, step: float) -> int:
     return max(1, int(round(t_end / step)))
 
 
-def integrate(
-    model: QuadraticHamiltonian,
-    init: MetriplecticState,
-    t_end: float,
-    step: float,
-    blow_threshold: float = BLOWUP_THRESHOLD,
-) -> Trajectory:
+def integrate(model: QuadraticHamiltonian, init: MetriplecticState, t_end: float, step: float) -> Trajectory:
     """RK4 integration of the coupled system from t = 0 to n_steps * step.
 
     n_steps = round(t_end / step); pass a commensurate step for exact spans.
@@ -110,7 +104,7 @@ def integrate(
     y0 = np.array([init.Z.P, init.Z.Q, init.G.g_pp, init.G.g_pq, init.G.g_qq, init.n])
     out = np.empty((n_steps + 1, 6))
     stop, drift = _kernels.metriplectic_rk4(
-        model.hess_h, model.hess_gamma, model.const_gamma, y0, step, n_steps, blow_threshold, out
+        model.hess_h, model.hess_gamma, model.const_gamma, y0, step, n_steps, BLOWUP_THRESHOLD, out
     )
     return Trajectory.from_samples(out, stop, step, det_drift=drift)
 

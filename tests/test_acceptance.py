@@ -139,7 +139,7 @@ def test_criterion_7_region_reproduction():
         analytic = np.array(
             [classify_b(params, complex(b)) is RegionLabel.DIVERGENT for b in grid_b]
         )
-        dynamic = blowup_detected(model, grid_b, params.period, num_samples=4001)
+        dynamic = blowup_detected(model, grid_b, params.period)
         total_checked += int(off_band.sum())
         disagreements += int((analytic[off_band] != dynamic[off_band]).sum())
     elapsed = time.perf_counter() - start

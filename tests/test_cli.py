@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from swansim import (
@@ -25,7 +26,7 @@ from swansim import (
     swanson_hamiltonian,
 )
 from swansim import cli
-from swansim.cli import _build_parser, _label_chunks, _parse_complex_pair, _parse_triple, main
+from swansim.cli import _COMMANDS, _build_parser, _label_chunks, main
 
 # JSON value of each region_grid code: code k is list(RegionLabel)[k]
 LABEL_VALUES = [label.value for label in RegionLabel]
@@ -452,30 +453,261 @@ def test_classify_fuzz_exits_cleanly(tmp_path_factory, numbers, resolution):
         assert set(doc["labels"]) <= {"bounded", "divergent", "boundary"}
 
 
-# a negative value with an exponent or a leading point, for each kind of numeric flag
+# texts that are not a number, or are one at the edge of the doubles
+SPECIAL_TEXTS = ["nan", "inf", "-inf", "0", "-1", "1e308", "5e-324", "x", ""]
+
+
+def fuzz_step(k: int, omega0_text: str) -> str:
+    """1/k of the longest period 2 pi / omega0 that omega0 allows: at most 2k samples over 2 periods."""
+    try:
+        return repr(2.0 * math.pi / float(omega0_text) / k)
+    except (ValueError, ZeroDivisionError):
+        return repr(1.0 / k)
+
+
+def fuzz_strategies(command: str) -> dict:
+    """Flag text for every RunConfig field the subcommand takes, bounded to about 2*10^4 samples a run.
+
+    --step is drawn as k, the samples per longest period (see fuzz_step); validate always gets a
+    coarse one. A run of more samples than that is drawn only where MAX_SAMPLES refuses it.
+    """
+    special = st.sampled_from(SPECIAL_TEXTS)
+    pair = st.tuples(hostile_number, hostile_number).map(",".join)
+    triple = st.tuples(hostile_number, hostile_number, hostile_number).map(",".join)
+    steps = st.one_of(special, st.integers(1, 200 if command == "validate" else 10_000))
+    strategies = {
+        "step": steps,
+        "periods": st.one_of(special, st.floats(-2.0, 2.0).map(repr)),
+        "resolution": st.one_of(st.integers(-5, 60).map(str), st.sampled_from(["nan", "2.5", "3.0", "1e1", "1e9"])),
+        "delta_min": st.one_of(special, st.floats(-3.0, 3.0).map(repr)),
+        "delta_max": st.one_of(special, st.floats(-3.0, 3.0).map(repr)),
+        # at most 13 coupling values, or a count the cap refuses
+        "delta_step": st.one_of(special, st.just("1e-300"), st.floats(0.5, 3.0).map(repr)),
+        "g0": st.one_of(special, triple, st.sampled_from(["1,0,1", "2,0,0.5", "2,1,1", "1,0"])),
+        "b0": st.one_of(special, pair, st.sampled_from(["0,1", "0.3,1.2", "-0.5,0.2", "0,2,1"])),
+        "allow_divergence": st.booleans(),
+    }
+    number = st.one_of(hostile_number, st.floats(0.05, 2.0).map(repr))
+    return {name: strategies.get(name, number) for name in _COMMANDS[command][2] if name != "out"}
+
+
+def json_value(text: str):
+    """A flag's text as a config file value: the number or list JSON reads in it, else the text."""
+    try:
+        value = json.loads(f"[{text}]")
+    except ValueError:
+        return text
+    return value[0] if len(value) == 1 else value
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzz_exits_cleanly(tmp_path_factory, capsys, command, data):
+    # in-process, with warnings raised as errors: an escaping exception or a numpy warning fails the test
+    work = tmp_path_factory.mktemp("fuzz")
+    argv, file_values = [command, f"--out={work / 'out'}"], {}
+    strategies = fuzz_strategies(command)
+    # a few flags at a time, so that some runs get past the checks; validate always gets its step
+    names = data.draw(st.lists(st.sampled_from(sorted(strategies)), max_size=4, unique=True), label="flags")
+    if command == "validate" and "step" not in names:
+        names.append("step")
+    drawn = {name: data.draw(strategies[name], label=name) for name in names}
+    if isinstance(drawn.get("step"), int):
+        drawn["step"] = fuzz_step(drawn["step"], drawn.get("omega0", "1"))
+    for name, text in drawn.items():
+        if text is False:
+            continue
+        if data.draw(st.booleans(), label=f"{name} in the config file"):
+            file_values[name] = True if text is True else json_value(text)
+        else:
+            flag = "--" + name.replace("_", "-")
+            argv.append(flag if text is True else f"{flag}={text}")
+    if file_values:
+        (work / "cfg.json").write_text(json.dumps(file_values))
+        argv.append(f"--config={work / 'cfg.json'}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4)
+    assert capsys.readouterr().err.count("\n") <= 1
+    assert code == 2 or (work / "out").stat().st_size > 0
+
+
+def parsed_config(argv: list[str]) -> cli.RunConfig:
+    """The RunConfig that main runs argv with."""
+    args = vars(_build_parser().parse_args(argv))
+    del args["command"]
+    return cli._merge_config(args)
+
+
+# a negative value with an exponent or a leading point, for each numeric RunConfig field type
 NEGATIVE_VALUES = {
-    float: ("-5e-1", -0.5),
-    _parse_triple: ("-5e-1,-.5,-1e0", (-0.5, -0.5, -1.0)),
-    _parse_complex_pair: ("-.5e0,-2e-1", complex(-0.5, -0.2)),
+    "float": ("-5e-1", -0.5),
+    "float | None": ("-5e-1", -0.5),
+    "tuple[float, float, float]": ("-5e-1,-.5,-1e0", (-0.5, -0.5, -1.0)),
+    "complex | None": ("-.5e0,-2e-1", complex(-0.5, -0.2)),
 }
+FIELD_TYPES = {field.name: field.type for field in dataclasses.fields(cli.RunConfig)}
 
 
 def test_negative_values_are_not_option_names():
     # argparse alone reads only -N and -N.N as numbers and takes -5e-1 for an option name
-    parser = _build_parser()
-    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     checked = set()
-    for command, subparser in subparsers.choices.items():
-        for action in subparser._actions:
-            if action.type not in NEGATIVE_VALUES:
+    for command, (_, _, names) in _COMMANDS.items():
+        for name in names:
+            if FIELD_TYPES[name] not in NEGATIVE_VALUES:
                 continue
-            text, value = NEGATIVE_VALUES[action.type]
-            for flag in action.option_strings:
-                args = parser.parse_args([command, flag, text])
-                assert getattr(args, action.dest) == value, (command, flag)
-                checked.add((command, flag))
+            text, value = NEGATIVE_VALUES[FIELD_TYPES[name]]
+            flag = "--" + name.replace("_", "-")
+            assert getattr(parsed_config([command, flag, text]), name) == value, (command, flag)
+            checked.add((command, flag))
     assert {("classify", "--re-min"), ("simulate", "--delta"), ("simulate", "--b0"), ("sweep", "--g0")} <= checked
-    assert {command for command, _ in checked} == set(subparsers.choices)
+    assert {command for command, _ in checked} == set(_COMMANDS)
+
+
+def declared_flags() -> dict:
+    """Each subcommand's flags, as _build_parser declares them, in order; --help aside."""
+    (subparsers,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        command: [s for a in subparser._actions for s in a.option_strings if s not in ("-h", "--help")]
+        for command, subparser in subparsers.choices.items()
+    }
+
+
+def test_flags_follow_the_command_table():
+    table = {command: ["--config"] + ["--" + name.replace("_", "-") for name in names]
+             for command, (_, _, names) in _COMMANDS.items()}
+    assert declared_flags() == table
+    # every flag but --config sets the RunConfig field of its name
+    assert {name for _, _, names in _COMMANDS.values() for name in names} <= set(FIELD_TYPES)
+    assert sum(map(len, declared_flags().values())) == 38
+
+
+# flags of RunConfig fields the subcommand does not use: refused, not ignored
+@pytest.mark.parametrize(
+    "command, flag",
+    [("classify", "--step=0.1"), ("classify", "--periods=2"), ("classify", "--allow-divergence"),
+     ("validate", "--periods=2"), ("validate", "--allow-divergence"),
+     ("sweep", "--delta=0.5"), ("sweep", "--allow-divergence")],
+)
+def test_no_op_flags_are_refused(capsys, command, flag):
+    err = argv_refusal([command, flag], capsys)
+    # in sweep, --delta is a prefix of three flags, so argparse calls it ambiguous
+    assert err == f"swansim: error: unrecognized arguments: {flag}\n" or err.startswith(
+        f"swansim sweep: error: ambiguous option: {flag} could match --delta-min"
+    )
+
+
+def argv_refusal(argv: list[str], capsys) -> str:
+    """Run the CLI in-process on argv argparse refuses; return its one stderr line."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    return err
+
+
+def test_argparse_refusals_are_one_line(capsys):
+    assert argv_refusal([], capsys) == "swansim: error: the following arguments are required: command\n"
+    assert argv_refusal(["sweep", "--b0", "0,2"], capsys) == "swansim: error: unrecognized arguments: --b0 0,2\n"
+    assert argv_refusal(["classify", "--resolution"], capsys) == (
+        "swansim classify: error: argument --resolution: expected one argument\n"
+    )
+    assert argv_refusal(["simulatee"], capsys).startswith("swansim: error: argument command: invalid choice: ")
+    # --help is not a refusal: the usage block on stdout and exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: swansim classify [-h] [--config CONFIG]")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_flag_lines_match_the_parser():
+    documented = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        command, sep, flags = line.partition(": --")
+        if sep and command in _COMMANDS:
+            documented[command] = ("--" + flags).split()
+    assert {command: ["--config", *flags] for command, flags in documented.items()} == declared_flags()
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_frequency_below_min_is_refused(capsys, command):
+    # at these frequencies the closed forms' squares underflow to 0 (first_pole_time divides by one)
+    # and the exact flow takes its free-particle branch
+    for omega0 in ("1e-300", "2e-151"):
+        argv = [command, f"--omega0={omega0}", "--delta-max=0" if command == "sweep" else "--delta=0"]
+        assert "below the smallest supported frequency 1e-150" in config_error(argv, capsys)
+
+
+def test_small_frequency_validates(tmp_path: Path):
+    out = tmp_path / "report.json"
+    argv = ["validate", "--omega0=1e-149", "--delta=0", "--step=6.283185307179586e+146", f"--out={out}"]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["pass"] is True
+
+
+def flag_text(value) -> str:
+    """The text a flag takes for a JSON number, list of numbers or string."""
+    if isinstance(value, list):
+        return ",".join(map(flag_text, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+FLAG_FIELDS = [(command, name) for command, (_, _, names) in _COMMANDS.items() for name in names]
+json_number = st.one_of(
+    st.integers(min_value=-(10**20), max_value=10**20),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 3.0, 2.5, 10**400]),
+)
+# JSON values a flag can stand for: a number, a list of numbers, or text that reads as neither
+flag_json_values = st.one_of(
+    json_number,
+    st.lists(json_number, min_size=2, max_size=4),
+    st.text(alphabet="xyz,. _", max_size=6),
+)
+
+
+def config_outcome(argv: list[str]) -> str:
+    try:
+        return repr(parsed_config(argv))
+    except cli.ConfigError as exc:
+        return f"config error: {exc}"
+
+
+@given(target=st.sampled_from(FLAG_FIELDS), value=flag_json_values)
+@example(target=("classify", "resolution"), value=3.0)
+@example(target=("classify", "resolution"), value=2.5)
+@example(target=("classify", "resolution"), value="x")
+@example(target=("simulate", "b0"), value=[-0.5, 1])
+@example(target=("sweep", "g0"), value=[2, 0, 0.5])
+@example(target=("sweep", "g0"), value=[1, 0])
+@example(target=("validate", "out"), value=1.5)
+@example(target=("simulate", "allow_divergence"), value=True)
+@settings(max_examples=150, deadline=None)
+def test_flag_and_config_file_give_the_same_config(tmp_path_factory, target, value):
+    command, name = target
+    flag = "--" + name.replace("_", "-")
+    if FIELD_TYPES[name] == "bool":
+        value, flag_argv = True, [command, flag]
+    else:
+        if FIELD_TYPES[name].startswith("str"):
+            # a str field takes a flag's text as it is
+            value = flag_text(value)
+        flag_argv = [command, f"{flag}={flag_text(value)}"]
+    path = tmp_path_factory.mktemp("same") / "cfg.json"
+    path.write_text(json.dumps({name: value}))
+    from_flag = config_outcome(flag_argv)
+    assert from_flag == config_outcome([command, "--config", str(path)])
+    assert "\n" not in from_flag
 
 
 def expected_csv(params: SwansonParams, init: MetriplecticState, periods: float) -> bytes:

@@ -571,6 +571,16 @@ class TestPropagate:
             traj = run(model, init, 1.0, 0.1)
             assert len(traj.values) == 1 and traj.divergence_time == 0.1
 
+    @pytest.mark.parametrize("omega0, delta", [(1e-149, 0.0), (1e-149, 5e-150), (2e-149, -1e-149)])
+    def test_matches_closed_form_at_the_smallest_frequencies(self, omega0, delta):
+        # just above MIN_FREQUENCY the flow keeps its oscillating branch
+        params = SwansonParams(omega0, delta)
+        init = MetriplecticState(Z=RealState(1.0, 0.0), G=Metric.identity(), n=1.0)
+        traj = propagate(swanson_hamiltonian(params), init, params.period, params.period / 1000)
+        assert traj.divergence_time is None
+        ref = closed_series(params, RealState(1.0, 0.0), traj.times)
+        np.testing.assert_allclose(traj.values, ref, rtol=0, atol=1e-13)
+
     def test_rejects_indefinite_initial_metric(self):
         model = swanson_hamiltonian(SwansonParams(1.0, 0.5))
         for g in (Metric(1.0, 2.0, 1.0), Metric(1.0, 1.0, 1.0)):

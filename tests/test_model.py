@@ -13,6 +13,7 @@ from swansim import (
     spectral_data,
     swanson_hamiltonian,
 )
+from swansim.model import MIN_FREQUENCY
 
 finite_deltas = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 positive_omegas = st.floats(min_value=0.05, max_value=5.0, allow_nan=False)
@@ -35,6 +36,19 @@ def test_params_reject_overflowing_squared_frequency(omega0, delta):
 def test_params_accept_large_finite_squared_frequency():
     params = SwansonParams(1e150, 0.5)
     assert math.isfinite(params.omega**2) and params.period == pytest.approx(2.0 * math.pi * 1e-150)
+
+
+@pytest.mark.parametrize("omega0, delta", [(2e-151, 1e-151), (1e-300, 0.0)])
+def test_params_reject_frequency_below_min(omega0, delta):
+    # below MIN_FREQUENCY the flow would take its free-particle branch and the squares underflow
+    assert math.hypot(omega0, delta) < MIN_FREQUENCY
+    with pytest.raises(ValueError, match="below the smallest supported frequency 1e-150"):
+        SwansonParams(omega0, delta)
+
+
+def test_params_accept_small_frequency():
+    params = SwansonParams(1e-149, 0.0)
+    assert params.omega == 1e-149 and params.period == pytest.approx(2.0 * math.pi * 1e149)
 
 
 def test_hamiltonian_hermitian_limit():
