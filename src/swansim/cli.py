@@ -148,18 +148,16 @@ class RunConfig:
             g = Metric(*self.g0)
         except ValueError as exc:
             raise ConfigError(f"invalid initial metric: {exc}") from exc
-        if abs(g.det - 1.0) > 1e-6:
+        # written so that a NaN determinant (inf - inf) is refused too
+        if not abs(g.det - 1.0) <= 1e-6:
             raise ConfigError(f"initial metric must have unit determinant, got {g.det}")
         return g
 
     def initial_state(self) -> MetriplecticState:
-        if not (math.isfinite(self.n0) and self.n0 > 0):
-            raise ConfigError("n0 must be positive and finite")
         try:
-            centre = RealState(self.p0, self.q0)
+            return MetriplecticState(Z=RealState(self.p0, self.q0), G=self.initial_metric(), n=self.n0)
         except ValueError as exc:
-            raise ConfigError(f"invalid initial centre: {exc}") from exc
-        return MetriplecticState(Z=centre, G=self.initial_metric(), n=self.n0)
+            raise ConfigError(f"invalid initial state: {exc}") from exc
 
 
 def _load_config_file(path: str) -> dict:
@@ -226,13 +224,16 @@ def _flag_value(field: dataclasses.Field, text):
     return values if len(values) > 1 else values[0]
 
 
-def _merge_config(args: dict) -> RunConfig:
-    """RunConfig from the --config file's values, overridden by the flags given in args."""
+def _merge_config(args: dict, names: tuple[str, ...]) -> RunConfig:
+    """RunConfig from the --config file's values, overridden by the flags given in args.
+
+    names are the RunConfig fields the subcommand declares; a file key outside them is refused.
+    """
     file_values = _load_config_file(args.pop("config")) if "config" in args else {}
     cfg = RunConfig()
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     for key, value in file_values.items():
-        if key not in fields:
+        if key not in names:
             raise ConfigError(f"unknown config key: {key}")
         setattr(cfg, key, _config_value(fields[key], value))
     for key, text in args.items():
@@ -448,10 +449,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     for k in range(n_values):
         delta = cfg.delta_min + k * cfg.delta_step
         params = dataclasses.replace(cfg, delta=delta).params
-        try:
-            label = classify_metric(params, init.G, band=cfg.band)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        label = classify_metric(params, init.G)
         t_end = periods * params.period
         traj = propagate(swanson_hamiltonian(params), init, t_end, cfg.sample_step(params.period, t_end))
         # propagate keeps row 0, so the sample is never empty
@@ -473,8 +471,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-# subcommand -> (handler, help line, the RunConfig fields it takes as flags);
-# every subcommand also takes --config
+# subcommand -> (handler, help line, the RunConfig fields it takes as flags and
+# as config keys); every subcommand also takes --config
 _COMMANDS = {
     "simulate": (cmd_simulate, "time series of centre, metric and norm",
                  ("omega0", "delta", "out", "step", "periods", "allow_divergence", "p0", "q0", "g0", "b0", "n0")),
@@ -511,11 +509,12 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     """Flags hold text only: _merge_config checks it against the RunConfig field like a config value."""
     description = "Metriplectic and Gaussian wave-packet dynamics of the Swanson oscillator"
-    parser = _Parser(prog="swansim", description=description)
+    # allow_abbrev=False: a flag has one spelling, no prefix of it is read as the flag
+    parser = _Parser(prog="swansim", description=description, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_line, names) in _COMMANDS.items():
         # an absent flag leaves no attribute, so only given flags override the config file
-        subparser = sub.add_parser(command, help=help_line, argument_default=argparse.SUPPRESS)
+        subparser = sub.add_parser(command, help=help_line, argument_default=argparse.SUPPRESS, allow_abbrev=False)
         subparser.add_argument("--config", help="JSON config file; flags override it")
         for name in names:
             switch = {"action": "store_true"} if RunConfig.__annotations__[name] == "bool" else {}
@@ -528,9 +527,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = vars(_build_parser().parse_args(argv))
-    handler = _COMMANDS[args.pop("command")][0]
+    handler, _, names = _COMMANDS[args.pop("command")]
     try:
-        return handler(_merge_config(args))
+        return handler(_merge_config(args, names))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -194,16 +194,17 @@ def _sampled_flow(model: QuadraticHamiltonian, z0, b0: complex, times: np.ndarra
     return spp * z0[0] + spq * z0[1], sqp * z0[0] + sqq * z0[1], (spp * b0 + spq) / den, den
 
 
-def _unwrapped_angle(den: np.ndarray, start: float = 0.0) -> np.ndarray:
-    """Arguments of den sampled along a path, continuous from the argument start before den[0]."""
-    return np.unwrap(np.concatenate(([start], np.angle(den))))[1:]
+def _unwrapped_angle(den: np.ndarray) -> np.ndarray:
+    """Arguments of den sampled along a path from t = 0, continuous from the argument 0 of den(0) = 1."""
+    return np.unwrap(np.concatenate(([0.0], np.angle(den))))[1:]
 
 
 def _phase_change(pq_change, log_im_ratio, log_den, const, t):
     """Closed-form gamma(t) - gamma(0) from its ingredients; scalars or arrays (see evolve_state).
 
     pq_change = p q - p0 q0, log_im_ratio = ln(Im b / Im b0), and log_den is
-    Log den on its continuous branch.
+    Log den on its continuous branch; its real part ln|den| alone gives the
+    right Im gamma.
     """
     return 0.5 * pq_change + 0.25j * log_im_ratio + 0.5j * log_den - const * t
 
@@ -276,12 +277,11 @@ def propagate(model: QuadraticHamiltonian, init: MetriplecticState, t_end: float
     packet with b0 = b_from_metric(G0 / sqrt(det G0)) and a real centre: the metric of the
     Möbius image of b0, the expectation values of the complex centre S(t) z0,
     and n0 times the squared norm.  Rows are evaluated PROPAGATE_BLOCK at a
-    time, carrying the branch of Log den from block to block, and the run
-    stops at the first block holding a divergent sample.  Divergent means, as
-    in the RK4 kernel: a non-finite entry, Im b <= 0, a Möbius pole, or the
-    largest metric eigenvalue or the centre norm above BLOWUP_THRESHOLD.  The
-    initial row is the given state and is never a stop.  An initial metric
-    with det <= 0 is refused with ValueError.
+    time, and the run stops at the first block holding a divergent sample.
+    Divergent means, as in the RK4 kernel: a non-finite entry, Im b <= 0, a
+    Möbius pole, or the largest metric eigenvalue or the centre norm above
+    BLOWUP_THRESHOLD.  The initial row is the given state and is never a
+    stop.  An initial metric with det <= 0 is refused with ValueError.
     """
     b0 = b_from_metric(init.G.normalized())
     n_steps = step_count(t_end, step)
@@ -289,16 +289,14 @@ def propagate(model: QuadraticHamiltonian, init: MetriplecticState, t_end: float
     p0, q0 = init.Z.P, init.Z.Q
     pole_tol = POLE_TOL * max(1.0, abs(b0))
     const = model.const_h - 1j * model.const_gamma
-    angle = 0.0
     with np.errstate(all="ignore"):
         for k0 in range(0, n_steps + 1, PROPAGATE_BLOCK):
             times = step * np.arange(k0, min(k0 + PROPAGATE_BLOCK, n_steps + 1))
             p, q, b, den = _sampled_flow(model, (p0, q0), b0, times)
-            arg = _unwrapped_angle(den, angle)
-            angle = arg[-1]
             abs_den = np.abs(den)
-            log_den = np.log(abs_den) + 1j * arg
-            gamma = _phase_change(p * q - p0 * q0, np.log(b.imag / b0.imag), log_den, const, times)
+            # only Im gamma reaches a row (through n), and it takes Re Log den = ln|den|:
+            # the branch of arg den is not needed
+            gamma = _phase_change(p * q - p0 * q0, np.log(b.imag / b0.imag), np.log(abs_den), const, times)
             g_pp, g_pq, g_qq = _metric_entries(b)
             rows = out[k0 : k0 + len(times)]
             rows[:, 0], rows[:, 1] = _centre(p, q, g_pp, g_pq, g_qq)

@@ -254,7 +254,8 @@ def test_config_errors(tmp_path: Path, capsys):
         for argv in (["simulate"], ["sweep", "--delta-max", "0.2"]):
             for periods in ("0", "-1"):
                 assert "periods must be positive" in config_error([*argv, "--periods", periods], capsys)
-            assert "invalid initial centre" in config_error([*argv, "--p0", "nan"], capsys)
+            assert "invalid initial state: phase-space point" in config_error([*argv, "--p0", "nan"], capsys)
+        assert "invalid initial state: survival probability" in config_error(["simulate", "--n0", "0"], capsys)
         # a period of 6e-300: omega^2 overflows, which once gave numpy warnings and a NaN error or a fake divergence
         for command in ("validate", "simulate"):
             err = config_error([command, "--omega0", "1e300"], capsys)
@@ -263,6 +264,10 @@ def test_config_errors(tmp_path: Path, capsys):
         for b0 in ("1e300,1", "0,1e-320"):
             err = config_error(["simulate", "--b0", b0], capsys)
             assert err == "config error: invalid initial metric: metric entries must be finite\n"
+        # finite entries whose determinant is inf - inf = NaN
+        for command in ("simulate", "sweep"):
+            err = config_error([command, "--g0", "1e308,1e308,1e308"], capsys)
+            assert err == "config error: initial metric must have unit determinant, got nan\n"
 
 
 def config_error(argv: list[str], capsys) -> str:
@@ -290,18 +295,24 @@ def config_error(argv: list[str], capsys) -> str:
     ],
 )
 def test_config_file_types(tmp_path: Path, capsys, values, message):
+    (key,) = values
+    # the first subcommand that declares the key, so that the key is read, not refused as unknown
+    command = next(command for command, (_, _, names) in _COMMANDS.items() if key in names)
     cfg = tmp_path / "typed.json"
     cfg.write_text(json.dumps(values))
-    assert message in config_error(["classify", "--config", str(cfg)], capsys)
+    assert message in config_error([command, "--config", str(cfg)], capsys)
 
 
 def test_config_file_coerces_to_field_types(tmp_path: Path):
     cfg = tmp_path / "typed.json"
-    cfg.write_text(json.dumps({"resolution": 3.0, "delta": 0, "b0": None, "g0": [1, 0, 1]}))
+    cfg.write_text(json.dumps({"resolution": 3.0, "delta": 0}))
     out = tmp_path / "grid.json"
     assert main(["classify", "--config", str(cfg), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["resolution"] == 3 and len(doc["labels"]) == 9
+    cfg.write_text(json.dumps({"b0": None, "g0": [1, 0, 1]}))
+    config = parsed_config(["simulate", "--config", str(cfg)])
+    assert config.b0 is None and config.g0 == (1.0, 0.0, 1.0) and set(map(type, config.g0)) == {float}
 
 
 @pytest.mark.parametrize(
@@ -412,8 +423,10 @@ def test_band_must_be_finite_and_positive(tmp_path: Path, capsys):
     cfg = tmp_path / "band.json"
     cfg.write_text(json.dumps({"band": math.nan}))
     assert cfg.read_text() == '{"band": NaN}'
-    for argv in (["classify", "--resolution=3"], ["sweep", "--delta-max=0.2"]):
-        assert "band must be finite and positive" in config_error([*argv, "--config", str(cfg)], capsys)
+    assert "band must be finite and positive" in config_error(["classify", "--resolution=3", "--config", str(cfg)], capsys)
+    # sweep labels with the default band and takes none from a file
+    err = config_error(["sweep", "--delta-max=0.2", "--config", str(cfg)], capsys)
+    assert err == "config error: unknown config key: band\n"
 
 
 def test_classify_refuses_non_finite_ranges(capsys):
@@ -541,8 +554,7 @@ def test_fuzz_exits_cleanly(tmp_path_factory, capsys, command, data):
 def parsed_config(argv: list[str]) -> cli.RunConfig:
     """The RunConfig that main runs argv with."""
     args = vars(_build_parser().parse_args(argv))
-    del args["command"]
-    return cli._merge_config(args)
+    return cli._merge_config(args, _COMMANDS[args.pop("command")][2])
 
 
 # a negative value with an exponent or a leading point, for each numeric RunConfig field type
@@ -588,19 +600,42 @@ def test_flags_follow_the_command_table():
     assert sum(map(len, declared_flags().values())) == 38
 
 
-# flags of RunConfig fields the subcommand does not use: refused, not ignored
+def test_config_keys_follow_the_command_table(tmp_path: Path, capsys):
+    # a file holding one RunConfig field at its default: read exactly when the subcommand declares it
+    read = 0
+    for command, (_, _, names) in _COMMANDS.items():
+        for name in FIELD_TYPES:
+            cfg = tmp_path / "one_key.json"
+            cfg.write_text(json.dumps({name: getattr(cli.RunConfig(), name)}))
+            argv = [command, "--config", str(cfg)]
+            if name in names:
+                assert parsed_config(argv) == cli.RunConfig()
+                read += 1
+            else:
+                assert config_error(argv, capsys) == f"config error: unknown config key: {name}\n"
+    assert (len(_COMMANDS) * len(FIELD_TYPES), read) == (80, 34)
+
+
+# flags of RunConfig fields the subcommand does not use, and prefixes of declared flags:
+# refused, not ignored or read as the flag they abbreviate
 @pytest.mark.parametrize(
     "command, flag",
     [("classify", "--step=0.1"), ("classify", "--periods=2"), ("classify", "--allow-divergence"),
      ("validate", "--periods=2"), ("validate", "--allow-divergence"),
-     ("sweep", "--delta=0.5"), ("sweep", "--allow-divergence")],
+     ("sweep", "--delta=0.5"), ("sweep", "--allow-divergence"),
+     ("classify", "--res=3"), ("simulate", "--om=1"), ("validate", "--st=0.1")],
 )
 def test_no_op_flags_are_refused(capsys, command, flag):
-    err = argv_refusal([command, flag], capsys)
-    # in sweep, --delta is a prefix of three flags, so argparse calls it ambiguous
-    assert err == f"swansim: error: unrecognized arguments: {flag}\n" or err.startswith(
-        f"swansim sweep: error: ambiguous option: {flag} could match --delta-min"
-    )
+    assert argv_refusal([command, flag], capsys) == f"swansim: error: unrecognized arguments: {flag}\n"
+
+
+def test_flag_prefixes_are_refused(capsys):
+    # argparse's default prefix matching read 111 of these as the one flag they abbreviate
+    for command, flags in declared_flags().items():
+        for flag in flags:
+            for prefix in {flag[:end] for end in range(3, len(flag))} - set(flags):
+                err = argv_refusal([command, f"{prefix}=1"], capsys)
+                assert err == f"swansim: error: unrecognized arguments: {prefix}=1\n"
 
 
 def argv_refusal(argv: list[str], capsys) -> str:
