@@ -125,18 +125,20 @@ def riccati_rk4(cpp, cpq, cqq, b0, step, n_steps, out):
     Fills out[k] for k = 0..n_steps; returns -1 on completion, else the first
     step index at which the solution left the chart (|b| > 1e12 or non-finite).
     """
+    # (2.0 * cpq) * b is 2.0 * cpq * b, since products group left to right
+    cpq2, half, sixth, isfinite = 2.0 * cpq, 0.5 * step, step / 6.0, math.isfinite
     b = b0
     out[0] = b
     for k in range(1, n_steps + 1):
-        k1 = -(cpp * b * b + 2.0 * cpq * b + cqq)
-        b2 = b + 0.5 * step * k1
-        k2 = -(cpp * b2 * b2 + 2.0 * cpq * b2 + cqq)
-        b3 = b + 0.5 * step * k2
-        k3 = -(cpp * b3 * b3 + 2.0 * cpq * b3 + cqq)
+        k1 = -(cpp * b * b + cpq2 * b + cqq)
+        b2 = b + half * k1
+        k2 = -(cpp * b2 * b2 + cpq2 * b2 + cqq)
+        b3 = b + half * k2
+        k3 = -(cpp * b3 * b3 + cpq2 * b3 + cqq)
         b4 = b + step * k3
-        k4 = -(cpp * b4 * b4 + 2.0 * cpq * b4 + cqq)
-        b = b + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not (math.isfinite(b.real) and math.isfinite(b.imag)) or abs(b) > 1e12:
+        k4 = -(cpp * b4 * b4 + cpq2 * b4 + cqq)
+        b = b + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not (isfinite(b.real) and isfinite(b.imag)) or abs(b) > 1e12:
             return k
         out[k] = b
     return -1

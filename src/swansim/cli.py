@@ -2,7 +2,9 @@
 
 simulate and sweep evaluate the exact propagator (gaussian.propagate) on the
 sample grid set by --step; validate cross-checks it against the independent
-routes, the RK4 integrator (ode.integrate) among them.
+routes, the RK4 integrator (ode.integrate) among them, in two processes: the
+checks that share nothing with the metriplectic RK4 run in one forked child,
+or in-process, in turn, without os.fork or when the child fails.
 
 Outputs are deterministic: identical configuration produces byte-identical
 files (floats are written with 17 significant digits, CSV uses comma
@@ -26,6 +28,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,6 +266,20 @@ def _write_chunks(path: str | None, chunks):
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
+def _check_writable(path: str) -> None:
+    """ConfigError if path cannot be opened for writing; truncates nothing, removes a file it made,
+    and leaves a FIFO or device, which opening affects, to the write."""
+    try:
+        try:
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+            os.unlink(path)
+        except FileExistsError:
+            if os.path.isfile(path) or os.path.isdir(path):
+                os.close(os.open(path, os.O_WRONLY))
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+
+
 def _csv_chunks(traj, period: float):
     """simulate's CSV: the header, blocks of _CSV_BLOCK_ROWS sample lines, then the flagged divergence line."""
     v = traj.values
@@ -391,6 +408,33 @@ def _convergence_order(params: SwansonParams) -> float:
     return math.log2(e1 / e2)
 
 
+def _forked(fn):
+    """Start fn(), a tuple of floats, in a forked child; the function returned reaps it and gives the
+    tuple, or None if the child failed or none started.  The floats come back as repr text, which
+    round-trips exactly; the child leaves by os._exit, so it never flushes the stdout it inherited."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except (AttributeError, OSError):  # no os.fork on this platform, or no process to spare
+        pid = -1
+    if pid == 0:
+        try:
+            # a warning would print here and again in the caller; as an error it fails the child
+            warnings.simplefilter("error")
+            os.write(write_fd, " ".join(map(repr, fn())).encode())
+            os._exit(0)
+        finally:  # reached only by an exception, since os._exit does not return
+            os._exit(1)
+    os.close(write_fd)
+
+    def reap():
+        status = os.waitpid(pid, 0)[1] if pid > 0 else 1
+        with open(read_fd, "rb") as pipe:
+            return tuple(map(float, pipe.read().split())) if status == 0 else None
+
+    return reap
+
+
 def cmd_validate(cfg: RunConfig) -> int:
     params = cfg.params
     step = cfg.sample_step(params.period, params.period)
@@ -416,10 +460,16 @@ def cmd_validate(cfg: RunConfig) -> int:
         if not ok:
             failures.append("divergence time mismatch between routes")
     else:
-        errors = _validation_errors(params, step)
-        errors["B"] = _mobius_vs_riccati(params, step)
-        errors["mapped"] = _mapped_vs_direct(params)
-        order = _convergence_order(params)
+        def oracle_checks():
+            return _mobius_vs_riccati(params, step), _mapped_vs_direct(params), _convergence_order(params)
+
+        # the two RK4 oracles run at once; a failed child's checks run again here, in turn
+        reap = _forked(oracle_checks)
+        try:
+            errors = _validation_errors(params, step)
+        finally:
+            checks = reap()
+        errors["B"], errors["mapped"], order = checks or oracle_checks()
         report["divergence"] = None
         report["max_errors"] = errors
         report["convergence_order"] = order
@@ -505,6 +555,13 @@ class _Parser(argparse.ArgumentParser):
         """Refuse bad argv (unknown flag, missing value or subcommand) in one line, exit 2."""
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        """Refuse leftover argv in the parser that met it, so the line names its subcommand."""
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
 
 def _build_parser() -> argparse.ArgumentParser:
     """Flags hold text only: _merge_config checks it against the RunConfig field like a config value."""
@@ -529,7 +586,10 @@ def main(argv: list[str] | None = None) -> int:
     args = vars(_build_parser().parse_args(argv))
     handler, _, names = _COMMANDS[args.pop("command")]
     try:
-        return handler(_merge_config(args, names))
+        cfg = _merge_config(args, names)
+        if cfg.out is not None:
+            _check_writable(cfg.out)
+        return handler(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

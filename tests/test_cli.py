@@ -1,7 +1,9 @@
 import argparse
 import dataclasses
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -18,6 +20,7 @@ from swansim import (
     MetriplecticState,
     RealState,
     RegionLabel,
+    SwansimError,
     SwansonParams,
     metric_eigen,
     metric_from_b,
@@ -187,6 +190,106 @@ def test_validate_critical_divergence_path(tmp_path: Path):
     assert doc["pass"] is True
     assert doc["divergence"]["within_tolerance"] is True
     assert doc["max_errors"] is None
+
+
+# the Hermitian model, one bounded model per sign, the near-critical failure at both signs,
+# and a model with a pole, which starts no child
+FORK_DELTAS = ("0", "0.5", "-0.5", "0.96", "-0.99", "1.2")
+
+
+def test_validate_bytes_match_without_fork(tmp_path: Path, monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    results = {}
+    for label in ("fork", "sequential"):
+        if label == "fork":
+            monkeypatch.setattr(os, "fork", counted_fork)
+        else:
+            monkeypatch.delattr(os, "fork")
+        for delta in FORK_DELTAS:
+            out = tmp_path / f"{label}{delta}.json"
+            results[label, delta] = main(["validate", f"--delta={delta}", f"--out={out}"]), out.read_bytes()
+    assert len(forks) == len(FORK_DELTAS) - 1
+    for delta in FORK_DELTAS:
+        assert results["fork", delta] == results["sequential", delta]
+    assert [results["fork", d][0] for d in FORK_DELTAS] == [0, 0, 0, 4, 4, 0]
+
+
+def test_child_check_error_matches_the_sequential_run(capfd, monkeypatch):
+    # the Riccati RK4 leaves the chart at this step: a check of the child raises MobiusPoleError
+    argv = ["validate", "--delta=0.999", "--step=0.05"]
+    lines = []
+    for sequential in (False, True):
+        if sequential:
+            monkeypatch.delattr(os, "fork")
+        assert main(argv) == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        lines.append(err)
+    assert lines == ["error: Riccati solution left the chart\n"] * 2
+
+
+def test_parent_check_error_reaps_the_child(capsys, monkeypatch):
+    parent, real = os.getpid(), cli._validation_errors
+
+    def parent_fails(params, step):
+        # the child's convergence order calls this too, and gets the real errors
+        if os.getpid() == parent:
+            raise SwansimError("parent check failed")
+        return real(params, step)
+
+    monkeypatch.setattr(cli, "_validation_errors", parent_fails)
+    assert main(["validate"]) == 2
+    assert capsys.readouterr() == ("", "error: parent check failed\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_validate_stdout_holds_the_report_once(tmp_path: Path, capfd, monkeypatch):
+    # a block-buffered stdout with text pending when the child starts: a child that
+    # flushed what it inherited would write that text a second time
+    stdout = io.TextIOWrapper(io.BufferedWriter(io.FileIO(os.dup(1), "w")), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    stdout.write("pending\n")
+    try:
+        assert main(["validate"]) == 0
+    finally:
+        stdout.close()
+    out, err = capfd.readouterr()
+    assert main(["validate", f"--out={tmp_path / 'report.json'}"]) == 0
+    assert (out, err) == ("pending\n" + (tmp_path / "report.json").read_text(), "")
+
+
+def test_validate_stderr_holds_at_most_one_line(capfd):
+    # fd-level capture, so a line the child wrote would show
+    for argv, code in ((["--delta=0.5"], 0), (["--delta=-0.99"], 4), (["--delta=0.999", "--step=0.05"], 2)):
+        assert main(["validate", *argv]) == code
+        assert capfd.readouterr().err.count("\n") == (code == 2)
+
+
+def test_validate_warning_prints_once(capfd, monkeypatch):
+    # closed_series overflows exp at this coupling, in the parent's check and in the child's
+    # convergence order; shown on fd 2 as a process shows it, a warning the child printed would show
+    def show(message, category, filename, lineno, file=None, line=None):
+        os.write(2, warnings.formatwarning(message, category, filename, lineno, line).encode())
+
+    errs = []
+    for sequential in (False, True):
+        if sequential:
+            monkeypatch.delattr(os, "fork")
+        with warnings.catch_warnings():
+            # a new filter also forgets the warnings shown so far
+            warnings.simplefilter("default")
+            warnings.showwarning = show
+            assert main(["validate", "--delta=-0.999"]) == 4
+        errs.append(capfd.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].count("RuntimeWarning: overflow encountered in exp") == 1
 
 
 def test_sweep_transition(tmp_path: Path):
@@ -399,12 +502,31 @@ UNWRITABLE_ARGV = {
 }
 
 
+# what each subcommand computes; --out is checked before any of it runs
+COMPUTE = ("propagate", "region_grid", "integrate", "first_pole_time", "classify_metric")
+
+
 @pytest.mark.parametrize("command", sorted(UNWRITABLE_ARGV))
-def test_unwritable_out_is_a_config_error(tmp_path: Path, capsys, command):
+def test_unwritable_out_is_a_config_error(tmp_path: Path, capsys, monkeypatch, command):
+    def compute(*args, **kwargs):
+        raise AssertionError("computed before --out was checked")
+
+    for name in COMPUTE:
+        monkeypatch.setattr(cli, name, compute)
     for path in (tmp_path / "missing" / "out.txt", tmp_path):
         err = config_error([*UNWRITABLE_ARGV[command], f"--out={path}"], capsys)
         assert err.startswith(f"config error: cannot write output file {path}: ")
     assert not (tmp_path / "missing").exists()
+
+
+def test_out_check_creates_and_truncates_nothing(tmp_path: Path, capsys):
+    # each run is refused after --out passed its check
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("kept\n")
+    for path in (new, old):
+        assert "step must be positive" in config_error(["simulate", "--step=0", f"--out={path}"], capsys)
+    assert not new.exists()
+    assert old.read_text() == "kept\n"
 
 
 def test_closed_stdout_ends_quietly():
@@ -626,7 +748,7 @@ def test_config_keys_follow_the_command_table(tmp_path: Path, capsys):
      ("classify", "--res=3"), ("simulate", "--om=1"), ("validate", "--st=0.1")],
 )
 def test_no_op_flags_are_refused(capsys, command, flag):
-    assert argv_refusal([command, flag], capsys) == f"swansim: error: unrecognized arguments: {flag}\n"
+    assert argv_refusal([command, flag], capsys) == f"swansim {command}: error: unrecognized arguments: {flag}\n"
 
 
 def test_flag_prefixes_are_refused(capsys):
@@ -635,7 +757,7 @@ def test_flag_prefixes_are_refused(capsys):
         for flag in flags:
             for prefix in {flag[:end] for end in range(3, len(flag))} - set(flags):
                 err = argv_refusal([command, f"{prefix}=1"], capsys)
-                assert err == f"swansim: error: unrecognized arguments: {prefix}=1\n"
+                assert err == f"swansim {command}: error: unrecognized arguments: {prefix}=1\n"
 
 
 def argv_refusal(argv: list[str], capsys) -> str:
@@ -650,7 +772,7 @@ def argv_refusal(argv: list[str], capsys) -> str:
 
 def test_argparse_refusals_are_one_line(capsys):
     assert argv_refusal([], capsys) == "swansim: error: the following arguments are required: command\n"
-    assert argv_refusal(["sweep", "--b0", "0,2"], capsys) == "swansim: error: unrecognized arguments: --b0 0,2\n"
+    assert argv_refusal(["sweep", "--b0", "0,2"], capsys) == "swansim sweep: error: unrecognized arguments: --b0 0,2\n"
     assert argv_refusal(["classify", "--resolution"], capsys) == (
         "swansim classify: error: argument --resolution: expected one argument\n"
     )
