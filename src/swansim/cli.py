@@ -2,9 +2,14 @@
 
 simulate and sweep evaluate the exact propagator (gaussian.propagate) on the
 sample grid set by --step; validate cross-checks it against the independent
-routes, the RK4 integrator (ode.integrate) among them, in two processes: the
-checks that share nothing with the metriplectic RK4 run in one forked child,
-or in-process, in turn, without os.fork or when the child fails.
+routes, the RK4 integrator (ode.integrate) among them.
+
+Two jobs use a second CPU through one forked child (_Forked), and each falls
+back to doing the child's share in-process, to the same bytes, without
+os.fork or os.memfd_create, or when the child fails: validate runs the checks
+that share nothing with the metriplectic RK4 there, and simulate, from two
+blocks of rows on and given a second CPU, formats the later half of its CSV,
+one child per part of 2 * _SPILL_ROWS rows.
 
 Outputs are deterministic: identical configuration produces byte-identical
 files (floats are written with 17 significant digits, CSV uses comma
@@ -71,6 +76,10 @@ CSV_HEADER = "t,t_per_T,P,Q,g_pp,g_pq,g_qq,g_plus,g_minus,phi,n,divergent"
 _CSV_ROW = ",".join(["%.17g"] * 11) + ",0\n"
 # CSV rows formatted per chunk; one tolist() per block holds its cells as float objects
 _CSV_BLOCK_ROWS = 4096
+# most CSV rows one forked child formats: its text waits in memory until the process copies it
+_SPILL_ROWS = 1 << 16
+# bytes of a forked child's output read per chunk
+_SPILL_CHUNK = 64 * 1024
 
 VALIDATION_THRESHOLDS = {
     "Z": 1e-6,
@@ -280,14 +289,52 @@ def _check_writable(path: str) -> None:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
+def _csv_blocks(table: np.ndarray):
+    """Sample lines of table's rows, in blocks of _CSV_BLOCK_ROWS."""
+    for start in range(0, len(table), _CSV_BLOCK_ROWS):
+        yield "".join([_CSV_ROW % tuple(row) for row in table[start : start + _CSV_BLOCK_ROWS].tolist()])
+
+
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot tell."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
 def _csv_chunks(traj, period: float):
-    """simulate's CSV: the header, blocks of _CSV_BLOCK_ROWS sample lines, then the flagged divergence line."""
+    """simulate's CSV: the header, blocks of _CSV_BLOCK_ROWS sample lines, then the flagged divergence line.
+
+    Given a second CPU, the rows go in parts of at most 2 * _SPILL_ROWS; in a part of two blocks
+    or more, a forked child formats the later half while this process formats and yields the
+    earlier half, then copies the child's text in _SPILL_CHUNK pieces.  Without the child this
+    process formats the rows itself, to the same text.
+    """
     v = traj.values
     eigen = metric_eigen(v[:, 2], v[:, 3], v[:, 4])
     table = np.column_stack((traj.times, traj.times / period, v[:, :5], *eigen, v[:, 5]))
     yield CSV_HEADER + "\n"
-    for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        yield "".join([_CSV_ROW % tuple(row) for row in table[start : start + _CSV_BLOCK_ROWS].tolist()])
+    parallel = _cpus() > 1
+    for start in range(0, len(table), 2 * _SPILL_ROWS):
+        part = table[start : start + 2 * _SPILL_ROWS]
+        if len(part) < 2 * _CSV_BLOCK_ROWS or not parallel:
+            yield from _csv_blocks(part)
+            continue
+        later = part[len(part) // 2 :]
+
+        def write_later(fh):
+            for block in _csv_blocks(later):
+                fh.write(block.encode("ascii"))
+
+        with _Forked(write_later) as child:
+            yield from _csv_blocks(part[: len(part) // 2])
+            spill = child.reap()
+            if spill is None:
+                yield from _csv_blocks(later)
+            else:
+                while piece := spill.read(_SPILL_CHUNK):
+                    yield piece.decode("ascii")
     if traj.divergence_time is not None:
         t = traj.divergence_time
         cells = [t, t / period] + [math.nan] * 9
@@ -299,7 +346,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
     t_end = cfg.checked_periods() * params.period
     step = cfg.sample_step(params.period, t_end)
     traj = propagate(swanson_hamiltonian(params), cfg.initial_state(), t_end, step)
-    _write_chunks(cfg.out, _csv_chunks(traj, params.period))
+    chunks = _csv_chunks(traj, params.period)
+    try:
+        _write_chunks(cfg.out, chunks)
+    finally:
+        # a failed or cut-short write leaves the generator suspended; closing it reaps its child
+        chunks.close()
     if traj.divergence_time is not None and not cfg.allow_divergence:
         print(f"divergence detected at t = {traj.divergence_time:.6g}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -408,31 +460,54 @@ def _convergence_order(params: SwansonParams) -> float:
     return math.log2(e1 / e2)
 
 
-def _forked(fn):
-    """Start fn(), a tuple of floats, in a forked child; the function returned reaps it and gives the
-    tuple, or None if the child failed or none started.  The floats come back as repr text, which
-    round-trips exactly; the child leaves by os._exit, so it never flushes the stdout it inherited."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except (AttributeError, OSError):  # no os.fork on this platform, or no process to spare
-        pid = -1
-    if pid == 0:
+class _Forked:
+    """write(fh) run in a forked child, fh a binary file over an anonymous in-memory file (memfd).
+
+    reap() waits for the child and gives that file, rewound, or None if the child failed or none
+    started (no os.fork or os.memfd_create, or no process or memory to spare); the caller then
+    does the work itself.  Leaving the with block reaps the child and closes the file, also when
+    the caller stops early.  The child turns warnings into errors, since a warning would print
+    there and again in the caller, and leaves by os._exit, so it never flushes the stdout or
+    --out handle it inherited.
+    """
+
+    def __init__(self, write):
+        self._write = write
+        self._pid = -1
+        self._spill = None
+
+    def __enter__(self):
         try:
-            # a warning would print here and again in the caller; as an error it fails the child
-            warnings.simplefilter("error")
-            os.write(write_fd, " ".join(map(repr, fn())).encode())
-            os._exit(0)
-        finally:  # reached only by an exception, since os._exit does not return
-            os._exit(1)
-    os.close(write_fd)
+            fd = os.memfd_create("swansim")
+        except (AttributeError, OSError):
+            return self
+        self._spill = open(fd, "rb")
+        try:
+            self._pid = os.fork()
+        except (AttributeError, OSError):
+            return self
+        if self._pid == 0:
+            try:
+                warnings.simplefilter("error")
+                with open(fd, "wb", closefd=False) as fh:
+                    self._write(fh)
+                os._exit(0)
+            finally:  # reached only by an exception, since os._exit does not return
+                os._exit(1)
+        return self
 
-    def reap():
-        status = os.waitpid(pid, 0)[1] if pid > 0 else 1
-        with open(read_fd, "rb") as pipe:
-            return tuple(map(float, pipe.read().split())) if status == 0 else None
+    def reap(self):
+        if self._pid > 0:
+            pid, self._pid = self._pid, -1
+            if os.waitpid(pid, 0)[1] == 0:
+                self._spill.seek(0)
+                return self._spill
+        return None
 
-    return reap
+    def __exit__(self, *exc_info):
+        self.reap()
+        if self._spill is not None:
+            self._spill.close()
 
 
 def cmd_validate(cfg: RunConfig) -> int:
@@ -463,13 +538,16 @@ def cmd_validate(cfg: RunConfig) -> int:
         def oracle_checks():
             return _mobius_vs_riccati(params, step), _mapped_vs_direct(params), _convergence_order(params)
 
+        def write_checks(fh):
+            # repr text round-trips each float exactly
+            fh.write(" ".join(map(repr, oracle_checks())).encode())
+
         # the two RK4 oracles run at once; a failed child's checks run again here, in turn
-        reap = _forked(oracle_checks)
-        try:
+        with _Forked(write_checks) as child:
             errors = _validation_errors(params, step)
-        finally:
-            checks = reap()
-        errors["B"], errors["mapped"], order = checks or oracle_checks()
+            spill = child.reap()
+            checks = oracle_checks() if spill is None else tuple(map(float, spill.read().split()))
+        errors["B"], errors["mapped"], order = checks
         report["divergence"] = None
         report["max_errors"] = errors
         report["convergence_order"] = order

@@ -203,7 +203,9 @@ def closed_series(params: SwansonParams, z0: RealState, times) -> np.ndarray:
         ((d - w0) * z0.P**2 + (d + w0) * z0.Q**2) * (1.0 - np.cos(two))
         - 2.0 * w * z0.P * z0.Q * np.sin(two)
     )
-    out[..., 5] = np.sqrt(dd) * np.exp(ex)
+    # near delta = -omega0 the norm overflows before the pole: inf is the value meant there
+    with np.errstate(over="ignore"):
+        out[..., 5] = np.sqrt(dd) * np.exp(ex)
     return out
 
 

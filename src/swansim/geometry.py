@@ -34,6 +34,8 @@ __all__ = [
 
 # half-width of the classifier's undecided band, in its comparison variable
 DEFAULT_BAND = 0.02
+# grid rows whose margin region_grid evaluates at once
+_GRID_BLOCK_ROWS = 32
 
 
 class RegionLabel(Enum):
@@ -184,10 +186,15 @@ def region_grid(
     Returns an int8 array with shape (resolution, resolution); code k stands
     for list(RegionLabel)[k] (0 bounded, 1 divergent, 2 boundary).  Rows run
     over ascending Im(b), columns over ascending Re(b).  The code of every
-    point is that of classify_b's label, from one array evaluation of the same
-    margin.
+    point is that of classify_b's label, from array evaluations of the same
+    margin, _GRID_BLOCK_ROWS rows at a time.
     """
     _require_band(band)
     re_vals, im_vals = grid_axes(re_range, im_range, resolution)
-    margin = _b_margin(params, re_vals[None, :], im_vals[:, None])
-    return _label_codes(np.broadcast_to(margin, (resolution, resolution)), band)
+    codes = np.empty((resolution, resolution), dtype=np.int8)
+    # the margin of delta < 0 is a full block of float64 temporaries; a block of rows bounds them
+    for lo in range(0, resolution, _GRID_BLOCK_ROWS):
+        rows = codes[lo : lo + _GRID_BLOCK_ROWS]
+        margin = _b_margin(params, re_vals[None, :], im_vals[lo : lo + len(rows), None])
+        rows[...] = _label_codes(np.broadcast_to(margin, rows.shape), band)
+    return codes

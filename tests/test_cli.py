@@ -29,7 +29,7 @@ from swansim import (
     swanson_hamiltonian,
 )
 from swansim import cli
-from swansim.cli import _COMMANDS, _build_parser, _label_chunks, main
+from swansim.cli import _COMMANDS, CSV_HEADER, _build_parser, _label_chunks, main
 
 # JSON value of each region_grid code: code k is list(RegionLabel)[k]
 LABEL_VALUES = [label.value for label in RegionLabel]
@@ -272,13 +272,13 @@ def test_validate_stderr_holds_at_most_one_line(capfd):
         assert capfd.readouterr().err.count("\n") == (code == 2)
 
 
-def test_validate_warning_prints_once(capfd, monkeypatch):
+def test_validate_overflow_prints_no_warning(capfd, monkeypatch):
     # closed_series overflows exp at this coupling, in the parent's check and in the child's
-    # convergence order; shown on fd 2 as a process shows it, a warning the child printed would show
+    # convergence order, where inf is the value meant; shown on fd 2 as a process shows it,
+    # a warning either process printed would show
     def show(message, category, filename, lineno, file=None, line=None):
         os.write(2, warnings.formatwarning(message, category, filename, lineno, line).encode())
 
-    errs = []
     for sequential in (False, True):
         if sequential:
             monkeypatch.delattr(os, "fork")
@@ -287,9 +287,7 @@ def test_validate_warning_prints_once(capfd, monkeypatch):
             warnings.simplefilter("default")
             warnings.showwarning = show
             assert main(["validate", "--delta=-0.999"]) == 4
-        errs.append(capfd.readouterr().err)
-    assert errs[0] == errs[1]
-    assert errs[0].count("RuntimeWarning: overflow encountered in exp") == 1
+        assert "RuntimeWarning" not in capfd.readouterr().err
 
 
 def test_sweep_transition(tmp_path: Path):
@@ -492,6 +490,20 @@ def test_classify_peak_memory_stays_bounded(tmp_path: Path, delta):
         tracemalloc.stop()
     assert peak < 20 * 2**20
     assert len(json.loads(out.read_text())["labels"]) == 801 * 801
+
+
+def classify_peak(tmp_path: Path, delta: float) -> int:
+    tracemalloc.start()
+    try:
+        assert main(["classify", f"--delta={delta}", "--resolution=801", f"--out={tmp_path / 'grid.json'}"]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_classify_peak_memory_is_the_same_for_both_signs(tmp_path: Path):
+    # the disk margin of delta < 0 is evaluated in blocks of rows, as the half-plane's column is
+    assert classify_peak(tmp_path, -0.5) <= classify_peak(tmp_path, 0.5) + 2 * 2**20
 
 
 UNWRITABLE_ARGV = {
@@ -895,29 +907,149 @@ def test_simulate_csv_bytes(tmp_path: Path, omega0, delta, b0, exit_code):
     assert out.read_bytes() == expected_csv(SwansonParams(omega0, delta), init, 1.0)
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_simulate_csv_bytes_at_block_edges(tmp_path: Path, offset):
-    # sample rows one short of, equal to and one past a block of cli._CSV_BLOCK_ROWS
-    rows = cli._CSV_BLOCK_ROWS + offset
-    periods = (rows - 1) / 10_000
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes that called os.fork, counted from here on."""
+    pids, fork = [], os.fork
+
+    def counted_fork():
+        pids.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+def no_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+
+
+def no_memfd(monkeypatch):
+    monkeypatch.delattr(os, "memfd_create")
+
+
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def failing_child(monkeypatch):
+    parent, blocks = os.getpid(), cli._csv_blocks
+
+    def fail_in_child(table):
+        if os.getpid() != parent:
+            raise RuntimeError("child failed")
+        return blocks(table)
+
+    monkeypatch.setattr(cli, "_csv_blocks", fail_in_child)
+
+
+# each way simulate's CSV may be formatted: the forked child, and the in-process fallback
+# without os.fork, without os.memfd_create, on one CPU and after a failed child; -> forks made
+CSV_ROUTES = {
+    "forked": (lambda monkeypatch: None, 1),
+    "no_fork": (no_fork, 0),
+    "no_memfd": (no_memfd, 0),
+    "one_cpu": (one_cpu, 0),
+    "failing_child": (failing_child, 1),
+}
+
+
+@pytest.mark.parametrize("route", sorted(CSV_ROUTES))
+@pytest.mark.parametrize("delta, exit_code", [(-0.55, 0), (1.1, 3)])
+def test_simulate_csv_bytes_on_every_route(tmp_path: Path, monkeypatch, forks, route, delta, exit_code):
+    setup, fork_count = CSV_ROUTES[route]
+    setup(monkeypatch)
+    # the divergent run stops after about 2 000 rows: blocks of 1 000 give the child a half
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 1000)
+    params = SwansonParams(1.0, delta)
+    init = MetriplecticState(Z=RealState(0.6, -0.8), G=Metric.identity(), n=1.0)
+    expected = expected_csv(params, init, 2.0)
+    assert expected.count(b"\n") >= 2 * cli._CSV_BLOCK_ROWS + 2
     out = tmp_path / "run.csv"
-    assert main(["simulate", "--delta=0.5", f"--periods={periods!r}", f"--out={out}"]) == 0
-    init = MetriplecticState(Z=RealState(1.0, 0.0), G=Metric.identity(), n=1.0)
-    expected = expected_csv(SwansonParams(1.0, 0.5), init, periods)
-    assert expected.count(b"\n") == rows + 1
+    assert main(["simulate", f"--delta={delta}", "--p0=0.6", "--q0=-0.8", "--periods=2", f"--out={out}"]) == exit_code
     assert out.read_bytes() == expected
+    assert len(forks) == fork_count
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-def test_simulate_divergence_row_follows_a_block_edge(tmp_path: Path, monkeypatch):
+def test_simulate_csv_bytes_in_parts(tmp_path: Path, monkeypatch, forks):
+    # one child per part of 2 * _SPILL_ROWS rows, so the text waiting in memory does not grow
+    # with the run: 20 001 rows are four parts of 5 000 and one row, formatted in-process
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 1000)
+    monkeypatch.setattr(cli, "_SPILL_ROWS", 2500)
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--delta=0.5", "--periods=2", f"--out={out}"]) == 0
+    init = MetriplecticState(Z=RealState(1.0, 0.0), G=Metric.identity(), n=1.0)
+    expected = expected_csv(SwansonParams(1.0, 0.5), init, 2.0)
+    assert expected.count(b"\n") == 20_002
+    assert out.read_bytes() == expected
+    assert len(forks) == 4
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_simulate_csv_bytes_at_block_edges(tmp_path: Path, forks, offset):
+    # sample rows one short of, equal to and one past one block of cli._CSV_BLOCK_ROWS, and of
+    # two, the fewest a forked child formats half of
+    init = MetriplecticState(Z=RealState(1.0, 0.0), G=Metric.identity(), n=1.0)
+    out = tmp_path / "run.csv"
+    for blocks in (1, 2):
+        rows = blocks * cli._CSV_BLOCK_ROWS + offset
+        periods = (rows - 1) / 10_000
+        assert main(["simulate", "--delta=0.5", f"--periods={periods!r}", f"--out={out}"]) == 0
+        expected = expected_csv(SwansonParams(1.0, 0.5), init, periods)
+        assert expected.count(b"\n") == rows + 1
+        assert out.read_bytes() == expected
+    assert len(forks) == (offset >= 0)
+
+
+def test_simulate_divergence_row_follows_a_block_edge(tmp_path: Path, monkeypatch, forks):
     params = SwansonParams(1.0, 1.1)
     init = MetriplecticState(Z=RealState(1.0, 0.0), G=Metric.identity(), n=1.0)
     expected = expected_csv(params, init, 1.0)
-    # header and flagged row aside, the sample rows fill whole blocks of this size
+    # header and flagged row aside, the sample rows fill whole blocks of this size, two of them
     monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", (expected.count(b"\n") - 2) // 2)
     assert (expected.count(b"\n") - 2) % cli._CSV_BLOCK_ROWS == 0
     out = tmp_path / "run.csv"
-    assert main(["simulate", "--delta=1.1", f"--out={out}"]) == 3
-    assert out.read_bytes() == expected
+    for route in ("forked", "no_fork"):
+        CSV_ROUTES[route][0](monkeypatch)
+        assert main(["simulate", "--delta=1.1", f"--out={out}"]) == 3
+        assert out.read_bytes() == expected
+    assert len(forks) == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device every write to fails")
+def test_failed_simulate_write_reaps_the_child(capsys, forks):
+    err = config_error(["simulate", "--periods=2", "--out=/dev/full"], capsys)
+    assert err.startswith("config error: cannot write output file /dev/full: ")
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_CHILD_SUBREAPER is Linux's")
+def test_closed_stdout_leaves_no_child():
+    # a reader that stops after 20 bytes while the forked child formats the later rows; the
+    # reader adopts every process the run leaves (PR_SET_CHILD_SUBREAPER), so it finds one to
+    # wait for only if simulate ended without reaping its child
+    script = """if True:
+        import ctypes, json, os, subprocess, sys
+        assert ctypes.CDLL(None, use_errno=True).prctl(36, 1, 0, 0, 0) == 0
+        proc = subprocess.Popen([sys.executable, "-m", "swansim", "simulate", "--periods=2"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+        try:
+            left = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            left = None
+        print(json.dumps([head.decode(), code, err.decode(), left]))
+    """
+    cp = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout) == [CSV_HEADER[:20], 0, "", None]
 
 
 @pytest.mark.parametrize(
