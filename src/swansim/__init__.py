@@ -13,12 +13,9 @@ from .closed_form import (
     complex_trajectory,
     first_pole_time,
     metric_eigen,
-    real_trajectory,
-    stretch_factor,
     survival_closed,
 )
 from .errors import (
-    DegeneratePlaneError,
     DivergenceError,
     MobiusPoleError,
     NonNormalizableError,
@@ -28,12 +25,10 @@ from .gaussian import (
     GaussianState,
     b_from_metric,
     blowup_detected,
-    complex_symplectic_flow,
     eta_action,
     evaluate_wavefunction,
     evolve_b,
     evolve_state,
-    fourier_action,
     gaussian_norm,
     is_normalizable,
     mapped_dynamics,
@@ -58,8 +53,6 @@ from .model import (
     SpectralData,
     SwansonParams,
     doubled_generator,
-    eigenvalue,
-    normalize_swanson,
     spectral_data,
     swanson_hamiltonian,
 )
@@ -69,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComplexState",
-    "DegeneratePlaneError",
     "DivergenceError",
     "GaussianState",
     "HyperboloidPoint",
@@ -89,16 +81,13 @@ __all__ = [
     "classify_b",
     "classify_metric",
     "closed_series",
-    "complex_symplectic_flow",
     "complex_trajectory",
     "doubled_generator",
-    "eigenvalue",
     "eta_action",
     "evaluate_wavefunction",
     "evolve_b",
     "evolve_state",
     "first_pole_time",
-    "fourier_action",
     "gaussian_norm",
     "integrate",
     "is_normalizable",
@@ -106,15 +95,12 @@ __all__ = [
     "metric_closed",
     "metric_eigen",
     "metric_from_b",
-    "normalize_swanson",
     "plane_slope",
     "project_expectations",
     "propagate",
-    "real_trajectory",
     "region_grid",
     "riccati_direct",
     "spectral_data",
-    "stretch_factor",
     "survival_closed",
     "swanson_hamiltonian",
     "xyz_from_metric",

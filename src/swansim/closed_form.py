@@ -24,10 +24,8 @@ __all__ = [
     "Metric",
     "RealState",
     "ComplexState",
-    "stretch_factor",
     "first_pole_time",
     "complex_trajectory",
-    "real_trajectory",
     "survival_closed",
     "closed_series",
     "metric_eigen",
@@ -91,13 +89,6 @@ class Metric:
     def identity(cls) -> "Metric":
         return cls(1.0, 0.0, 1.0)
 
-    @classmethod
-    def from_matrix(cls, m) -> "Metric":
-        a = np.asarray(m, dtype=float)
-        if a.shape != (2, 2) or abs(a[0, 1] - a[1, 0]) > 1e-9 * max(1.0, np.abs(a).max()):
-            raise ValueError("metric must be a symmetric 2x2 matrix")
-        return cls(float(a[0, 0]), 0.5 * float(a[0, 1] + a[1, 0]), float(a[1, 1]))
-
     @property
     def matrix(self) -> np.ndarray:
         return np.array([[self.g_pp, self.g_pq], [self.g_pq, self.g_qq]])
@@ -125,24 +116,12 @@ def _stretch(params: SwansonParams, times: np.ndarray) -> np.ndarray:
     return 1.0 / den
 
 
-def stretch_factor(params: SwansonParams, t: float) -> float:
-    """Common scale factor of the identity-seeded metric and trajectory solutions.
-
-    Returns math.inf once the factor's denominator drops below tolerance,
-    which covers both the blow-up instants and the supercritical windows in
-    between, where the projected matrix is no longer a metric.
-    """
-    try:
-        return float(_stretch(params, np.array([t], dtype=float))[0])
-    except DivergenceError:
-        return math.inf
-
-
 def first_pole_time(params: SwansonParams) -> float | None:
     """Earliest blow-up time of the identity-seeded flow, None if bounded.
 
-    The first zero of the stretch factor's denominator: stretch_factor is
-    finite before it and inf from it until the window closes.
+    The first zero of the stretch factor's denominator: closed_series is
+    finite before it and raises DivergenceError from it until the window
+    closes.
     """
     w0, d = params.omega0, params.delta
     if d * d < w0 * w0:
@@ -162,16 +141,6 @@ def complex_trajectory(params: SwansonParams, z0: ComplexState, t: float) -> Com
     return ComplexState(p, q)
 
 
-def real_trajectory(params: SwansonParams, z0: RealState, t: float) -> RealState:
-    """Expectation-value trajectory for identity initial metric.
-
-    Only valid for G(0) = I; other initial metrics go through the exact
-    propagator (gaussian.propagate) or the RK4 oracle.
-    """
-    row = closed_series(params, z0, [t])[0]
-    return RealState(float(row[0]), float(row[1]))
-
-
 def survival_closed(params: SwansonParams, z0: RealState, t: float) -> float:
     """Survival probability n(t) for G(0) = I and n(0) = 1; math.inf past blow-up."""
     try:
@@ -183,8 +152,8 @@ def survival_closed(params: SwansonParams, z0: RealState, t: float) -> float:
 def closed_series(params: SwansonParams, z0: RealState, times) -> np.ndarray:
     """Identity-seeded closed-form solution sampled on an array of times.
 
-    Returns rows (P, Q, g_pp, g_pq, g_qq, n); the single-time operations
-    above are evaluated through it.
+    Returns rows (P, Q, g_pp, g_pq, g_qq, n); survival_closed is evaluated
+    through it, and rows[:, :2] is the expectation-value trajectory.
     Raises DivergenceError if any sampled time lies in a blow-up window.
     """
     times = np.asarray(times, dtype=float)

@@ -5,7 +5,6 @@ __all__ = [
     "DivergenceError",
     "MobiusPoleError",
     "NonNormalizableError",
-    "DegeneratePlaneError",
 ]
 
 
@@ -32,7 +31,3 @@ class MobiusPoleError(SwansimError):
 
 class NonNormalizableError(SwansimError):
     """Operation requires Im(b) > 0 but the state is not normalizable."""
-
-
-class DegeneratePlaneError(SwansimError):
-    """The conserved-plane construction is singular for these inputs."""

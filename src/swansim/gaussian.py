@@ -37,7 +37,6 @@ __all__ = [
     "is_normalizable",
     "metric_from_b",
     "b_from_metric",
-    "complex_symplectic_flow",
     "evolve_b",
     "metric_closed",
     "riccati_direct",
@@ -46,7 +45,6 @@ __all__ = [
     "gaussian_norm",
     "propagate",
     "eta_action",
-    "fourier_action",
     "mapped_dynamics",
     "evaluate_wavefunction",
     "blowup_detected",
@@ -127,12 +125,6 @@ def _flow_entries(model: QuadraticHamiltonian, t):
     else:
         s = np.sin(arg) / mu
     return c - s * cpq, -s * cqq, s * cpp, c + s * cpq
-
-
-def complex_symplectic_flow(model: QuadraticHamiltonian, t: float) -> np.ndarray:
-    """Flow matrix S(t) of the complexified Hamiltonian equations, S(0) = I, as a complex 2x2 array."""
-    spp, spq, sqp, sqq = _flow_entries(model, float(t))
-    return np.array([[spp, spq], [sqp, sqq]], dtype=complex)
 
 
 def evolve_b(model: QuadraticHamiltonian, b0: complex, t: float) -> complex:
@@ -318,30 +310,21 @@ def propagate(model: QuadraticHamiltonian, init: MetriplecticState, t_end: float
     return Trajectory.from_samples(out, -1, step)
 
 
-def _generator_model(m_pp: complex, m_qq: complex, m_pq: complex) -> QuadraticHamiltonian:
-    """Quadratic model whose unit-time evolution realizes exp(-i/2 (m_pp p^2 + m_qq q^2 + m_pq (pq+qp)))."""
-    mat = np.array([[m_pp, m_pq], [m_pq, m_qq]], dtype=complex)
+def _generator_model(m_pp: complex, m_qq: complex) -> QuadraticHamiltonian:
+    """Quadratic model whose unit-time evolution realizes exp(-i/2 (m_pp p^2 + m_qq q^2))."""
+    mat = np.array([[m_pp, 0.0], [0.0, m_qq]], dtype=complex)
     return QuadraticHamiltonian(hess_h=mat.real, hess_gamma=-mat.imag)
 
 
-def eta_action(
-    m_pp: complex,
-    m_qq: complex,
-    m_pq: complex,
-    state: GaussianState,
-) -> GaussianState:
-    """Apply the similarity map generated by the quadratic exponent (m_pp, m_qq, m_pq).
+def eta_action(m_pp: complex, m_qq: complex, state: GaussianState) -> GaussianState:
+    """Apply the similarity map generated by the quadratic exponent (m_pp, m_qq).
 
-    Interpreted as evolution under the corresponding complex quadratic model
-    from time zero to time one: Möbius action on b, linear action on the
-    centre, closed form for the phase.
+    Interpreted as evolution under the complex quadratic model
+    (m_pp p^2 + m_qq q^2)/2 from time zero to time one: Möbius action on b,
+    linear action on the centre, closed form for the phase.  m_pp = m_qq =
+    pi/2 is the quarter rotation (p, q) -> (-q, p), which sends b to -1/b.
     """
-    return evolve_state(_generator_model(m_pp, m_qq, m_pq), state, 1.0)
-
-
-def fourier_action(state: GaussianState) -> GaussianState:
-    """Quarter rotation (p, q) -> (-q, p); sends b to -1/b."""
-    return eta_action(0.5 * math.pi, 0.5 * math.pi, 0.0, state)
+    return evolve_state(_generator_model(m_pp, m_qq), state, 1.0)
 
 
 def mapped_dynamics(
@@ -360,9 +343,9 @@ def mapped_dynamics(
         hess_h=params.omega * np.eye(2),
         hess_gamma=np.zeros((2, 2)),
     )
-    unmapped = eta_action(1j * theta, -1j * theta, 0.0, state)
+    unmapped = eta_action(1j * theta, -1j * theta, state)
     rotated = evolve_state(hermitian, unmapped, t)
-    return eta_action(-1j * theta, 1j * theta, 0.0, rotated)
+    return eta_action(-1j * theta, 1j * theta, rotated)
 
 
 def evaluate_wavefunction(state: GaussianState, x) -> np.ndarray:

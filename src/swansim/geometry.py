@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .closed_form import Metric
-from .errors import DegeneratePlaneError, NonNormalizableError
+from .errors import NonNormalizableError
 from .gaussian import is_normalizable
 from .model import SwansonParams
 
@@ -56,10 +56,6 @@ class HyperboloidPoint:
         if self.z <= 0:
             raise ValueError("hyperboloid point must lie on the upper sheet (z > 0)")
 
-    @property
-    def constraint_defect(self) -> float:
-        return self.z * self.z - self.x * self.x - self.y * self.y - 1.0
-
 
 def xyz_from_metric(g: Metric) -> HyperboloidPoint:
     return HyperboloidPoint(
@@ -85,11 +81,12 @@ def plane_slope(params: SwansonParams, pt0: HyperboloidPoint) -> float:
     """Slope of the conserved plane through the initial point.
 
     |slope| < 1 cuts the hyperboloid in an ellipse (bounded flow), > 1 in a
-    hyperbola (finite-time divergence).
+    hyperbola (finite-time divergence).  A vertical plane has slope inf: it
+    too cuts a hyperbola.
     """
     den = params.omega0 + params.delta * pt0.x
     if abs(den) <= 1e-12 * max(1.0, abs(params.delta * pt0.x)):
-        raise DegeneratePlaneError("conserved plane is vertical for this initial metric")
+        return math.inf
     return params.delta * pt0.z / den
 
 

@@ -18,9 +18,7 @@ __all__ = [
     "QuadraticHamiltonian",
     "SpectralData",
     "swanson_hamiltonian",
-    "normalize_swanson",
     "spectral_data",
-    "eigenvalue",
     "doubled_generator",
 ]
 
@@ -102,30 +100,19 @@ class QuadraticHamiltonian:
         """Hessian of the full complex Hamiltonian, hess_h - i*hess_gamma."""
         return self.hess_h - 1j * self.hess_gamma
 
-    def complex_value(self, z) -> complex:
-        """Evaluate H - i*Gamma at a (possibly complex) phase-space point."""
-        z = np.asarray(z)
-        c = self.const_h - 1j * self.const_gamma
-        return complex(0.5 * z @ self.hess_complex @ z + c)
-
 
 @dataclass(frozen=True)
 class SpectralData:
     """Static quantities derived from Swanson parameters.
 
-    omega: eigenfrequency; theta: rotation parameter of the similarity map to
-    the Hermitian oscillator (principal branch, |theta| < pi/4); ground_b:
-    uncertainty parameter of the ground state; davies_deformation: the unit
-    modulus deformation relating the model to the complex-frequency oscillator
-    p^2/2 + xi^4 q^2/2; delta_crit: coupling above which identity-seeded
-    dynamics diverges.
+    theta: rotation parameter of the similarity map to the Hermitian
+    oscillator (principal branch, |theta| < pi/4), read by
+    gaussian.mapped_dynamics; ground_b: uncertainty parameter of the ground
+    state.  The eigenfrequency is SwansonParams.omega.
     """
 
-    omega: float
     theta: float
-    delta_crit: float
     ground_b: complex
-    davies_deformation: complex
 
 
 def swanson_hamiltonian(params: SwansonParams) -> QuadraticHamiltonian:
@@ -137,41 +124,10 @@ def swanson_hamiltonian(params: SwansonParams) -> QuadraticHamiltonian:
     )
 
 
-def normalize_swanson(a: float, b: float, delta: float) -> SwansonParams:
-    """Reduce the two-coefficient oscillator a*p^2/2 + b*q^2/2 - i*delta*p*q to standard form.
-
-    Valid only for sgn(a) == sgn(b); the equivalent frequency is
-    sgn(a)*sqrt(a*b), which must come out positive.
-    """
-    if a == 0.0 or b == 0.0 or math.copysign(1.0, a) != math.copysign(1.0, b):
-        raise ValueError("normalization requires sgn(a) == sgn(b) with a, b nonzero")
-    omega0 = math.copysign(math.sqrt(a * b), a)
-    if omega0 <= 0:
-        raise ValueError("normalized omega0 must be positive; negative-sign pairs are unsupported")
-    return SwansonParams(omega0=omega0, delta=delta)
-
-
 def spectral_data(params: SwansonParams) -> SpectralData:
     w0, d = params.omega0, params.delta
-    omega = params.omega
     # principal branch: tan(2*theta) = -delta/omega0 with theta in (-pi/4, pi/4)
-    theta = -0.5 * math.atan(d / w0)
-    ground_b = 1j * w0 / (omega - d)
-    xi4 = (omega + 1j * d) / (omega - 1j * d)
-    return SpectralData(
-        omega=omega,
-        theta=theta,
-        delta_crit=w0,
-        ground_b=ground_b,
-        davies_deformation=xi4,
-    )
-
-
-def eigenvalue(params: SwansonParams, n: int) -> float:
-    """Real eigenvalue omega*(n + 1/2) of the n-th level."""
-    if n < 0 or int(n) != n:
-        raise ValueError("level index must be a nonnegative integer")
-    return params.omega * (n + 0.5)
+    return SpectralData(theta=-0.5 * math.atan(d / w0), ground_b=1j * w0 / (params.omega - d))
 
 
 def doubled_generator(model: QuadraticHamiltonian) -> np.ndarray:

@@ -311,6 +311,16 @@ def test_sweep_transition(tmp_path: Path):
             assert cells[1] == "boundary" and cells[2] == "1"
 
 
+def test_sweep_labels_a_vertical_plane_divergent(tmp_path: Path, capsys):
+    # at delta = 1 this metric's conserved plane is vertical (omega0 + delta*x = 0): a hyperbola
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--g0=2.414213562373095,0,0.41421356237309503", "--delta-min=0.9", "--delta-max=1.0", f"--out={out}"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(out)
+    assert len(rows) == 2 and rows[1][:3] == ["1", "divergent", "1"]
+
+
 def test_sweep_empty_range(tmp_path: Path):
     # a reversed coupling range is refused before anything is written
     out = tmp_path / "empty.csv"
@@ -543,12 +553,12 @@ def test_out_check_creates_and_truncates_nothing(tmp_path: Path, capsys):
 
 def test_closed_stdout_ends_quietly():
     # a reader that stops after 20 bytes, as `| head` does: the output is cut, with no traceback
-    proc = subprocess.Popen([sys.executable, "-m", "swansim", "classify", "--resolution=801"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.read(20) == b'{\n  "band": 0.02,\n  '
-    proc.stdout.close()
-    assert proc.wait(timeout=60) == 0
-    assert proc.stderr.read() == b""
+    with subprocess.Popen([sys.executable, "-m", "swansim", "classify", "--resolution=801"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(20) == b'{\n  "band": 0.02,\n  '
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
 
 
 def test_band_must_be_finite_and_positive(tmp_path: Path, capsys):

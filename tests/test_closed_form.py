@@ -20,8 +20,6 @@ from swansim import (
     first_pole_time,
     metric_closed,
     metric_eigen,
-    real_trajectory,
-    stretch_factor,
     survival_closed,
     swanson_hamiltonian,
 )
@@ -40,6 +38,17 @@ def random_bounded_metric(rng, params=PARAMS) -> Metric:
         slope = params.delta * z0 / (params.omega0 + params.delta * x0)
         if abs(slope) < 0.9:
             return Metric(g_pp, g_pq, g_qq)
+
+
+def stretch(params: SwansonParams, t: float) -> float:
+    """The identity-seeded stretch factor, read off a closed_series row as z = (g_pp + g_qq)/2."""
+    row = closed_series(params, RealState(1.0, 0.0), [t])[0]
+    return 0.5 * (row[2] + row[4])
+
+
+def real_trajectory(params: SwansonParams, z0: RealState, t: float) -> np.ndarray:
+    """Expectation values (P, Q) at one time from closed_series."""
+    return closed_series(params, z0, [t])[0, :2]
 
 
 def doubled_flow(params: SwansonParams, t: float) -> np.ndarray:
@@ -142,16 +151,17 @@ class TestMetricClosed:
 
 class TestStretchFactor:
     def test_initial_value(self):
-        assert stretch_factor(PARAMS, 0.0) == 1.0
+        assert stretch(PARAMS, 0.0) == 1.0
 
     def test_quarter_period_value(self):
         t = math.pi / (2.0 * PARAMS.omega)
-        assert stretch_factor(PARAMS, t) == pytest.approx(5.0 / 3.0, abs=1e-12)
+        assert stretch(PARAMS, t) == pytest.approx(5.0 / 3.0, abs=1e-12)
 
     @pytest.mark.parametrize("delta", [1.0, 1.2, 2.0])
     def test_supercritical_flag(self, delta):
         params = SwansonParams(1.0, delta)
-        assert math.isinf(stretch_factor(params, math.pi / (2.0 * params.omega)))
+        with pytest.raises(DivergenceError):
+            stretch(params, math.pi / (2.0 * params.omega))
 
 
 class TestFirstPoleTime:
@@ -168,8 +178,10 @@ class TestFirstPoleTime:
         params = SwansonParams(1.3, 1.3 * ratio)
         t = first_pole_time(params)
         for before in (0.0, 0.5 * t, t * (1.0 - 1e-6)):
-            assert math.isfinite(stretch_factor(params, before))
-        assert stretch_factor(params, t) == math.inf
+            assert math.isfinite(stretch(params, before))
+        with pytest.raises(DivergenceError) as info:
+            stretch(params, t)
+        assert info.value.time == t
 
 
 class TestComplexTrajectory:
@@ -199,20 +211,19 @@ class TestComplexTrajectory:
 
 class TestRealTrajectory:
     def test_initial_condition(self):
-        z = real_trajectory(PARAMS, RealState(1.0, 0.0), 0.0)
-        assert (z.P, z.Q) == (1.0, 0.0)
+        assert list(real_trajectory(PARAMS, RealState(1.0, 0.0), 0.0)) == [1.0, 0.0]
 
     def test_quarter_period_value(self):
         w = PARAMS.omega
-        z = real_trajectory(PARAMS, RealState(1.0, 0.0), math.pi / (2.0 * w))
-        assert z.P == pytest.approx(0.0, abs=1e-12)
-        assert z.Q == pytest.approx((5.0 / 3.0) * 0.5 / w, abs=1e-12)
+        P, Q = real_trajectory(PARAMS, RealState(1.0, 0.0), math.pi / (2.0 * w))
+        assert P == pytest.approx(0.0, abs=1e-12)
+        assert Q == pytest.approx((5.0 / 3.0) * 0.5 / w, abs=1e-12)
 
     def test_full_period_return(self):
         z0 = RealState(1.0, 0.3)
-        z = real_trajectory(PARAMS, z0, PARAMS.period)
-        assert z.P == pytest.approx(z0.P, abs=1e-9)
-        assert z.Q == pytest.approx(z0.Q, abs=1e-9)
+        P, Q = real_trajectory(PARAMS, z0, PARAMS.period)
+        assert P == pytest.approx(z0.P, abs=1e-9)
+        assert Q == pytest.approx(z0.Q, abs=1e-9)
 
     def test_divergence_flag(self):
         params = SwansonParams(1.0, 1.0)
@@ -338,7 +349,7 @@ class TestClosedSeries:
             z = real_trajectory(PARAMS, z0, float(t))
             g = metric_closed(PARAMS, Metric.identity(), float(t))
             n = survival_closed(PARAMS, z0, float(t))
-            assert row[:2] == pytest.approx([z.P, z.Q], abs=1e-12)
+            assert row[:2] == pytest.approx(z, abs=1e-12)
             assert row[2:5] == pytest.approx([g.g_pp, g.g_pq, g.g_qq], abs=1e-12)
             assert row[5] == pytest.approx(n, abs=1e-12)
 

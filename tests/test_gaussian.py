@@ -19,13 +19,11 @@ from swansim import (
     b_from_metric,
     blowup_detected,
     closed_series,
-    complex_symplectic_flow,
     complex_trajectory,
     eta_action,
     evaluate_wavefunction,
     evolve_b,
     evolve_state,
-    fourier_action,
     gaussian_norm,
     integrate,
     mapped_dynamics,
@@ -38,6 +36,7 @@ from swansim import (
     swanson_hamiltonian,
 )
 from swansim.errors import DivergenceError
+from swansim.gaussian import _flow_entries
 from swansim.model import OMEGA
 from swansim.ode import BLOWUP_THRESHOLD
 
@@ -49,6 +48,12 @@ upper_half_b = st.builds(
     st.floats(min_value=-3.0, max_value=3.0),
     st.floats(min_value=0.05, max_value=4.0),
 )
+
+
+def complex_symplectic_flow(model: QuadraticHamiltonian, t: float) -> np.ndarray:
+    """Flow matrix S(t) of the complexified Hamiltonian equations, S(0) = I, from the engine's entries."""
+    spp, spq, sqp, sqq = _flow_entries(model, t)
+    return np.array([[spp, spq], [sqp, sqq]], dtype=complex)
 
 
 def random_hessian_model(rng) -> QuadraticHamiltonian:
@@ -306,7 +311,8 @@ class TestPhaseAndNorm:
                     p * qdot
                     + 0.25j * bdot.imag / b.imag
                     + 0.5j * (cpp * b + cpq)
-                    - model.complex_value(np.array([p, q]))
+                    # H - i*Gamma at (p, q)
+                    - (0.5 * (cpp * p * p + 2.0 * cpq * p * q + cqq * q * q) + model.const_h - 1j * model.const_gamma)
                 )
 
             opts = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
@@ -351,19 +357,20 @@ class TestPhaseAndNorm:
 class TestEtaAction:
     def test_zero_generator_is_identity(self):
         state = GaussianState(ComplexState(0.4 + 0.1j, -0.2 + 0.3j), 0.3 + 1.1j, gamma=0.2 + 0.05j)
-        out = eta_action(0.0, 0.0, 0.0, state)
+        out = eta_action(0.0, 0.0, state)
         assert out.b == pytest.approx(state.b, abs=1e-13)
         assert out.gamma == pytest.approx(state.gamma, abs=1e-13)
 
     def test_maps_coherent_state_to_ground_state(self):
         theta = spectral_data(PARAMS).theta
-        out = eta_action(-1j * theta, 1j * theta, 0.0, GaussianState.coherent(RealState(0.0, 0.0)))
+        out = eta_action(-1j * theta, 1j * theta, GaussianState.coherent(RealState(0.0, 0.0)))
         assert out.b == pytest.approx(spectral_data(PARAMS).ground_b, abs=1e-12)
         assert abs(out.z.p) < 1e-12 and abs(out.z.q) < 1e-12
 
     def test_fourier_action_inverts_b(self):
+        # the quarter rotation (p, q) -> (-q, p)
         for b in (0.7 + 1.3j, -0.5 + 0.4j, 2j):
-            out = fourier_action(GaussianState(ComplexState(0j, 0j), b))
+            out = eta_action(0.5 * math.pi, 0.5 * math.pi, GaussianState(ComplexState(0j, 0j), b))
             assert out.b == pytest.approx(-1.0 / b, abs=1e-10)
 
 
@@ -410,7 +417,7 @@ class TestEvaluateWavefunction:
         state = GaussianState(ComplexState(0j, 0j), sd.ground_b)
         x = np.linspace(-3.0, 3.0, 7)
         psi = evaluate_wavefunction(state, x)
-        width = PARAMS.omega0 / (sd.omega - PARAMS.delta)
+        width = PARAMS.omega0 / (PARAMS.omega - PARAMS.delta)
         expected = (width / math.pi) ** 0.25 * np.exp(-0.5 * width * x**2)
         assert np.abs(psi - expected).max() < 1e-12
 
@@ -492,9 +499,10 @@ class TestPropagate:
         g0 = np.eye(2) if b_fracs is None else metric_from_b(bounded_b0(params, *b_fracs)).matrix
         radius, phase = centre
         z0 = rot.T @ (radius * np.array([math.cos(phase), math.sin(phase)]))
+        g = rot.T @ g0 @ rot
         init = MetriplecticState(
             Z=RealState(float(z0[0]), float(z0[1])),
-            G=Metric.from_matrix(rot.T @ g0 @ rot),
+            G=Metric(g[0, 0], g[0, 1], g[1, 1]),
             n=1.5,
         )
         step = params.period / 10_000

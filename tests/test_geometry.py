@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swansim import (
-    DegeneratePlaneError,
     HyperboloidPoint,
     Metric,
     NonNormalizableError,
@@ -31,6 +30,11 @@ from swansim.geometry import grid_axes
 PARAMS = SwansonParams(1.0, 0.5)
 
 
+def constraint_defect(pt: HyperboloidPoint) -> float:
+    """How far pt lies off the hyperboloid z^2 - x^2 - y^2 = 1."""
+    return pt.z * pt.z - pt.x * pt.x - pt.y * pt.y - 1.0
+
+
 def grid_labels(*args, **kwargs) -> np.ndarray:
     """region_grid's int8 codes as RegionLabel objects: code k is list(RegionLabel)[k]."""
     return np.array(list(RegionLabel), dtype=object)[region_grid(*args, **kwargs)]
@@ -53,7 +57,7 @@ class TestXyzFromMetric:
         assert pt.x == pytest.approx(4.0 / 3.0, abs=1e-14)
         assert pt.y == 0.0
         assert pt.z == pytest.approx(5.0 / 3.0, abs=1e-14)
-        assert pt.constraint_defect == pytest.approx(0.0, abs=1e-12)
+        assert constraint_defect(pt) == pytest.approx(0.0, abs=1e-12)
 
     def test_from_uncertainty_parameter(self):
         pt = xyz_from_metric(metric_from_b(0.4j))
@@ -63,7 +67,7 @@ class TestXyzFromMetric:
 
     @given(b=upper_half_b)
     def test_hyperboloid_constraint(self, b):
-        assert xyz_from_metric(metric_from_b(b)).constraint_defect == pytest.approx(0.0, abs=1e-10)
+        assert constraint_defect(xyz_from_metric(metric_from_b(b))) == pytest.approx(0.0, abs=1e-10)
 
 
 class TestXyzRhs:
@@ -110,8 +114,9 @@ class TestPlaneSlope:
         assert plane_slope(SwansonParams(1.0, 1.0), HyperboloidPoint(0.0, 0.0, 1.0)) == pytest.approx(1.0)
 
     def test_degenerate_plane(self):
-        with pytest.raises(DegeneratePlaneError):
-            plane_slope(PARAMS, HyperboloidPoint(-2.0, 0.0, math.sqrt(5.0)))
+        # omega0 + delta*x = 0: the plane is vertical and cuts a hyperbola
+        assert plane_slope(PARAMS, HyperboloidPoint(-2.0, 0.0, math.sqrt(5.0))) == math.inf
+        assert classify_metric(PARAMS, Metric(2.0 + math.sqrt(5.0), 0.0, math.sqrt(5.0) - 2.0)) is RegionLabel.DIVERGENT
 
 
 class TestClassify:
@@ -163,15 +168,12 @@ class TestClassify:
             classify_b(PARAMS, 0.4 - 0.1j)
 
     @given(b=upper_half_b, delta=st.floats(min_value=-1.5, max_value=1.5))
+    # a vertical conserved plane: omega0 + delta*x = 0 with x = -1 at b = (sqrt(2) - 1) i
+    @example(b=0.41421356237309503j, delta=1.0)
     def test_classify_b_agrees_with_metric_route(self, b, delta):
         params = SwansonParams(1.0, delta)
         lab_b = classify_b(params, b, band=1e-9)
-        try:
-            lab_g = classify_metric(params, metric_from_b(b), band=1e-9)
-        except DegeneratePlaneError:
-            # vertical conserved plane: a measure-zero configuration the
-            # slope criterion cannot express; the width criterion still works
-            return
+        lab_g = classify_metric(params, metric_from_b(b), band=1e-9)
         if RegionLabel.BOUNDARY in (lab_b, lab_g):
             return
         assert lab_b is lab_g
@@ -276,7 +278,7 @@ class TestConservationLaws:
         params = SwansonParams(1.0, delta)
         for t in np.linspace(0.0, params.period, 200):
             pt = xyz_from_metric(metric_closed(params, Metric.identity(), float(t)))
-            assert abs(pt.constraint_defect) < 1e-9
+            assert abs(constraint_defect(pt)) < 1e-9
 
     @pytest.mark.parametrize("delta", [0.3, 0.5, 0.9])
     def test_plane_conservation_along_flow(self, delta):

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from swansim import (
     SwansonParams,
     doubled_generator,
-    eigenvalue,
-    normalize_swanson,
     spectral_data,
     swanson_hamiltonian,
 )
@@ -75,49 +73,18 @@ def test_hamiltonian_rejects_asymmetric_hessian():
         QuadraticHamiltonian(hess_h=[[1.0, 0.2], [0.1, 1.0]], hess_gamma=np.zeros((2, 2)))
 
 
-def test_normalize_identity():
-    assert normalize_swanson(1.0, 1.0, 0.3).omega0 == pytest.approx(1.0, abs=1e-15)
-
-
-def test_normalize_geometric_mean():
-    # oracle: direct evaluation of sqrt(a*b)
-    assert normalize_swanson(2.0, 0.5, 0.3).omega0 == pytest.approx(math.sqrt(2.0 * 0.5), abs=1e-15)
-
-
-def test_normalize_rejects_mixed_signs():
-    with pytest.raises(ValueError):
-        normalize_swanson(1.0, -1.0, 0.0)
-    with pytest.raises(ValueError):
-        normalize_swanson(-2.0, -0.5, 0.0)  # would give omega0 < 0
-    with pytest.raises(ValueError):
-        normalize_swanson(0.0, 1.0, 0.0)
-
-
-@given(
-    a=st.floats(min_value=0.1, max_value=10.0),
-    b=st.floats(min_value=0.1, max_value=10.0),
-    lam=st.floats(min_value=0.1, max_value=10.0),
-)
-def test_normalize_scaling_symmetry(a, b, lam):
-    w1 = normalize_swanson(a, b, 0.2).omega0
-    w2 = normalize_swanson(lam * a, b / lam, 0.2).omega0
-    assert w1 == pytest.approx(w2, rel=1e-12)
-
-
 def test_spectral_hermitian_limit():
     sd = spectral_data(SwansonParams(1.0, 0.0))
-    assert sd.omega == 1.0
     assert sd.theta == 0.0
     assert sd.ground_b == 1j
-    assert sd.davies_deformation == 1.0 + 0j
 
 
 def test_spectral_reference_point():
-    sd = spectral_data(SwansonParams(1.0, 0.5))
-    assert sd.omega == pytest.approx(1.1180339887498949, abs=1e-12)
+    params = SwansonParams(1.0, 0.5)
+    sd = spectral_data(params)
+    assert params.omega == pytest.approx(1.1180339887498949, abs=1e-12)
     assert sd.theta == pytest.approx(-0.2318238045004031, abs=1e-12)
     assert sd.ground_b == pytest.approx(1.6180339887498949j, abs=1e-12)
-    assert sd.delta_crit == 1.0
 
 
 def test_ground_b_is_riccati_fixed_point():
@@ -133,38 +100,16 @@ def test_ground_b_is_riccati_fixed_point():
 
 
 def test_ground_state_energy():
-    sd = spectral_data(SwansonParams(1.0, 0.5))
-    assert sd.omega / 2.0 == pytest.approx(0.5590169943749475, abs=1e-12)
-
-
-def test_eigenvalue_values():
-    assert eigenvalue(SwansonParams(1.0, 0.0), 0) == pytest.approx(0.5, abs=1e-15)
-    params = SwansonParams(1.0, 0.5)
-    assert eigenvalue(params, 1) == pytest.approx(1.5 * params.omega, abs=1e-12)
-    assert eigenvalue(params, 1) == pytest.approx(1.6770509831248424, abs=1e-12)
-
-
-def test_eigenvalue_harmonic_spacing():
-    params = SwansonParams(1.3, -0.7)
-    gaps = [eigenvalue(params, n + 1) - eigenvalue(params, n) for n in range(6)]
-    assert gaps == pytest.approx([params.omega] * 6, rel=1e-12)
-
-
-def test_eigenvalue_rejects_bad_levels():
-    with pytest.raises(ValueError):
-        eigenvalue(SwansonParams(1.0, 0.0), -1)
-    with pytest.raises(ValueError):
-        eigenvalue(SwansonParams(1.0, 0.0), 1.5)
+    assert SwansonParams(1.0, 0.5).omega / 2.0 == pytest.approx(0.5590169943749475, abs=1e-12)
 
 
 @given(omega0=positive_omegas, delta=finite_deltas)
 def test_spectral_invariants(omega0, delta):
     params = SwansonParams(omega0, delta)
     sd = spectral_data(params)
-    assert sd.omega**2 == pytest.approx(omega0**2 + delta**2, rel=1e-13)
+    assert params.omega**2 == pytest.approx(omega0**2 + delta**2, rel=1e-13)
     assert math.tan(2.0 * sd.theta) + delta / omega0 == pytest.approx(0.0, abs=1e-12 * max(1.0, abs(delta / omega0)))
     assert abs(sd.theta) < math.pi / 4
-    assert abs(sd.davies_deformation) == pytest.approx(1.0, abs=1e-12)
     assert sd.ground_b.imag > 0
 
 
