@@ -12,8 +12,11 @@ blocks of rows on and given a second CPU, formats the later half of its CSV,
 one child per part of 2 * _SPILL_ROWS rows.
 
 Outputs are deterministic: identical configuration produces byte-identical
-files (floats are written with 17 significant digits, CSV uses comma
-separators and LF line endings, JSON keys are sorted).
+files (floats are written as %.17g writes them, CSV uses comma separators and
+LF line endings, JSON keys are sorted).  simulate's sample lines come from
+_csvrows.sample_lines, which computes the digits of every cell in [1e-4, 1e17)
+with numpy, exactly, and writes a row holding any other cell (a signed zero,
+exponent notation, inf or NaN) with the % template.
 
 Outputs are streamed: the CSV in blocks of rows, the classify labels in runs
 of equal labels, so no chunk of text grows with the run.
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import Metric, RealState, closed_series, first_pole_time, metric_eigen
-from .errors import SwansimError
+from .errors import MobiusPoleError, SwansimError
 from .gaussian import (
     GaussianState,
     evolve_b,
@@ -72,9 +75,7 @@ _QUOTED_LABELS = ('"bounded"', '"divergent"', '"boundary"')
 _LABEL_RUN_CAP = 8192
 
 CSV_HEADER = "t,t_per_T,P,Q,g_pp,g_pq,g_qq,g_plus,g_minus,phi,n,divergent"
-# a sample line: its 11 numeric cells as _fmt writes them, then the divergence flag 0
-_CSV_ROW = ",".join(["%.17g"] * 11) + ",0\n"
-# CSV rows formatted per chunk; one tolist() per block holds its cells as float objects
+# CSV rows formatted per chunk (_csvrows.sample_lines, 11 cells as _fmt writes them, then the flag 0)
 _CSV_BLOCK_ROWS = 4096
 # most CSV rows one forked child formats: its text waits in memory until the process copies it
 _SPILL_ROWS = 1 << 16
@@ -156,11 +157,13 @@ class RunConfig:
             if self.b0 is not None:
                 if self.b0.imag <= 0:
                     raise ConfigError("b0 must have positive imaginary part")
-                return metric_from_b(self.b0)
-            g = Metric(*self.g0)
+                g = metric_from_b(self.b0)
+            else:
+                g = Metric(*self.g0)
         except ValueError as exc:
             raise ConfigError(f"invalid initial metric: {exc}") from exc
-        # written so that a NaN determinant (inf - inf) is refused too
+        # written so that a NaN determinant (inf - inf) is refused too; a b0 far from the
+        # imaginary axis gives a metric whose determinant rounding has lost
         if not abs(g.det - 1.0) <= 1e-6:
             raise ConfigError(f"initial metric must have unit determinant, got {g.det}")
         return g
@@ -291,8 +294,11 @@ def _check_writable(path: str) -> None:
 
 def _csv_blocks(table: np.ndarray):
     """Sample lines of table's rows, in blocks of _CSV_BLOCK_ROWS."""
+    # imported here, so that a run that writes no CSV does not compile it
+    from ._csvrows import sample_lines
+
     for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        yield "".join([_CSV_ROW % tuple(row) for row in table[start : start + _CSV_BLOCK_ROWS].tolist()])
+        yield sample_lines(table[start : start + _CSV_BLOCK_ROWS])
 
 
 def _cpus() -> int:
@@ -419,7 +425,9 @@ def _validation_errors(params: SwansonParams, step: float) -> dict:
     }
 
 
-def _mobius_vs_riccati(params: SwansonParams, step: float) -> float:
+def _mobius_vs_riccati(params: SwansonParams, step: float) -> float | None:
+    """Largest |b| difference of the Möbius route from the Riccati RK4 oracle; None if the oracle
+    left the chart, which an under-resolved step does near |delta| = omega0."""
     model = swanson_hamiltonian(params)
     t_end = params.period
     n_steps = step_count(t_end, step)
@@ -427,7 +435,10 @@ def _mobius_vs_riccati(params: SwansonParams, step: float) -> float:
     times = step * np.arange(0, n_steps + 1, stride)
     worst = 0.0
     for b0 in (spectral_data(params).ground_b, 1j, 0.8 + 1.5j, -0.6 + 2j):
-        ref = riccati_direct(model, b0, t_end, step)[::stride]
+        try:
+            ref = riccati_direct(model, b0, t_end, step)[::stride]
+        except MobiusPoleError:
+            return None
         mob = np.array([evolve_b(model, b0, t) for t in times])
         worst = max(worst, float(np.abs(mob - ref).max()))
     return worst
@@ -539,20 +550,22 @@ def cmd_validate(cfg: RunConfig) -> int:
             return _mobius_vs_riccati(params, step), _mapped_vs_direct(params), _convergence_order(params)
 
         def write_checks(fh):
-            # repr text round-trips each float exactly
-            fh.write(" ".join(map(repr, oracle_checks())).encode())
+            # JSON writes each float as its repr, which round-trips exactly, and None as null
+            fh.write(json.dumps(oracle_checks()).encode())
 
         # the two RK4 oracles run at once; a failed child's checks run again here, in turn
         with _Forked(write_checks) as child:
             errors = _validation_errors(params, step)
             spill = child.reap()
-            checks = oracle_checks() if spill is None else tuple(map(float, spill.read().split()))
+            checks = oracle_checks() if spill is None else json.loads(spill.read())
         errors["B"], errors["mapped"], order = checks
         report["divergence"] = None
         report["max_errors"] = errors
         report["convergence_order"] = order
         for key in ("Z", "G", "n", "B", "mapped"):
-            if errors[key] > thresholds[key]:
+            if errors[key] is None:  # only B's oracle can stop short
+                failures.append("B not checked: the Riccati RK4 oracle left the chart")
+            elif errors[key] > thresholds[key]:
                 failures.append(f"{key} error {errors[key]:.3e} exceeds {thresholds[key]:.1e}")
         if not (thresholds["order_low"] <= order <= thresholds["order_high"]):
             failures.append(f"convergence order {order:.3f} outside [3.7, 4.3]")

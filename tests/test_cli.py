@@ -221,17 +221,43 @@ def test_validate_bytes_match_without_fork(tmp_path: Path, monkeypatch):
 
 
 def test_child_check_error_matches_the_sequential_run(capfd, monkeypatch):
-    # the Riccati RK4 leaves the chart at this step: a check of the child raises MobiusPoleError
-    argv = ["validate", "--delta=0.999", "--step=0.05"]
+    # a check of the child raises: the child fails, and the process runs its checks again
+    def mapped_fails(params):
+        raise SwansimError("mapped check failed")
+
+    monkeypatch.setattr(cli, "_mapped_vs_direct", mapped_fails)
     lines = []
     for sequential in (False, True):
         if sequential:
             monkeypatch.delattr(os, "fork")
-        assert main(argv) == 2
+        assert main(["validate"]) == 2
         out, err = capfd.readouterr()
         assert out == ""
         lines.append(err)
-    assert lines == ["error: Riccati solution left the chart\n"] * 2
+    assert lines == ["error: mapped check failed\n"] * 2
+
+
+@pytest.mark.parametrize("argv", [["--delta=0.9999"], ["--delta=0.999", "--step=0.05"]])
+def test_validate_reports_an_oracle_off_the_chart(tmp_path: Path, capfd, monkeypatch, argv):
+    # the Riccati RK4 oracle leaves the chart at these steps, where the Möbius route finds no
+    # pole: the oracle is at fault, so validate ends with a failed report, not an error
+    reports = []
+    for sequential in (False, True):
+        if sequential:
+            monkeypatch.delattr(os, "fork")
+        out = tmp_path / f"report{sequential}.json"
+        assert main(["validate", *argv, f"--out={out}"]) == 4
+        assert capfd.readouterr() == ("", "")
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+    def refuse(token):
+        raise AssertionError(f"{token} in the report")
+
+    doc = json.loads(reports[0], parse_constant=refuse)
+    assert doc["pass"] is False
+    assert doc["max_errors"]["B"] is None
+    assert [f for f in doc["failures"] if "Riccati" in f] == ["B not checked: the Riccati RK4 oracle left the chart"]
 
 
 def test_parent_check_error_reaps_the_child(capsys, monkeypatch):
@@ -267,7 +293,7 @@ def test_validate_stdout_holds_the_report_once(tmp_path: Path, capfd, monkeypatc
 
 def test_validate_stderr_holds_at_most_one_line(capfd):
     # fd-level capture, so a line the child wrote would show
-    for argv, code in ((["--delta=0.5"], 0), (["--delta=-0.99"], 4), (["--delta=0.999", "--step=0.05"], 2)):
+    for argv, code in ((["--delta=0.5"], 0), (["--delta=-0.99"], 4), (["--delta=0.999", "--step=0.05"], 4)):
         assert main(["validate", *argv]) == code
         assert capfd.readouterr().err.count("\n") == (code == 2)
 
@@ -379,6 +405,9 @@ def test_config_errors(tmp_path: Path, capsys):
         for command in ("simulate", "sweep"):
             err = config_error([command, "--g0", "1e308,1e308,1e308"], capsys)
             assert err == "config error: initial metric must have unit determinant, got nan\n"
+        # a b0 far from the imaginary axis: g_pp g_qq - g_pq^2 rounds to 0 (the fuzz drew it)
+        err = config_error(["simulate", "--b0", "94906266.0,1.0"], capsys)
+        assert err == "config error: initial metric must have unit determinant, got 0.0\n"
 
 
 def config_error(argv: list[str], capsys) -> str:
