@@ -3,6 +3,7 @@
 Each test prints one PASS/FAIL line (run pytest -s to see them inline).
 """
 
+import dataclasses
 import math
 import time
 
@@ -15,6 +16,7 @@ from swansim import (
     MetriplecticState,
     RealState,
     RegionLabel,
+    SwansimError,
     SwansonParams,
     blowup_detected,
     classify_b,
@@ -233,3 +235,50 @@ def test_criterion_12_fourier_duality():
             mismatches += lab1 is not lab2
     ok = mismatches == 0 and checked > 1000
     report(12, ok, f"{mismatches} label mismatches over {checked} off-band points")
+
+
+def test_criterion_13_schrodinger_equation():
+    # The closed-form state of evolve_state, phase and norm included, against i dpsi/dt = H psi
+    # with H = omega0 (p^2 + x^2)/2 - i delta (p x + x p)/2 + const_h - i const_gamma, p = -i d/dx:
+    # psi' = i k psi and psi'' = (i b - k^2) psi with k = p + b (x - q), and i dpsi/dt from the
+    # 4th-order central difference over t +- h, t +- 2h.  The difference quotient errs by about
+    # h^4 times the fifth power of the local rate |H psi / psi|, so the states are drawn where that
+    # rate stays moderate: omega0 <= 1, |b| <= 2 and Im b >= 1/2 at t, which evolve_state reaches
+    # without crossing a pole (it raises otherwise).
+    rng = np.random.default_rng(13)
+    h = 1e-3
+    worst = 0.0
+    checked = 0
+    while checked < 50:
+        omega0 = rng.uniform(0.5, 1.0)
+        delta = rng.uniform(-2.0, 2.0) * omega0
+        params = SwansonParams(omega0, delta)
+        model = dataclasses.replace(swanson_hamiltonian(params), const_h=rng.uniform(-1.0, 1.0),
+                                    const_gamma=rng.uniform(-1.0, 1.0))
+        init = GaussianState(
+            z=ComplexState(*(rng.uniform(-1.0, 1.0, size=2) + 1j * rng.uniform(-0.5, 0.5, size=2))),
+            b=complex(rng.uniform(-1.5, 1.5), rng.uniform(0.4, 2.0)),
+            gamma=complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.3, 0.3)),
+        )
+        t = rng.uniform(2.0 * h, params.period)
+        try:
+            states = [evolve_state(model, init, t + j * h) for j in (-2, -1, 0, 1, 2)]
+        except SwansimError:
+            continue
+        s = states[2]
+        if abs(s.b) > 2.0 or s.b.imag < 0.5:
+            continue
+        checked += 1
+        # |psi| peaks where Im(p u + b u^2 / 2) is least, u = x - q; the grid spans 8 widths either side
+        x_peak = ((s.b * s.z.q).imag - s.z.p.imag) / s.b.imag
+        x = x_peak + np.linspace(-8.0, 8.0, 801) / math.sqrt(s.b.imag)
+        m2, m1, psi, p1, p2 = (evaluate_wavefunction(state, x) for state in states)
+        i_dpsi_dt = 1j * (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * h)
+        k = s.z.p + s.b * (x - s.z.q)
+        d1 = 1j * k * psi
+        d2 = (1j * s.b - k * k) * psi
+        h_psi = (omega0 * (x * x * psi - d2) / 2 - delta * (2.0 * x * d1 + psi) / 2
+                 + (model.const_h - 1j * model.const_gamma) * psi)
+        worst = max(worst, np.abs(i_dpsi_dt - h_psi).max() / np.abs(psi).max())
+    ok = worst < 1e-6
+    report(13, ok, f"max |i dpsi/dt - H psi| / max |psi| = {worst:.2e} over {checked} states, h = {h:g}")

@@ -1,9 +1,11 @@
 import argparse
 import dataclasses
+import gc
 import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -1117,3 +1119,51 @@ def test_sweep_max_g_plus_is_the_largest_sampled_eigenvalue(tmp_path: Path):
         traj = propagate(swanson_hamiltonian(params), init, params.period, params.period / 10_000)
         sample = traj.values[:: max(1, len(traj.values) // 200)].tolist()
         assert cells[4] == f"{max(metric_eigen(r[2], r[3], r[4])[0] for r in sample):.17g}"
+
+
+def test_installed_command_runs_what_python_m_runs(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["swansim"]
+    module, _, name = target.partition(":")
+    assert module == "swansim.cli"
+    calls = []
+    monkeypatch.setattr(cli, name, lambda: calls.append(name) or 7)
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("swansim", run_name="__main__")
+    assert (stop.value.code, calls) == (7, [name])
+
+
+def test_entry_freezes_the_heap_then_runs_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 5)
+    assert cli.entry() == 5
+    assert calls == ["freeze", "main"]
+
+
+# (argv, exit code) of a process per subcommand: simulate over two periods forks its CSV
+# formatter, a supercritical simulate exits 3, default validate forks its oracle checks
+PROCESS_RUNS = [
+    (["simulate", "--periods=2"], 0),
+    (["simulate", "--delta=1.2"], 3),
+    (["validate"], 0),
+    (["classify", "--delta=-0.5"], 0),
+    (["sweep"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code", PROCESS_RUNS, ids=[" ".join(argv) for argv, _ in PROCESS_RUNS])
+def test_process_entry_matches_main_under_dev_mode(capsysbinary, argv, exit_code):
+    # -X dev -W error: the process entry and its exit add no warning and no byte to what main writes
+    frozen = gc.get_freeze_count()
+    assert main(argv) == exit_code
+    # main never freezes, so a test or a tracer calling it keeps full collection
+    assert gc.get_freeze_count() == frozen
+    expected = capsysbinary.readouterr()
+    cp = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "swansim", *argv],
+                        capture_output=True, timeout=120)
+    assert cp.returncode == exit_code, cp.stderr
+    assert cp.stderr == expected.err
+    assert cp.stdout == expected.out
+    assert expected.err.count(b"\n") == (exit_code != 0)
