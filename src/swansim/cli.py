@@ -64,7 +64,7 @@ from .gaussian import (
     propagate,
     riccati_direct,
 )
-from .geometry import DEFAULT_BAND, classify_metric, region_grid
+from .geometry import DEFAULT_BAND, RegionLabel, classify_metric, region_grid
 from .model import SwansonParams, spectral_data, swanson_hamiltonian
 from .ode import MetriplecticState, integrate, step_count
 
@@ -79,8 +79,8 @@ DEFAULT_STEPS_PER_PERIOD = 10_000
 # most samples, coupling values or grid points one run may ask for; refused before allocation
 MAX_SAMPLES = 10_000_000
 
-# JSON text of the bounded, divergent and boundary labels: region_grid's codes 0, 1, 2
-_QUOTED_LABELS = ('"bounded"', '"divergent"', '"boundary"')
+# JSON text of each label, indexed by region_grid's code: code k stands for list(RegionLabel)[k]
+_QUOTED_LABELS = tuple(json.dumps(label.value) for label in RegionLabel)
 # most labels in one chunk of classify's output; a longer run of equal labels is cut
 _LABEL_RUN_CAP = 8192
 
@@ -577,8 +577,9 @@ def cmd_validate(cfg: RunConfig) -> int:
                 failures.append("B not checked: the Riccati RK4 oracle left the chart")
             elif errors[key] > thresholds[key]:
                 failures.append(f"{key} error {errors[key]:.3e} exceeds {thresholds[key]:.1e}")
-        if not (thresholds["order_low"] <= order <= thresholds["order_high"]):
-            failures.append(f"convergence order {order:.3f} outside [3.7, 4.3]")
+        low, high = thresholds["order_low"], thresholds["order_high"]
+        if not (low <= order <= high):
+            failures.append(f"convergence order {order:.3f} outside [{low}, {high}]")
     report["failures"] = failures
     report["pass"] = not failures
     _write_chunks(cfg.out, [json.dumps(report, indent=2, sort_keys=True) + "\n"])

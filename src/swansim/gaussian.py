@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .closed_form import ComplexState, Metric, RealState, metric_eigen
 from .errors import DivergenceError, MobiusPoleError, NonNormalizableError
 from .model import MIN_FREQUENCY, QuadraticHamiltonian, SwansonParams, spectral_data, swanson_hamiltonian
@@ -151,20 +150,31 @@ def metric_closed(params: SwansonParams, g0: Metric, t: float) -> Metric:
 
 
 def riccati_direct(model: QuadraticHamiltonian, b0: complex, t_end: float, step: float) -> np.ndarray:
-    """Direct RK4 on the Riccati flow of b, sampled at every step.
+    """Direct RK4 on the Riccati flow b' = -(cpp b^2 + 2 cpq b + cqq), sampled at every step.
 
-    Independent of the Möbius route; used as its cross-check.  Raises
-    MobiusPoleError with a step bracket if the solution leaves the chart.
+    Independent of the Möbius route; used as its cross-check.  The loop runs
+    on Python complex numbers held in locals.  Raises MobiusPoleError with
+    the bracket of the first step whose solution leaves the chart (|b| > 1e12
+    or non-finite).
     """
     cpp, cpq, cqq = _hessian_coeffs(model)
     n_steps = step_count(t_end, step)
     out = np.empty(n_steps + 1, dtype=complex)
-    stop = _kernels.riccati_rk4(cpp, cpq, cqq, complex(b0), step, n_steps, out)
-    if stop >= 0:
-        raise MobiusPoleError(
-            "Riccati solution left the chart",
-            bracket=((stop - 1) * step, stop * step),
-        )
+    # (2.0 * cpq) * b is 2.0 * cpq * b, since products group left to right
+    cpq2, half, sixth, isfinite = 2.0 * cpq, 0.5 * step, step / 6.0, math.isfinite
+    b = out[0] = complex(b0)
+    for k in range(1, n_steps + 1):
+        k1 = -(cpp * b * b + cpq2 * b + cqq)
+        b2 = b + half * k1
+        k2 = -(cpp * b2 * b2 + cpq2 * b2 + cqq)
+        b3 = b + half * k2
+        k3 = -(cpp * b3 * b3 + cpq2 * b3 + cqq)
+        b4 = b + step * k3
+        k4 = -(cpp * b4 * b4 + cpq2 * b4 + cqq)
+        b = b + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not (isfinite(b.real) and isfinite(b.imag)) or abs(b) > 1e12:
+            raise MobiusPoleError("Riccati solution left the chart", bracket=((k - 1) * step, k * step))
+        out[k] = b
     return out
 
 
@@ -236,8 +246,8 @@ def evolve_state(
     small = np.abs(den) <= POLE_TOL * max(1.0, abs(state.b))
     if small.any():
         k = int(np.argmax(small))
-        lo = times[max(k - 1, 0)]
-        hi = times[min(k + 1, len(times) - 1)]
+        lo = float(times[max(k - 1, 0)])
+        hi = float(times[min(k + 1, len(times) - 1)])
         raise MobiusPoleError("Möbius pole crossed during evolution", bracket=(lo, hi))
     if bs.imag.min() <= 0.0:
         k = int(np.argmax(bs.imag <= 0.0))

@@ -42,6 +42,9 @@ from swansim.ode import BLOWUP_THRESHOLD
 
 PARAMS = SwansonParams(1.0, 0.5)
 MODEL = swanson_hamiltonian(PARAMS)
+# Im B_POLE = delta / omega0: the Möbius denominator of B_POLE is real and first vanishes at T_POLE
+B_POLE = 0.3 + 0.5j
+T_POLE = (math.pi - math.atan(PARAMS.omega / B_POLE.real)) / PARAMS.omega
 
 upper_half_b = st.builds(
     complex,
@@ -195,6 +198,15 @@ class TestEvolveB:
             for k in range(0, n_steps + 1, 4_000):
                 assert abs(evolve_b(MODEL, b0, k * step) - direct[k]) < 1e-8
 
+    def test_riccati_pole_raises_with_the_step_that_left_the_chart(self):
+        # RK4 lags the pole, so the step in which |b| passes 1e12 starts within a step of it
+        step = T_POLE / 1000
+        with pytest.raises(MobiusPoleError) as info:
+            riccati_direct(MODEL, B_POLE, 2.0 * T_POLE, step)
+        lo, hi = info.value.bracket
+        assert type(lo) is float and type(hi) is float
+        assert hi == pytest.approx(lo + step, rel=1e-12) and abs(lo - T_POLE) <= step
+
     def test_metric_route_consistency(self):
         # width flow must reproduce the metric ODE route
         step = PARAMS.period / 10_000
@@ -327,6 +339,14 @@ class TestPhaseAndNorm:
             t = float(frac) * PARAMS.period
             out = evolve_state(MODEL, state, t, num_nodes=2001)
             assert gaussian_norm(out) == pytest.approx(survival_closed(PARAMS, z0, t), abs=1e-6)
+
+    def test_pole_on_a_grid_node_raises_with_its_bracket(self):
+        # 2 * T_POLE puts node 1000 of the default 2001 on the pole of the real Möbius denominator
+        with pytest.raises(MobiusPoleError) as info:
+            evolve_state(MODEL, GaussianState(ComplexState(1 + 0j, 0j), B_POLE), 2.0 * T_POLE)
+        lo, hi = info.value.bracket
+        assert type(lo) is float and type(hi) is float
+        assert lo < T_POLE < hi
 
     def test_gaussian_norm_real_centre(self):
         assert gaussian_norm(GaussianState(ComplexState(0.3 + 0j, 1.2 + 0j), 0.5 + 0.8j)) == pytest.approx(1.0)
