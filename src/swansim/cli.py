@@ -4,12 +4,10 @@ simulate and sweep evaluate the exact propagator (gaussian.propagate) on the
 sample grid set by --step; validate cross-checks it against the independent
 routes, the RK4 integrator (ode.integrate) among them.
 
-Two jobs use a second CPU through one forked child (_Forked), and each falls
-back to doing the child's share in-process, to the same bytes, without
-os.fork or os.memfd_create, or when the child fails: validate runs the checks
-that share nothing with the metriplectic RK4 there, and simulate, from two
-blocks of rows on and given a second CPU, formats the later half of its CSV,
-one child per part of 2 * _SPILL_ROWS rows.
+validate runs the checks that share nothing with the metriplectic RK4 in one
+forked child (_Forked), on a second CPU, and falls back to running them
+in-process, to the same bytes, without os.fork or os.memfd_create, or when the
+child fails.
 
 Outputs are deterministic: identical configuration produces byte-identical
 files (floats are written as %.17g writes them, CSV uses comma separators and
@@ -87,10 +85,6 @@ _LABEL_RUN_CAP = 8192
 CSV_HEADER = "t,t_per_T,P,Q,g_pp,g_pq,g_qq,g_plus,g_minus,phi,n,divergent"
 # CSV rows formatted per chunk (_csvrows.sample_lines, 11 cells as _fmt writes them, then the flag 0)
 _CSV_BLOCK_ROWS = 4096
-# most CSV rows one forked child formats: its text waits in memory until the process copies it
-_SPILL_ROWS = 1 << 16
-# bytes of a forked child's output read per chunk
-_SPILL_CHUNK = 64 * 1024
 
 VALIDATION_THRESHOLDS = {
     "Z": 1e-6,
@@ -311,46 +305,13 @@ def _csv_blocks(table: np.ndarray):
         yield sample_lines(table[start : start + _CSV_BLOCK_ROWS])
 
 
-def _cpus() -> int:
-    """CPUs this process may run on; 1 where the platform cannot tell."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return 1
-
-
 def _csv_chunks(traj, period: float):
-    """simulate's CSV: the header, blocks of _CSV_BLOCK_ROWS sample lines, then the flagged divergence line.
-
-    Given a second CPU, the rows go in parts of at most 2 * _SPILL_ROWS; in a part of two blocks
-    or more, a forked child formats the later half while this process formats and yields the
-    earlier half, then copies the child's text in _SPILL_CHUNK pieces.  Without the child this
-    process formats the rows itself, to the same text.
-    """
+    """simulate's CSV: the header, blocks of _CSV_BLOCK_ROWS sample lines, then the flagged divergence line."""
     v = traj.values
     eigen = metric_eigen(v[:, 2], v[:, 3], v[:, 4])
     table = np.column_stack((traj.times, traj.times / period, v[:, :5], *eigen, v[:, 5]))
     yield CSV_HEADER + "\n"
-    parallel = _cpus() > 1
-    for start in range(0, len(table), 2 * _SPILL_ROWS):
-        part = table[start : start + 2 * _SPILL_ROWS]
-        if len(part) < 2 * _CSV_BLOCK_ROWS or not parallel:
-            yield from _csv_blocks(part)
-            continue
-        later = part[len(part) // 2 :]
-
-        def write_later(fh):
-            for block in _csv_blocks(later):
-                fh.write(block.encode("ascii"))
-
-        with _Forked(write_later) as child:
-            yield from _csv_blocks(part[: len(part) // 2])
-            spill = child.reap()
-            if spill is None:
-                yield from _csv_blocks(later)
-            else:
-                while piece := spill.read(_SPILL_CHUNK):
-                    yield piece.decode("ascii")
+    yield from _csv_blocks(table)
     if traj.divergence_time is not None:
         t = traj.divergence_time
         cells = [t, t / period] + [math.nan] * 9
@@ -362,12 +323,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     t_end = cfg.checked_periods() * params.period
     step = cfg.sample_step(params.period, t_end)
     traj = propagate(swanson_hamiltonian(params), cfg.initial_state(), t_end, step)
-    chunks = _csv_chunks(traj, params.period)
-    try:
-        _write_chunks(cfg.out, chunks)
-    finally:
-        # a failed or cut-short write leaves the generator suspended; closing it reaps its child
-        chunks.close()
+    _write_chunks(cfg.out, _csv_chunks(traj, params.period))
     if traj.divergence_time is not None and not cfg.allow_divergence:
         print(f"divergence detected at t = {traj.divergence_time:.6g}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -487,9 +443,9 @@ class _Forked:
     reap() waits for the child and gives that file, rewound, or None if the child failed or none
     started (no os.fork or os.memfd_create, or no process or memory to spare); the caller then
     does the work itself.  Leaving the with block reaps the child and closes the file, also when
-    the caller stops early.  The child turns warnings into errors, since a warning would print
-    there and again in the caller, and leaves by os._exit, so it never flushes the stdout or
-    --out handle it inherited.
+    the caller's own work raises.  The child turns warnings into errors, since a warning would
+    print there and again in the caller, and leaves by os._exit, so it never flushes the stdout
+    handle it inherited.  cmd_validate is the one caller: its oracle checks run in the child.
     """
 
     def __init__(self, write):

@@ -25,7 +25,8 @@ class MobiusPoleError(SwansimError):
 
     def __init__(self, message: str, bracket: tuple[float, float] | None = None):
         super().__init__(message)
-        # time interval bracketing the pole, when detected on a grid
+        # time interval bracketing the pole, when detected on a grid; a fixed-step
+        # integrator lags the pole, so its bracket reaches one step further back
         self.bracket = bracket
 
 

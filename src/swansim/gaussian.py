@@ -153,9 +153,10 @@ def riccati_direct(model: QuadraticHamiltonian, b0: complex, t_end: float, step:
     """Direct RK4 on the Riccati flow b' = -(cpp b^2 + 2 cpq b + cqq), sampled at every step.
 
     Independent of the Möbius route; used as its cross-check.  The loop runs
-    on Python complex numbers held in locals.  Raises MobiusPoleError with
-    the bracket of the first step whose solution leaves the chart (|b| > 1e12
-    or non-finite).
+    on Python complex numbers held in locals.  Raises MobiusPoleError when
+    the solution first leaves the chart (|b| > 1e12 or non-finite), at step
+    k, with the bracket ((k - 2) step, k step), cut at 0: fixed-step RK4 lags
+    the pole, so step k alone can begin just after it.
     """
     cpp, cpq, cqq = _hessian_coeffs(model)
     n_steps = step_count(t_end, step)
@@ -173,7 +174,7 @@ def riccati_direct(model: QuadraticHamiltonian, b0: complex, t_end: float, step:
         k4 = -(cpp * b4 * b4 + cpq2 * b4 + cqq)
         b = b + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not (isfinite(b.real) and isfinite(b.imag)) or abs(b) > 1e12:
-            raise MobiusPoleError("Riccati solution left the chart", bracket=((k - 1) * step, k * step))
+            raise MobiusPoleError("Riccati solution left the chart", bracket=(max(k - 2, 0) * step, k * step))
         out[k] = b
     return out
 

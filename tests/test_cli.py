@@ -194,32 +194,39 @@ def test_validate_critical_divergence_path(tmp_path: Path):
     assert doc["max_errors"] is None
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes that called os.fork, counted from here on."""
+    pids, fork = [], os.fork
+
+    def counted_fork():
+        pids.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
 # the Hermitian model, one bounded model per sign, the near-critical failure at both signs,
 # and a model with a pole, which starts no child
 FORK_DELTAS = ("0", "0.5", "-0.5", "0.96", "-0.99", "1.2")
 
 
-def test_validate_bytes_match_without_fork(tmp_path: Path, monkeypatch):
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(os.getpid())
-        return fork()
-
+def test_validate_bytes_match_without_fork(tmp_path: Path, monkeypatch, forks):
+    # the forked child, and the in-process fallback without os.memfd_create and without os.fork
     results = {}
-    for label in ("fork", "sequential"):
-        if label == "fork":
-            monkeypatch.setattr(os, "fork", counted_fork)
-        else:
-            monkeypatch.delattr(os, "fork")
-        for delta in FORK_DELTAS:
-            out = tmp_path / f"{label}{delta}.json"
-            results[label, delta] = main(["validate", f"--delta={delta}", f"--out={out}"]), out.read_bytes()
+    for route, missing in (("forked", None), ("no_memfd", "memfd_create"), ("no_fork", "fork")):
+        with monkeypatch.context() as patch:
+            if missing is not None:
+                patch.delattr(os, missing)
+            for delta in FORK_DELTAS:
+                out = tmp_path / f"{route}{delta}.json"
+                results[route, delta] = main(["validate", f"--delta={delta}", f"--out={out}"]), out.read_bytes()
+    # only the forked route forks, once per model without a pole
     assert len(forks) == len(FORK_DELTAS) - 1
     for delta in FORK_DELTAS:
-        assert results["fork", delta] == results["sequential", delta]
-    assert [results["fork", d][0] for d in FORK_DELTAS] == [0, 0, 0, 4, 4, 0]
+        assert results["forked", delta] == results["no_memfd", delta] == results["no_fork", delta]
+    assert [results["forked", d][0] for d in FORK_DELTAS] == [0, 0, 0, 4, 4, 0]
 
 
 def test_child_check_error_matches_the_sequential_run(capfd, monkeypatch):
@@ -948,59 +955,9 @@ def test_simulate_csv_bytes(tmp_path: Path, omega0, delta, b0, exit_code):
     assert out.read_bytes() == expected_csv(SwansonParams(omega0, delta), init, 1.0)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the processes that called os.fork, counted from here on."""
-    pids, fork = [], os.fork
-
-    def counted_fork():
-        pids.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return pids
-
-
-def no_fork(monkeypatch):
-    monkeypatch.delattr(os, "fork")
-
-
-def no_memfd(monkeypatch):
-    monkeypatch.delattr(os, "memfd_create")
-
-
-def one_cpu(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-
-
-def failing_child(monkeypatch):
-    parent, blocks = os.getpid(), cli._csv_blocks
-
-    def fail_in_child(table):
-        if os.getpid() != parent:
-            raise RuntimeError("child failed")
-        return blocks(table)
-
-    monkeypatch.setattr(cli, "_csv_blocks", fail_in_child)
-
-
-# each way simulate's CSV may be formatted: the forked child, and the in-process fallback
-# without os.fork, without os.memfd_create, on one CPU and after a failed child; -> forks made
-CSV_ROUTES = {
-    "forked": (lambda monkeypatch: None, 1),
-    "no_fork": (no_fork, 0),
-    "no_memfd": (no_memfd, 0),
-    "one_cpu": (one_cpu, 0),
-    "failing_child": (failing_child, 1),
-}
-
-
-@pytest.mark.parametrize("route", sorted(CSV_ROUTES))
 @pytest.mark.parametrize("delta, exit_code", [(-0.55, 0), (1.1, 3)])
-def test_simulate_csv_bytes_on_every_route(tmp_path: Path, monkeypatch, forks, route, delta, exit_code):
-    setup, fork_count = CSV_ROUTES[route]
-    setup(monkeypatch)
-    # the divergent run stops after about 2 000 rows: blocks of 1 000 give the child a half
+def test_simulate_writes_blocks_without_forking(tmp_path: Path, monkeypatch, forks, delta, exit_code):
+    # the divergent run stops after about 2 000 rows: blocks of 1 000 make two of them
     monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 1000)
     params = SwansonParams(1.0, delta)
     init = MetriplecticState(Z=RealState(0.6, -0.8), G=Metric.identity(), n=1.0)
@@ -1009,29 +966,12 @@ def test_simulate_csv_bytes_on_every_route(tmp_path: Path, monkeypatch, forks, r
     out = tmp_path / "run.csv"
     assert main(["simulate", f"--delta={delta}", "--p0=0.6", "--q0=-0.8", "--periods=2", f"--out={out}"]) == exit_code
     assert out.read_bytes() == expected
-    assert len(forks) == fork_count
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_simulate_csv_bytes_in_parts(tmp_path: Path, monkeypatch, forks):
-    # one child per part of 2 * _SPILL_ROWS rows, so the text waiting in memory does not grow
-    # with the run: 20 001 rows are four parts of 5 000 and one row, formatted in-process
-    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 1000)
-    monkeypatch.setattr(cli, "_SPILL_ROWS", 2500)
-    out = tmp_path / "run.csv"
-    assert main(["simulate", "--delta=0.5", "--periods=2", f"--out={out}"]) == 0
-    init = MetriplecticState(Z=RealState(1.0, 0.0), G=Metric.identity(), n=1.0)
-    expected = expected_csv(SwansonParams(1.0, 0.5), init, 2.0)
-    assert expected.count(b"\n") == 20_002
-    assert out.read_bytes() == expected
-    assert len(forks) == 4
+    assert forks == []
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_simulate_csv_bytes_at_block_edges(tmp_path: Path, forks, offset):
-    # sample rows one short of, equal to and one past one block of cli._CSV_BLOCK_ROWS, and of
-    # two, the fewest a forked child formats half of
+    # sample rows one short of, equal to and one past one block of cli._CSV_BLOCK_ROWS, and of two
     init = MetriplecticState(Z=RealState(1.0, 0.0), G=Metric.identity(), n=1.0)
     out = tmp_path / "run.csv"
     for blocks in (1, 2):
@@ -1041,7 +981,7 @@ def test_simulate_csv_bytes_at_block_edges(tmp_path: Path, forks, offset):
         expected = expected_csv(SwansonParams(1.0, 0.5), init, periods)
         assert expected.count(b"\n") == rows + 1
         assert out.read_bytes() == expected
-    assert len(forks) == (offset >= 0)
+    assert forks == []
 
 
 def test_simulate_divergence_row_follows_a_block_edge(tmp_path: Path, monkeypatch, forks):
@@ -1052,27 +992,24 @@ def test_simulate_divergence_row_follows_a_block_edge(tmp_path: Path, monkeypatc
     monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", (expected.count(b"\n") - 2) // 2)
     assert (expected.count(b"\n") - 2) % cli._CSV_BLOCK_ROWS == 0
     out = tmp_path / "run.csv"
-    for route in ("forked", "no_fork"):
-        CSV_ROUTES[route][0](monkeypatch)
-        assert main(["simulate", "--delta=1.1", f"--out={out}"]) == 3
-        assert out.read_bytes() == expected
-    assert len(forks) == 1
+    assert main(["simulate", "--delta=1.1", f"--out={out}"]) == 3
+    assert out.read_bytes() == expected
+    assert forks == []
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device every write to fails")
 def test_failed_simulate_write_reaps_the_child(capsys, forks):
+    # every write to /dev/full fails: one config error line, and simulate forks no child
     err = config_error(["simulate", "--periods=2", "--out=/dev/full"], capsys)
     assert err.startswith("config error: cannot write output file /dev/full: ")
-    assert len(forks) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert forks == []
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_CHILD_SUBREAPER is Linux's")
 def test_closed_stdout_leaves_no_child():
-    # a reader that stops after 20 bytes while the forked child formats the later rows; the
-    # reader adopts every process the run leaves (PR_SET_CHILD_SUBREAPER), so it finds one to
-    # wait for only if simulate ended without reaping its child
+    # a reader that stops after 20 bytes of a two-period run; the reader adopts every process
+    # the run leaves (PR_SET_CHILD_SUBREAPER), so it finds one to wait for only if simulate
+    # left a process behind
     script = """if True:
         import ctypes, json, os, subprocess, sys
         assert ctypes.CDLL(None, use_errno=True).prctl(36, 1, 0, 0, 0) == 0
@@ -1142,8 +1079,8 @@ def test_entry_freezes_the_heap_then_runs_main(monkeypatch):
     assert calls == ["freeze", "main"]
 
 
-# (argv, exit code) of a process per subcommand: simulate over two periods forks its CSV
-# formatter, a supercritical simulate exits 3, default validate forks its oracle checks
+# (argv, exit code) of a process per subcommand: simulate over two periods writes five blocks
+# of rows, a supercritical simulate exits 3, default validate forks its oracle checks
 PROCESS_RUNS = [
     (["simulate", "--periods=2"], 0),
     (["simulate", "--delta=1.2"], 3),

@@ -16,6 +16,7 @@ from swansim import (
     classify_b,
     classify_metric,
     closed_series,
+    evolve_b,
     metric_closed,
     metric_eigen,
     metric_from_b,
@@ -25,7 +26,8 @@ from swansim import (
     xyz_from_metric,
     xyz_rhs,
 )
-from swansim.geometry import grid_axes
+from swansim.gaussian import _flow_entries
+from swansim.geometry import _b_margin, grid_axes
 
 PARAMS = SwansonParams(1.0, 0.5)
 
@@ -38,6 +40,21 @@ def constraint_defect(pt: HyperboloidPoint) -> float:
 def grid_labels(*args, **kwargs) -> np.ndarray:
     """region_grid's int8 codes as RegionLabel objects: code k is list(RegionLabel)[k]."""
     return np.array(list(RegionLabel), dtype=object)[region_grid(*args, **kwargs)]
+
+
+def divergence_law(params: SwansonParams, b0: complex) -> tuple[float, float, float, float]:
+    """(alpha, beta, gamma, R) of Im b(t) |den(t)|^2 = alpha + beta cos 2wt + gamma sin 2wt, R = hypot(beta, gamma).
+
+    den = S_qp b0 + S_qq is the Möbius denominator of the Swanson flow from
+    b0 = x + iy, w = params.omega; the packet stays bounded exactly when alpha > R.
+    """
+    w0, d, w = params.omega0, params.delta, params.omega
+    x, y = b0.real, b0.imag
+    excess = x * x + y * y - 1.0
+    alpha = w0 * (d * excess + 2.0 * w0 * y) / (2.0 * w * w)
+    beta = d * (2.0 * d * y - w0 * excess) / (2.0 * w * w)
+    gamma = d * x / w
+    return alpha, beta, gamma, math.hypot(beta, gamma)
 
 
 upper_half_b = st.builds(
@@ -312,3 +329,27 @@ class TestConservationLaws:
                 if RegionLabel.BOUNDARY in (lab1, lab2):
                     continue
                 assert lab1 is lab2
+
+
+class TestDivergenceLaw:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        omega0=st.floats(min_value=0.2, max_value=3.0),
+        delta=st.floats(min_value=-3.0, max_value=3.0),
+        b0=upper_half_b,
+        t=st.floats(min_value=0.0, max_value=10.0),
+    )
+    def test_law_holds_and_signs_the_classifier_margins(self, omega0, delta, b0, t):
+        params = SwansonParams(omega0, delta)
+        alpha, beta, gamma, radius = divergence_law(params, b0)
+        model = swanson_hamiltonian(params)
+        _, _, sqp, sqq = _flow_entries(model, t)
+        den = complex(sqp * b0 + sqq)
+        two_wt = 2.0 * params.omega * t
+        law = alpha + beta * math.cos(two_wt) + gamma * math.sin(two_wt)
+        assert abs(evolve_b(model, b0, t).imag * abs(den) ** 2 - law) <= 1e-12 * (abs(alpha) + radius)
+        # the margins' band is in their own units, so only their signs follow the law
+        if abs(alpha - radius) > 1e-9 * (abs(alpha) + radius):
+            sign = np.sign(alpha - radius)
+            assert np.sign(_b_margin(params, b0.real, b0.imag)) == sign
+            assert np.sign(1.0 - abs(plane_slope(params, xyz_from_metric(metric_from_b(b0))))) == sign
