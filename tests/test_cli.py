@@ -955,8 +955,16 @@ def test_simulate_csv_bytes(tmp_path: Path, omega0, delta, b0, exit_code):
     assert out.read_bytes() == expected_csv(SwansonParams(omega0, delta), init, 1.0)
 
 
+# simulate's one in-process route, as is and on a platform without os.fork or without
+# os.memfd_create -> the os attribute taken away
+CSV_ROUTES = {"plain": None, "no_fork": "fork", "no_memfd": "memfd_create"}
+
+
+@pytest.mark.parametrize("route", sorted(CSV_ROUTES))
 @pytest.mark.parametrize("delta, exit_code", [(-0.55, 0), (1.1, 3)])
-def test_simulate_writes_blocks_without_forking(tmp_path: Path, monkeypatch, forks, delta, exit_code):
+def test_simulate_csv_bytes_on_every_route(tmp_path: Path, monkeypatch, forks, route, delta, exit_code):
+    if CSV_ROUTES[route] is not None:
+        monkeypatch.delattr(os, CSV_ROUTES[route])
     # the divergent run stops after about 2 000 rows: blocks of 1 000 make two of them
     monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 1000)
     params = SwansonParams(1.0, delta)
