@@ -3,106 +3,42 @@
 The library pairs closed-form solutions of the non-Hermitian oscillator with
 a generic numerical engine for quadratic models, exact Gaussian quantum
 propagation, and divergence classification of initial conditions.
+
+The namespace is lazy (PEP 562): `import swansim` loads no submodule and no
+numpy.  The first use of an exported name imports its home submodule, and
+the name is then cached here.
 """
 
-from .closed_form import (
-    ComplexState,
-    Metric,
-    RealState,
-    closed_series,
-    complex_trajectory,
-    first_pole_time,
-    metric_eigen,
-    survival_closed,
-)
-from .errors import (
-    DivergenceError,
-    MobiusPoleError,
-    NonNormalizableError,
-    SwansimError,
-)
-from .gaussian import (
-    GaussianState,
-    b_from_metric,
-    blowup_detected,
-    eta_action,
-    evaluate_wavefunction,
-    evolve_b,
-    evolve_state,
-    gaussian_norm,
-    is_normalizable,
-    mapped_dynamics,
-    metric_closed,
-    metric_from_b,
-    project_expectations,
-    propagate,
-    riccati_direct,
-)
-from .geometry import (
-    HyperboloidPoint,
-    RegionLabel,
-    classify_b,
-    classify_metric,
-    plane_slope,
-    region_grid,
-    xyz_from_metric,
-    xyz_rhs,
-)
-from .model import (
-    QuadraticHamiltonian,
-    SpectralData,
-    SwansonParams,
-    doubled_generator,
-    spectral_data,
-    swanson_hamiltonian,
-)
-from .ode import MetriplecticState, Trajectory, integrate
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ComplexState",
-    "DivergenceError",
-    "GaussianState",
-    "HyperboloidPoint",
-    "Metric",
-    "MetriplecticState",
-    "MobiusPoleError",
-    "NonNormalizableError",
-    "QuadraticHamiltonian",
-    "RealState",
-    "RegionLabel",
-    "SpectralData",
-    "SwansimError",
-    "SwansonParams",
-    "Trajectory",
-    "b_from_metric",
-    "blowup_detected",
-    "classify_b",
-    "classify_metric",
-    "closed_series",
-    "complex_trajectory",
-    "doubled_generator",
-    "eta_action",
-    "evaluate_wavefunction",
-    "evolve_b",
-    "evolve_state",
-    "first_pole_time",
-    "gaussian_norm",
-    "integrate",
-    "is_normalizable",
-    "mapped_dynamics",
-    "metric_closed",
-    "metric_eigen",
-    "metric_from_b",
-    "plane_slope",
-    "project_expectations",
-    "propagate",
-    "region_grid",
-    "riccati_direct",
-    "spectral_data",
-    "survival_closed",
-    "swanson_hamiltonian",
-    "xyz_from_metric",
-    "xyz_rhs",
-]
+# home submodule -> the names swansim exports from it
+_EXPORTS = {
+    "closed_form": ("ComplexState", "Metric", "RealState", "closed_series", "complex_trajectory",
+                    "first_pole_time", "metric_eigen", "survival_closed"),
+    "errors": ("DivergenceError", "MobiusPoleError", "NonNormalizableError", "SwansimError"),
+    "gaussian": ("GaussianState", "b_from_metric", "blowup_detected", "eta_action", "evaluate_wavefunction",
+                 "evolve_b", "evolve_state", "gaussian_norm", "is_normalizable", "mapped_dynamics",
+                 "metric_closed", "metric_from_b", "project_expectations", "propagate", "riccati_direct"),
+    "geometry": ("HyperboloidPoint", "RegionLabel", "classify_b", "classify_metric", "plane_slope",
+                 "region_grid", "xyz_from_metric", "xyz_rhs"),
+    "model": ("QuadraticHamiltonian", "SpectralData", "SwansonParams", "doubled_generator", "spectral_data",
+              "swanson_hamiltonian"),
+    "ode": ("MetriplecticState", "Trajectory", "integrate"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

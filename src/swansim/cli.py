@@ -19,14 +19,7 @@ exponent notation, inf or NaN) with the % template.
 Outputs are streamed: the CSV in blocks of rows, the classify labels in runs
 of equal labels, so no chunk of text grows with the run.
 
-The `swansim` command and `python -m swansim` run entry(), not main(): it moves
-every object alive after the imports (about 22 000: the interpreter's, numpy's
-and swansim's) to the permanent generation (gc.freeze), which no later
-collection visits.  The collections at exit then skip that heap, its cycles are
-left to the operating system rather than freed, and a forked child no longer
-writes to the GC headers of the pages it shares with this process.  main(argv)
-is the in-process API, for tests and tracers; it never freezes, so such a
-caller keeps full collection.
+main(argv) is the in-process API; a process runs it through swansim.__main__.
 
 Exit codes: 0 ok, 2 configuration or numerical (SwansimError) error or an
 unwritable --out, 3 divergence (unless --allow-divergence), 4 validation
@@ -37,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import gc
 import itertools
 import json
 import math
@@ -66,7 +58,7 @@ from .geometry import DEFAULT_BAND, RegionLabel, classify_metric, region_grid
 from .model import SwansonParams, spectral_data, swanson_hamiltonian
 from .ode import MetriplecticState, integrate, step_count
 
-__all__ = ["entry", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -655,12 +647,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-
-def entry() -> int:
-    """Process entry of `swansim` and `python -m swansim`: main() with the import-time heap frozen."""
-    gc.freeze()
-    return main()
-
-
-if __name__ == "__main__":
-    sys.exit(entry())

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import gc
+import importlib
 import io
 import json
 import math
@@ -17,6 +18,8 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+import swansim
+import swansim.__main__ as swansim_main
 from swansim import (
     Metric,
     MetriplecticState,
@@ -50,7 +53,8 @@ def read_csv(path: Path):
 
 
 def test_import_loads_no_scipy_or_numba():
-    code = "import sys, swansim; print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numba')))"
+    code = ("import sys, swansim.cli; from swansim import *; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numba')))")
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout.strip() == "[]"
@@ -1066,25 +1070,81 @@ def test_sweep_max_g_plus_is_the_largest_sampled_eigenvalue(tmp_path: Path):
         assert cells[4] == f"{max(metric_eigen(r[2], r[3], r[4])[0] for r in sample):.17g}"
 
 
+def _stub_entry(monkeypatch, calls):
+    """Record the process entry's collector calls and cli.main, so pytest's own heap stays as it is."""
+    for name in ("disable", "freeze", "enable"):
+        monkeypatch.setattr(gc, name, lambda name=name: calls.append(name))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+
+
 def test_installed_command_runs_what_python_m_runs(monkeypatch):
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["swansim"]
+    assert target == "swansim.__main__:main"
     module, _, name = target.partition(":")
-    assert module == "swansim.cli"
-    calls = []
-    monkeypatch.setattr(cli, name, lambda: calls.append(name) or 7)
+    installed, python_m = [], []
+    _stub_entry(monkeypatch, installed)
+    assert getattr(importlib.import_module(module), name)() == 7
+    _stub_entry(monkeypatch, python_m)
+    # runpy warns when the module it runs as __main__ is already imported
+    monkeypatch.delitem(sys.modules, "swansim.__main__")
     with pytest.raises(SystemExit) as stop:
         runpy.run_module("swansim", run_name="__main__")
-    assert (stop.value.code, calls) == (7, [name])
+    assert stop.value.code == 7
+    assert installed == python_m == ["disable", "freeze", "enable", "main"]
 
 
 def test_entry_freezes_the_heap_then_runs_main(monkeypatch):
     calls = []
-    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
-    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 5)
-    assert cli.entry() == 5
-    assert calls == ["freeze", "main"]
+    _stub_entry(monkeypatch, calls)
+    assert swansim_main.main() == 7
+    assert calls == ["disable", "freeze", "enable", "main"]
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_entry_keeps_a_preset_blas_thread_count(monkeypatch):
+    _stub_entry(monkeypatch, [])
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert swansim_main.main() == 7
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+
+def test_entry_enables_the_collector_when_the_cli_import_fails(monkeypatch):
+    calls = []
+    _stub_entry(monkeypatch, calls)
+    # `from . import cli` imports swansim.cli again, and a None entry in sys.modules makes that fail
+    monkeypatch.delattr(swansim, "cli")
+    monkeypatch.setitem(sys.modules, "swansim.cli", None)
+    with pytest.raises(ImportError):
+        swansim_main.main()
+    assert calls == ["disable", "enable"]
+
+
+# reports the process entry's state when a `python -m swansim` process exits
+ENTRY_REPORTER = """
+import atexit, gc, json, os, runpy, sys
+atexit.register(lambda: print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"),
+    len(os.listdir("/proc/self/task")), gc.isenabled(), gc.get_freeze_count()]), file=sys.stderr))
+sys.argv = ["swansim", "classify", "--resolution=11"]
+runpy.run_module("swansim", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_process_runs_one_blas_thread_unless_preset(preset):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    cp = subprocess.run([sys.executable, "-c", ENTRY_REPORTER], capture_output=True, text=True, env=env, timeout=120)
+    assert cp.returncode == 0, cp.stderr
+    threads, tasks, enabled, frozen = json.loads(cp.stderr.splitlines()[-1])
+    assert (threads, enabled) == (preset or "1", True)
+    assert frozen > 0
+    if preset is None:
+        # OpenBLAS would start one more thread per further CPU
+        assert tasks == 1
 
 
 # (argv, exit code) of a process per subcommand: simulate over two periods writes five blocks
