@@ -135,6 +135,8 @@ def _pass(rows: np.ndarray) -> str:
     return "".join(pieces)
 
 
-def sample_lines(rows: np.ndarray) -> str:
-    """The CSV lines of an (n, 11) float array: ROW % tuple(row) for each row, byte for byte."""
-    return "".join(_pass(rows[start : start + _PASS_ROWS]) for start in range(0, len(rows), _PASS_ROWS))
+def sample_lines(rows: np.ndarray):
+    """The CSV lines of an (n, 11) float array, ROW % tuple(row) for each row, byte for byte:
+    yields one string per pass of at most _PASS_ROWS rows."""
+    for start in range(0, len(rows), _PASS_ROWS):
+        yield _pass(rows[start : start + _PASS_ROWS])

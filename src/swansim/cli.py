@@ -1,8 +1,8 @@
 """Command-line front end: simulate, classify, validate, sweep.
 
-simulate and sweep evaluate the exact propagator (gaussian.propagate) on the
-sample grid set by --step; validate cross-checks it against the independent
-routes, the RK4 integrator (ode.integrate) among them.
+simulate and sweep evaluate the exact propagator (gaussian.propagate, block by
+block) on the sample grid set by --step; validate cross-checks it against the
+independent routes, the RK4 integrator (ode.integrate) among them.
 
 validate runs the checks that share nothing with the metriplectic RK4 in one
 forked child (_Forked), on a second CPU, and falls back to running them
@@ -16,8 +16,13 @@ _csvrows.sample_lines, which computes the digits of every cell in [1e-4, 1e17)
 with numpy, exactly, and writes a row holding any other cell (a signed zero,
 exponent notation, inf or NaN) with the % template.
 
-Outputs are streamed: the CSV in blocks of rows, the classify labels in runs
-of equal labels, so no chunk of text grows with the run.
+Outputs are streamed, so no chunk of text grows with the run: simulate's CSV
+one pass of _csvrows.sample_lines at a time, the classify labels in runs of
+equal labels.  Nor does the memory behind them: simulate and sweep hold one
+engine block of gaussian.PROPAGATE_BLOCK rows at a time.  simulate computes,
+formats and writes a block before it computes the next, and peaks at about
+32 MB resident whether it runs 2 periods or 200 (369 MB when it held the
+whole run); sweep keeps only each run's stop.
 
 main(argv) is the in-process API; a process runs it through swansim.__main__.
 
@@ -45,13 +50,14 @@ from .closed_form import Metric, RealState, closed_series, first_pole_time, metr
 from .errors import MobiusPoleError, SwansimError
 from .gaussian import (
     GaussianState,
+    _propagate_blocks,
+    _sampled_rows,
     evolve_b,
     evolve_state,
     gaussian_norm,
     mapped_dynamics,
     metric_from_b,
     project_expectations,
-    propagate,
     riccati_direct,
 )
 from .geometry import DEFAULT_BAND, RegionLabel, classify_metric, region_grid
@@ -75,8 +81,6 @@ _QUOTED_LABELS = tuple(json.dumps(label.value) for label in RegionLabel)
 _LABEL_RUN_CAP = 8192
 
 CSV_HEADER = "t,t_per_T,P,Q,g_pp,g_pq,g_qq,g_plus,g_minus,phi,n,divergent"
-# CSV rows formatted per chunk (_csvrows.sample_lines, 11 cells as _fmt writes them, then the flag 0)
-_CSV_BLOCK_ROWS = 4096
 
 VALIDATION_THRESHOLDS = {
     "Z": 1e-6,
@@ -288,36 +292,35 @@ def _check_writable(path: str) -> None:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
-def _csv_blocks(table: np.ndarray):
-    """Sample lines of table's rows, in blocks of _CSV_BLOCK_ROWS."""
-    # imported here, so that a run that writes no CSV does not compile it
-    from ._csvrows import sample_lines
-
-    for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        yield sample_lines(table[start : start + _CSV_BLOCK_ROWS])
-
-
-def _csv_chunks(traj, period: float):
-    """simulate's CSV: the header, blocks of _CSV_BLOCK_ROWS sample lines, then the flagged divergence line."""
-    v = traj.values
-    eigen = metric_eigen(v[:, 2], v[:, 3], v[:, 4])
-    table = np.column_stack((traj.times, traj.times / period, v[:, :5], *eigen, v[:, 5]))
-    yield CSV_HEADER + "\n"
-    yield from _csv_blocks(table)
-    if traj.divergence_time is not None:
-        t = traj.divergence_time
-        cells = [t, t / period] + [math.nan] * 9
-        yield ",".join(_fmt(c) for c in cells) + ",1\n"
-
-
 def cmd_simulate(cfg: RunConfig) -> int:
     params = cfg.params
     t_end = cfg.checked_periods() * params.period
     step = cfg.sample_step(params.period, t_end)
-    traj = propagate(swanson_hamiltonian(params), cfg.initial_state(), t_end, step)
-    _write_chunks(cfg.out, _csv_chunks(traj, params.period))
-    if traj.divergence_time is not None and not cfg.allow_divergence:
-        print(f"divergence detected at t = {traj.divergence_time:.6g}", file=sys.stderr)
+    blocks = _propagate_blocks(swanson_hamiltonian(params), cfg.initial_state(), t_end, step)
+    stop = -1
+
+    def chunks():
+        """The CSV: the header, each block's sample lines (11 cells as _fmt writes them, then the
+        flag 0) one pass at a time, then the flagged divergence line."""
+        nonlocal stop
+        # imported here, so that a run that writes no CSV does not compile it
+        from ._csvrows import sample_lines
+
+        yield CSV_HEADER + "\n"
+        for k0, rows, stop in blocks:
+            times = step * np.arange(k0, k0 + len(rows))
+            eigen = metric_eigen(rows[:, 2], rows[:, 3], rows[:, 4])
+            yield from sample_lines(np.column_stack((times, times / params.period, rows[:, :5], *eigen, rows[:, 5])))
+        if stop >= 0:
+            t = stop * step
+            yield ",".join(_fmt(c) for c in [t, t / params.period] + [math.nan] * 9) + ",1\n"
+
+    _write_chunks(cfg.out, chunks())
+    # a reader that went away leaves blocks unread; the exit code needs their stop
+    for _, _, stop in blocks:
+        pass
+    if stop >= 0 and not cfg.allow_divergence:
+        print(f"divergence detected at t = {stop * step:.6g}", file=sys.stderr)
         return EXIT_DIVERGENCE
     return EXIT_OK
 
@@ -551,18 +554,23 @@ def cmd_sweep(cfg: RunConfig) -> int:
         params = dataclasses.replace(cfg, delta=delta).params
         label = classify_metric(params, init.G)
         t_end = periods * params.period
-        traj = propagate(swanson_hamiltonian(params), init, t_end, cfg.sample_step(params.period, t_end))
-        # propagate keeps row 0, so the sample is never empty
-        sample = traj.values[:: max(1, len(traj.values) // 200)]
+        step = cfg.sample_step(params.period, t_end)
+        model = swanson_hamiltonian(params)
+        for _, _, stop in _propagate_blocks(model, init, t_end, step):
+            pass
+        diverged = stop >= 0
+        # every max(1, kept // 200)-th kept row, evaluated again once the stop is known, so that
+        # no row outlives its block; the stop is never row 0, so the sample is never empty
+        kept = stop if diverged else step_count(t_end, step) + 1
+        sample, _ = _sampled_rows(model, init, step * np.arange(0, kept, max(1, kept // 200)))
         g_plus = metric_eigen(sample[:, 2], sample[:, 3], sample[:, 4])[0]
-        diverged = traj.divergence_time is not None
         rows.append(
             ",".join(
                 [
                     _fmt(delta),
                     label.value,
                     "1" if diverged else "0",
-                    _fmt(traj.divergence_time) if diverged else "",
+                    _fmt(stop * step) if diverged else "",
                     _fmt(g_plus.max()),
                 ]
             )

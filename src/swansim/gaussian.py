@@ -52,7 +52,8 @@ __all__ = [
 # Möbius denominators below this (relative) size count as a pole
 POLE_TOL = 1e-12
 
-# samples per block of propagate; bounds its working memory
+# samples per block of _propagate_blocks: what simulate and sweep hold of a run at once,
+# whatever its length
 PROPAGATE_BLOCK = 2048
 
 # uniform times from 0 to t_end at which blowup_detected samples the Möbius flow
@@ -272,6 +273,60 @@ def gaussian_norm(state: GaussianState) -> float:
     return math.exp(_norm_exponent(state.z.p, state.z.q, state.b, state.gamma))
 
 
+def _sampled_rows(model: QuadraticHamiltonian, init: MetriplecticState, times: np.ndarray):
+    """propagate's rows at the given times, and which of them are divergent.
+
+    Every row depends on its own time alone, so a row is the same bytes
+    whichever grid it is evaluated on.  numpy's error state is suppressed
+    inside and restored on return.
+    """
+    b0 = b_from_metric(init.G.normalized())
+    p0, q0 = init.Z.P, init.Z.Q
+    const = model.const_h - 1j * model.const_gamma
+    rows = np.empty((len(times), 6))
+    with np.errstate(all="ignore"):
+        p, q, b, den = _sampled_flow(model, (p0, q0), b0, times)
+        abs_den = np.abs(den)
+        # only Im gamma reaches a row (through n), and it takes Re Log den = ln|den|:
+        # the branch of arg den is not needed
+        gamma = _phase_change(p * q - p0 * q0, np.log(b.imag / b0.imag), np.log(abs_den), const, times)
+        g_pp, g_pq, g_qq = _metric_entries(b)
+        rows[:, 0], rows[:, 1] = _centre(p, q, g_pp, g_pq, g_qq)
+        rows[:, 2] = g_pp
+        rows[:, 3] = g_pq
+        rows[:, 4] = g_qq
+        rows[:, 5] = init.n * np.exp(_norm_exponent(p, q, b, gamma))
+        bad = (
+            (b.imag <= 0.0)
+            | (abs_den <= POLE_TOL * max(1.0, abs(b0)))
+            | ~np.isfinite(rows).all(axis=1)
+            | (metric_eigen(g_pp, g_pq, g_qq)[0] > BLOWUP_THRESHOLD)
+            | (np.hypot(rows[:, 0], rows[:, 1]) > BLOWUP_THRESHOLD)
+        )
+    return rows, bad
+
+
+def _propagate_blocks(model: QuadraticHamiltonian, init: MetriplecticState, t_end: float, step: float):
+    """propagate's rows, PROPAGATE_BLOCK at a time: yields (k0, rows, stop) for each block.
+
+    rows is a fresh (m, 6) array of the rows k0 .. k0 + m - 1.  stop is -1,
+    except on the last block of a run that diverged: that block is cut just
+    before the first divergent sample, stop is that sample's index, and m may
+    be 0.  numpy's error state is suppressed only while a block is computed,
+    so the consumer runs under its own.
+    """
+    n_rows = step_count(t_end, step) + 1
+    for k0 in range(0, n_rows, PROPAGATE_BLOCK):
+        rows, bad = _sampled_rows(model, init, step * np.arange(k0, min(k0 + PROPAGATE_BLOCK, n_rows)))
+        if k0 == 0:
+            bad[0] = False
+        if bad.any():
+            cut = int(np.argmax(bad))
+            yield k0, rows[:cut], k0 + cut
+            return
+        yield k0, rows, -1
+
+
 def propagate(model: QuadraticHamiltonian, init: MetriplecticState, t_end: float, step: float) -> Trajectory:
     """Exact coupled flow of centre, metric and survival probability on a uniform grid.
 
@@ -280,45 +335,18 @@ def propagate(model: QuadraticHamiltonian, init: MetriplecticState, t_end: float
     packet with b0 = b_from_metric(G0 / sqrt(det G0)) and a real centre: the metric of the
     Möbius image of b0, the expectation values of the complex centre S(t) z0,
     and n0 times the squared norm.  Rows are evaluated PROPAGATE_BLOCK at a
-    time, and the run stops at the first block holding a divergent sample.
-    Divergent means, as in the RK4 kernel: a non-finite entry, Im b <= 0, a
+    time (_propagate_blocks), and the run stops at the first divergent
+    sample.  Divergent means, as in the RK4 kernel: a non-finite entry, Im b <= 0, a
     Möbius pole, or the largest metric eigenvalue or the centre norm above
     BLOWUP_THRESHOLD.  The initial row is the given state and is never a
     stop.  An initial metric with det <= 0 is refused with ValueError.
+    The whole run is held in memory; simulate and sweep consume the blocks
+    instead, one at a time.
     """
-    b0 = b_from_metric(init.G.normalized())
-    n_steps = step_count(t_end, step)
-    out = np.empty((n_steps + 1, 6))
-    p0, q0 = init.Z.P, init.Z.Q
-    pole_tol = POLE_TOL * max(1.0, abs(b0))
-    const = model.const_h - 1j * model.const_gamma
-    with np.errstate(all="ignore"):
-        for k0 in range(0, n_steps + 1, PROPAGATE_BLOCK):
-            times = step * np.arange(k0, min(k0 + PROPAGATE_BLOCK, n_steps + 1))
-            p, q, b, den = _sampled_flow(model, (p0, q0), b0, times)
-            abs_den = np.abs(den)
-            # only Im gamma reaches a row (through n), and it takes Re Log den = ln|den|:
-            # the branch of arg den is not needed
-            gamma = _phase_change(p * q - p0 * q0, np.log(b.imag / b0.imag), np.log(abs_den), const, times)
-            g_pp, g_pq, g_qq = _metric_entries(b)
-            rows = out[k0 : k0 + len(times)]
-            rows[:, 0], rows[:, 1] = _centre(p, q, g_pp, g_pq, g_qq)
-            rows[:, 2] = g_pp
-            rows[:, 3] = g_pq
-            rows[:, 4] = g_qq
-            rows[:, 5] = init.n * np.exp(_norm_exponent(p, q, b, gamma))
-            bad = (
-                (b.imag <= 0.0)
-                | (abs_den <= pole_tol)
-                | ~np.isfinite(rows).all(axis=1)
-                | (metric_eigen(g_pp, g_pq, g_qq)[0] > BLOWUP_THRESHOLD)
-                | (np.hypot(rows[:, 0], rows[:, 1]) > BLOWUP_THRESHOLD)
-            )
-            if k0 == 0:
-                bad[0] = False
-            if bad.any():
-                return Trajectory.from_samples(out, k0 + int(np.argmax(bad)), step)
-    return Trajectory.from_samples(out, -1, step)
+    out = np.empty((step_count(t_end, step) + 1, 6))
+    for k0, rows, stop in _propagate_blocks(model, init, t_end, step):
+        out[k0 : k0 + len(rows)] = rows
+    return Trajectory.from_samples(out, stop, step)
 
 
 def _generator_model(m_pp: complex, m_qq: complex) -> QuadraticHamiltonian:

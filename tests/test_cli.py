@@ -33,7 +33,7 @@ from swansim import (
     region_grid,
     swanson_hamiltonian,
 )
-from swansim import cli
+from swansim import cli, gaussian
 from swansim.cli import _COMMANDS, CSV_HEADER, _build_parser, _label_chunks, main
 
 # JSON value of each region_grid code: code k is list(RegionLabel)[k]
@@ -558,6 +558,30 @@ def test_classify_peak_memory_is_the_same_for_both_signs(tmp_path: Path):
     assert classify_peak(tmp_path, -0.5) <= classify_peak(tmp_path, 0.5) + 2 * 2**20
 
 
+# runs `python -m swansim ARGV...` and prints its exit code and wait4 peak resident set in KiB;
+# run from a small interpreter, since a child's peak also counts its parent's up to the exec
+PEAK_RSS_SCRIPT = """if True:
+    import os, subprocess, sys
+    proc = subprocess.Popen([sys.executable, "-m", "swansim", *sys.argv[1:]])
+    _, status, usage = os.wait4(proc.pid, 0)
+    print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_peak_memory_does_not_grow_with_the_run(tmp_path: Path, command):
+    # one engine block at a time: ten times the periods, the same peak
+    peaks = []
+    for periods in (2, 20):
+        argv = [command, f"--periods={periods}", f"--out={tmp_path / f'{periods}.csv'}"]
+        cp = subprocess.run([sys.executable, "-c", PEAK_RSS_SCRIPT, *argv], capture_output=True, text=True, timeout=120)
+        assert cp.returncode == 0, cp.stderr
+        code, peak_kib = map(int, cp.stdout.split())
+        assert code == 0
+        peaks.append(peak_kib)
+    assert abs(peaks[1] - peaks[0]) < 2 * 1024, peaks
+
+
 UNWRITABLE_ARGV = {
     "simulate": ["simulate", "--periods=0.01"],
     "classify": ["classify", "--resolution=3"],
@@ -567,7 +591,7 @@ UNWRITABLE_ARGV = {
 
 
 # what each subcommand computes; --out is checked before any of it runs
-COMPUTE = ("propagate", "region_grid", "integrate", "first_pole_time", "classify_metric")
+COMPUTE = ("_propagate_blocks", "_sampled_rows", "region_grid", "integrate", "first_pole_time", "classify_metric")
 
 
 @pytest.mark.parametrize("command", sorted(UNWRITABLE_ARGV))
@@ -970,11 +994,11 @@ def test_simulate_csv_bytes_on_every_route(tmp_path: Path, monkeypatch, forks, r
     if CSV_ROUTES[route] is not None:
         monkeypatch.delattr(os, CSV_ROUTES[route])
     # the divergent run stops after about 2 000 rows: blocks of 1 000 make two of them
-    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 1000)
+    monkeypatch.setattr(gaussian, "PROPAGATE_BLOCK", 1000)
     params = SwansonParams(1.0, delta)
     init = MetriplecticState(Z=RealState(0.6, -0.8), G=Metric.identity(), n=1.0)
     expected = expected_csv(params, init, 2.0)
-    assert expected.count(b"\n") >= 2 * cli._CSV_BLOCK_ROWS + 2
+    assert expected.count(b"\n") >= 2 * gaussian.PROPAGATE_BLOCK + 2
     out = tmp_path / "run.csv"
     assert main(["simulate", f"--delta={delta}", "--p0=0.6", "--q0=-0.8", "--periods=2", f"--out={out}"]) == exit_code
     assert out.read_bytes() == expected
@@ -983,11 +1007,11 @@ def test_simulate_csv_bytes_on_every_route(tmp_path: Path, monkeypatch, forks, r
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_simulate_csv_bytes_at_block_edges(tmp_path: Path, forks, offset):
-    # sample rows one short of, equal to and one past one block of cli._CSV_BLOCK_ROWS, and of two
+    # sample rows one short of, equal to and one past one block of gaussian.PROPAGATE_BLOCK, and of two
     init = MetriplecticState(Z=RealState(1.0, 0.0), G=Metric.identity(), n=1.0)
     out = tmp_path / "run.csv"
     for blocks in (1, 2):
-        rows = blocks * cli._CSV_BLOCK_ROWS + offset
+        rows = blocks * gaussian.PROPAGATE_BLOCK + offset
         periods = (rows - 1) / 10_000
         assert main(["simulate", "--delta=0.5", f"--periods={periods!r}", f"--out={out}"]) == 0
         expected = expected_csv(SwansonParams(1.0, 0.5), init, periods)
@@ -1000,9 +1024,11 @@ def test_simulate_divergence_row_follows_a_block_edge(tmp_path: Path, monkeypatc
     params = SwansonParams(1.0, 1.1)
     init = MetriplecticState(Z=RealState(1.0, 0.0), G=Metric.identity(), n=1.0)
     expected = expected_csv(params, init, 1.0)
-    # header and flagged row aside, the sample rows fill whole blocks of this size, two of them
-    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", (expected.count(b"\n") - 2) // 2)
-    assert (expected.count(b"\n") - 2) % cli._CSV_BLOCK_ROWS == 0
+    # header and flagged row aside, the sample rows fill whole blocks of this size, two of them:
+    # the stop is the first row of a third block, which is empty
+    monkeypatch.setattr(gaussian, "PROPAGATE_BLOCK", (expected.count(b"\n") - 2) // 2)
+    assert (expected.count(b"\n") - 2) % gaussian.PROPAGATE_BLOCK == 0
+    assert expected_csv(params, init, 1.0) == expected
     out = tmp_path / "run.csv"
     assert main(["simulate", "--delta=1.1", f"--out={out}"]) == 3
     assert out.read_bytes() == expected
@@ -1025,7 +1051,7 @@ def test_closed_stdout_leaves_no_child():
     script = """if True:
         import ctypes, json, os, subprocess, sys
         assert ctypes.CDLL(None, use_errno=True).prctl(36, 1, 0, 0, 0) == 0
-        proc = subprocess.Popen([sys.executable, "-m", "swansim", "simulate", "--periods=2"],
+        proc = subprocess.Popen([sys.executable, "-m", "swansim", "simulate", "--periods=2", *sys.argv[1:]],
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         head = proc.stdout.read(20)
         proc.stdout.close()
@@ -1037,9 +1063,16 @@ def test_closed_stdout_leaves_no_child():
             left = None
         print(json.dumps([head.decode(), code, err.decode(), left]))
     """
-    cp = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
-    assert cp.returncode == 0, cp.stderr
-    assert json.loads(cp.stdout) == [CSV_HEADER[:20], 0, "", None]
+    # a divergent run still exits 3 with its one line: the blocks the reader did not take are
+    # computed all the same, before the stop in the first block (2 024 rows) and after it (8 555)
+    for argv, code, err in [
+        ([], 0, ""),
+        (["--delta=1.1"], 3, "divergence detected at t = 0.855449\n"),
+        (["--delta=1.1", "--step=0.0001"], 3, "divergence detected at t = 0.8555\n"),
+    ]:
+        cp = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120)
+        assert cp.returncode == 0, cp.stderr
+        assert json.loads(cp.stdout) == [CSV_HEADER[:20], code, err, None]
 
 
 @pytest.mark.parametrize(

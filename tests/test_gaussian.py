@@ -36,7 +36,7 @@ from swansim import (
     swanson_hamiltonian,
 )
 from swansim.errors import DivergenceError
-from swansim.gaussian import _flow_entries
+from swansim.gaussian import _flow_entries, _propagate_blocks
 from swansim.model import OMEGA
 from swansim.ode import BLOWUP_THRESHOLD
 
@@ -611,6 +611,21 @@ class TestPropagate:
         assert traj.divergence_time is None
         ref = closed_series(params, RealState(1.0, 0.0), traj.times)
         np.testing.assert_allclose(traj.values, ref, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("delta", [0.5, 1.1])
+    def test_blocks_leave_numpy_error_state_to_the_consumer(self, delta):
+        # past the pole at delta = 1.1 a block takes the log of a negative Im b: computed
+        # under errstate(all="raise") it would raise
+        params = SwansonParams(1.0, delta)
+        init = MetriplecticState(Z=RealState(1.0, 0.0), G=Metric.identity(), n=1.0)
+        blocks = _propagate_blocks(swanson_hamiltonian(params), init, 2.0 * params.period, params.period / 10_000)
+        with np.errstate(all="raise", under="warn"):
+            outside = np.geterr()
+            inside = [np.geterr() for _ in blocks]
+        # 20 001 rows in 10 blocks; the divergent run stops in its first block
+        assert len(inside) == (10 if delta < 1.0 else 1)
+        assert all(state == outside for state in inside)
+        assert outside != np.geterr()
 
     def test_rejects_indefinite_initial_metric(self):
         model = swanson_hamiltonian(SwansonParams(1.0, 0.5))
