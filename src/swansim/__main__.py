@@ -11,9 +11,8 @@ loads nothing (see swansim/__init__), so it acts before numpy loads:
 - it then moves every object alive after the imports (about 22 000: the
   interpreter's, numpy's and swansim's) to the permanent generation
   (gc.freeze), which no later collection visits.  The collections at exit
-  skip that heap, its cycles are left to the operating system rather than
-  freed, and a forked child no longer writes to the GC headers of the pages
-  it shares with this process.
+  skip that heap, and its cycles are left to the operating system rather
+  than freed.
 
 cli.main(argv) is the in-process API, for tests and tracers; it touches
 neither the collector nor the environment, so such a caller keeps both.

@@ -3,11 +3,8 @@
 simulate and sweep evaluate the exact propagator (gaussian.propagate, block by
 block) on the sample grid set by --step; validate cross-checks it against the
 independent routes, the RK4 integrator (ode.integrate) among them.
-
-validate runs the checks that share nothing with the metriplectic RK4 in one
-forked child (_Forked), on a second CPU, and falls back to running them
-in-process, to the same bytes, without os.fork or os.memfd_create, or when the
-child fails.
+_validation_report runs those checks one after another in the calling process
+and builds the whole report; cmd_validate writes it and picks the exit code.
 
 Outputs are deterministic: identical configuration produces byte-identical
 files (floats are written as %.17g writes them, CSV uses comma separators and
@@ -41,7 +38,6 @@ import math
 import os
 import re
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +87,8 @@ VALIDATION_THRESHOLDS = {
     "order_low": 3.7,
     "order_high": 4.3,
 }
+# the RK4 seed of validate's checks against the closed forms and of its divergence check
+_VALIDATION_SEED = MetriplecticState(Z=RealState(1.0, 0.0), G=Metric.identity(), n=1.0)
 
 
 def _fmt(x: float) -> str:
@@ -373,11 +371,8 @@ def _label_chunks(codes: np.ndarray):
 
 
 def _validation_errors(params: SwansonParams, step: float) -> dict:
-    t_end = params.period
-    z0 = RealState(1.0, 0.0)
-    init = MetriplecticState(Z=z0, G=Metric.identity(), n=1.0)
-    traj = integrate(swanson_hamiltonian(params), init, t_end, step)
-    ref = closed_series(params, z0, traj.times)
+    traj = integrate(swanson_hamiltonian(params), _VALIDATION_SEED, params.period, step)
+    ref = closed_series(params, _VALIDATION_SEED.Z, traj.times)
     diff = np.abs(traj.values - ref)
     return {
         "Z": float(diff[:, :2].max()),
@@ -432,59 +427,9 @@ def _convergence_order(params: SwansonParams) -> float:
     return math.log2(e1 / e2)
 
 
-class _Forked:
-    """write(fh) run in a forked child, fh a binary file over an anonymous in-memory file (memfd).
-
-    reap() waits for the child and gives that file, rewound, or None if the child failed or none
-    started (no os.fork or os.memfd_create, or no process or memory to spare); the caller then
-    does the work itself.  Leaving the with block reaps the child and closes the file, also when
-    the caller's own work raises.  The child turns warnings into errors, since a warning would
-    print there and again in the caller, and leaves by os._exit, so it never flushes the stdout
-    handle it inherited.  cmd_validate is the one caller: its oracle checks run in the child.
-    """
-
-    def __init__(self, write):
-        self._write = write
-        self._pid = -1
-        self._spill = None
-
-    def __enter__(self):
-        try:
-            fd = os.memfd_create("swansim")
-        except (AttributeError, OSError):
-            return self
-        self._spill = open(fd, "rb")
-        try:
-            self._pid = os.fork()
-        except (AttributeError, OSError):
-            return self
-        if self._pid == 0:
-            try:
-                warnings.simplefilter("error")
-                with open(fd, "wb", closefd=False) as fh:
-                    self._write(fh)
-                os._exit(0)
-            finally:  # reached only by an exception, since os._exit does not return
-                os._exit(1)
-        return self
-
-    def reap(self):
-        if self._pid > 0:
-            pid, self._pid = self._pid, -1
-            if os.waitpid(pid, 0)[1] == 0:
-                self._spill.seek(0)
-                return self._spill
-        return None
-
-    def __exit__(self, *exc_info):
-        self.reap()
-        if self._spill is not None:
-            self._spill.close()
-
-
-def cmd_validate(cfg: RunConfig) -> int:
-    params = cfg.params
-    step = cfg.sample_step(params.period, params.period)
+def _validation_report(params: SwansonParams, step: float) -> dict:
+    """validate's report on a model at this sample step: each check's result and threshold, the
+    failures and the verdict "pass".  The checks run in turn; a SwansimError of one propagates."""
     thresholds = dict(VALIDATION_THRESHOLDS)
     pole = first_pole_time(params)
     failures: list[str] = []
@@ -494,8 +439,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         "thresholds": thresholds,
     }
     if pole is not None:
-        init = MetriplecticState(Z=RealState(1.0, 0.0), G=Metric.identity(), n=1.0)
-        traj = integrate(swanson_hamiltonian(params), init, params.period, step)
+        traj = integrate(swanson_hamiltonian(params), _VALIDATION_SEED, params.period, step)
         ok = traj.divergence_time is not None and abs(traj.divergence_time - pole) <= 2 * step
         report["divergence"] = {
             "closed_form_time": pole,
@@ -507,19 +451,10 @@ def cmd_validate(cfg: RunConfig) -> int:
         if not ok:
             failures.append("divergence time mismatch between routes")
     else:
-        def oracle_checks():
-            return _mobius_vs_riccati(params, step), _mapped_vs_direct(params), _convergence_order(params)
-
-        def write_checks(fh):
-            # JSON writes each float as its repr, which round-trips exactly, and None as null
-            fh.write(json.dumps(oracle_checks()).encode())
-
-        # the two RK4 oracles run at once; a failed child's checks run again here, in turn
-        with _Forked(write_checks) as child:
-            errors = _validation_errors(params, step)
-            spill = child.reap()
-            checks = oracle_checks() if spill is None else json.loads(spill.read())
-        errors["B"], errors["mapped"], order = checks
+        errors = _validation_errors(params, step)
+        errors["B"] = _mobius_vs_riccati(params, step)
+        errors["mapped"] = _mapped_vs_direct(params)
+        order = _convergence_order(params)
         report["divergence"] = None
         report["max_errors"] = errors
         report["convergence_order"] = order
@@ -533,8 +468,14 @@ def cmd_validate(cfg: RunConfig) -> int:
             failures.append(f"convergence order {order:.3f} outside [{low}, {high}]")
     report["failures"] = failures
     report["pass"] = not failures
+    return report
+
+
+def cmd_validate(cfg: RunConfig) -> int:
+    params = cfg.params
+    report = _validation_report(params, cfg.sample_step(params.period, params.period))
     _write_chunks(cfg.out, [json.dumps(report, indent=2, sort_keys=True) + "\n"])
-    return EXIT_OK if not failures else EXIT_VALIDATION
+    return EXIT_OK if report["pass"] else EXIT_VALIDATION
 
 
 def cmd_sweep(cfg: RunConfig) -> int:

@@ -212,86 +212,86 @@ def forks(monkeypatch):
 
 
 # the Hermitian model, one bounded model per sign, the near-critical failure at both signs,
-# and a model with a pole, which starts no child
+# and a model with a pole
 FORK_DELTAS = ("0", "0.5", "-0.5", "0.96", "-0.99", "1.2")
 
 
-def test_validate_bytes_match_without_fork(tmp_path: Path, monkeypatch, forks):
-    # the forked child, and the in-process fallback without os.memfd_create and without os.fork
-    results = {}
-    for route, missing in (("forked", None), ("no_memfd", "memfd_create"), ("no_fork", "fork")):
-        with monkeypatch.context() as patch:
-            if missing is not None:
-                patch.delattr(os, missing)
-            for delta in FORK_DELTAS:
-                out = tmp_path / f"{route}{delta}.json"
-                results[route, delta] = main(["validate", f"--delta={delta}", f"--out={out}"]), out.read_bytes()
-    # only the forked route forks, once per model without a pole
-    assert len(forks) == len(FORK_DELTAS) - 1
-    for delta in FORK_DELTAS:
-        assert results["forked", delta] == results["no_memfd", delta] == results["no_fork", delta]
-    assert [results["forked", d][0] for d in FORK_DELTAS] == [0, 0, 0, 4, 4, 0]
+def test_validate_runs_in_one_process(tmp_path: Path, forks):
+    # the checks run in the calling process; the golden test pins the report bytes
+    codes = [main(["validate", f"--delta={delta}", f"--out={tmp_path / 'report.json'}"]) for delta in FORK_DELTAS]
+    assert codes == [0, 0, 0, 4, 4, 0]
+    assert forks == []
 
 
-def test_child_check_error_matches_the_sequential_run(capfd, monkeypatch):
-    # a check of the child raises: the child fails, and the process runs its checks again
+def test_check_error_is_one_line(capfd, monkeypatch):
+    # a check raises: validate writes no report, only the error line, and exits 2
     def mapped_fails(params):
         raise SwansimError("mapped check failed")
 
     monkeypatch.setattr(cli, "_mapped_vs_direct", mapped_fails)
-    lines = []
-    for sequential in (False, True):
-        if sequential:
-            monkeypatch.delattr(os, "fork")
-        assert main(["validate"]) == 2
-        out, err = capfd.readouterr()
-        assert out == ""
-        lines.append(err)
-    assert lines == ["error: mapped check failed\n"] * 2
+    assert main(["validate"]) == 2
+    assert capfd.readouterr() == ("", "error: mapped check failed\n")
 
 
 @pytest.mark.parametrize("argv", [["--delta=0.9999"], ["--delta=0.999", "--step=0.05"]])
-def test_validate_reports_an_oracle_off_the_chart(tmp_path: Path, capfd, monkeypatch, argv):
+def test_validate_reports_an_oracle_off_the_chart(tmp_path: Path, capfd, argv):
     # the Riccati RK4 oracle leaves the chart at these steps, where the Möbius route finds no
     # pole: the oracle is at fault, so validate ends with a failed report, not an error
-    reports = []
-    for sequential in (False, True):
-        if sequential:
-            monkeypatch.delattr(os, "fork")
-        out = tmp_path / f"report{sequential}.json"
-        assert main(["validate", *argv, f"--out={out}"]) == 4
-        assert capfd.readouterr() == ("", "")
-        reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
+    out = tmp_path / "report.json"
+    assert main(["validate", *argv, f"--out={out}"]) == 4
+    assert capfd.readouterr() == ("", "")
 
     def refuse(token):
         raise AssertionError(f"{token} in the report")
 
-    doc = json.loads(reports[0], parse_constant=refuse)
+    doc = json.loads(out.read_bytes(), parse_constant=refuse)
     assert doc["pass"] is False
     assert doc["max_errors"]["B"] is None
     assert [f for f in doc["failures"] if "Riccati" in f] == ["B not checked: the Riccati RK4 oracle left the chart"]
 
 
-def test_parent_check_error_reaps_the_child(capsys, monkeypatch):
-    parent, real = os.getpid(), cli._validation_errors
+@pytest.mark.parametrize("delta", [0.5, 0.96, 1.2])
+def test_validation_report_is_what_validate_writes(tmp_path: Path, delta):
+    # a passing, a failing and a supercritical report, built without argv or files
+    out = tmp_path / "report.json"
+    code = main(["validate", f"--delta={delta}", f"--out={out}"])
+    params = SwansonParams(1.0, delta)
+    report = cli._validation_report(params, params.period / cli.DEFAULT_STEPS_PER_PERIOD)
+    assert out.read_bytes() == (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
+    assert (code, report["pass"]) == ((0, True) if delta != 0.96 else (4, False))
 
-    def parent_fails(params, step):
-        # the child's convergence order calls this too, and gets the real errors
-        if os.getpid() == parent:
-            raise SwansimError("parent check failed")
-        return real(params, step)
 
-    monkeypatch.setattr(cli, "_validation_errors", parent_fails)
-    assert main(["validate"]) == 2
-    assert capsys.readouterr() == ("", "error: parent check failed\n")
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def test_power_of_two_scaling_is_exact(tmp_path: Path):
+    # (omega0, delta) -> (2^k omega0, 2^k delta) scales every time by 2^-k, and every product
+    # and sqrt of the arithmetic scales exactly with it: the outputs agree to the last bit
+    def run(command, omega0, delta, *argv):
+        out = tmp_path / f"{command}{omega0}_{delta}"
+        code = main([command, f"--omega0={omega0}", f"--delta={delta}", *argv, f"--out={out}"])
+        return code, out.read_text()
+
+    def validate(omega0, delta):
+        code, text = run("validate", omega0, delta)
+        assert code == 0
+        return json.loads(text)
+
+    bounded = [validate(1, 0.5), validate(2, 1)]
+    assert bounded[0]["max_errors"] == bounded[1]["max_errors"]
+    assert bounded[0]["convergence_order"] == bounded[1]["convergence_order"]
+    slow, fast = validate(1, 1.2)["divergence"], validate(4, 4.8)["divergence"]
+    for key in ("closed_form_time", "ode_time"):
+        assert fast[key] == slow[key] / 4
+
+    def csv_without_t(omega0, delta):
+        code, text = run("simulate", omega0, delta, "--b0=0.2,1.3", "--periods=3")
+        assert code == 0
+        return [line.split(",", 1)[1] for line in text.splitlines()]
+
+    assert csv_without_t(1, 0.5) == csv_without_t(2, 1) == csv_without_t(0.25, 0.125)
 
 
 def test_validate_stdout_holds_the_report_once(tmp_path: Path, capfd, monkeypatch):
-    # a block-buffered stdout with text pending when the child starts: a child that
-    # flushed what it inherited would write that text a second time
+    # a block-buffered stdout with text pending when validate starts: the report follows it,
+    # and neither is written twice
     stdout = io.TextIOWrapper(io.BufferedWriter(io.FileIO(os.dup(1), "w")), encoding="utf-8")
     monkeypatch.setattr(sys, "stdout", stdout)
     stdout.write("pending\n")
@@ -305,28 +305,24 @@ def test_validate_stdout_holds_the_report_once(tmp_path: Path, capfd, monkeypatc
 
 
 def test_validate_stderr_holds_at_most_one_line(capfd):
-    # fd-level capture, so a line the child wrote would show
+    # fd-level capture, so a line written to fd 2 past sys.stderr would show too
     for argv, code in ((["--delta=0.5"], 0), (["--delta=-0.99"], 4), (["--delta=0.999", "--step=0.05"], 4)):
         assert main(["validate", *argv]) == code
         assert capfd.readouterr().err.count("\n") == (code == 2)
 
 
-def test_validate_overflow_prints_no_warning(capfd, monkeypatch):
-    # closed_series overflows exp at this coupling, in the parent's check and in the child's
-    # convergence order, where inf is the value meant; shown on fd 2 as a process shows it,
-    # a warning either process printed would show
+def test_validate_overflow_prints_no_warning(capfd):
+    # closed_series overflows exp at this coupling, in the check against RK4 and in the
+    # convergence order, where inf is the value meant; shown on fd 2 as a process shows it
     def show(message, category, filename, lineno, file=None, line=None):
         os.write(2, warnings.formatwarning(message, category, filename, lineno, line).encode())
 
-    for sequential in (False, True):
-        if sequential:
-            monkeypatch.delattr(os, "fork")
-        with warnings.catch_warnings():
-            # a new filter also forgets the warnings shown so far
-            warnings.simplefilter("default")
-            warnings.showwarning = show
-            assert main(["validate", "--delta=-0.999"]) == 4
-        assert "RuntimeWarning" not in capfd.readouterr().err
+    with warnings.catch_warnings():
+        # a new filter also forgets the warnings shown so far
+        warnings.simplefilter("default")
+        warnings.showwarning = show
+        assert main(["validate", "--delta=-0.999"]) == 4
+    assert "RuntimeWarning" not in capfd.readouterr().err
 
 
 def test_sweep_transition(tmp_path: Path):
@@ -983,16 +979,10 @@ def test_simulate_csv_bytes(tmp_path: Path, omega0, delta, b0, exit_code):
     assert out.read_bytes() == expected_csv(SwansonParams(omega0, delta), init, 1.0)
 
 
-# simulate's one in-process route, as is and on a platform without os.fork or without
-# os.memfd_create -> the os attribute taken away
-CSV_ROUTES = {"plain": None, "no_fork": "fork", "no_memfd": "memfd_create"}
-
-
-@pytest.mark.parametrize("route", sorted(CSV_ROUTES))
+# simulate writes its CSV on one route, in the calling process
+@pytest.mark.parametrize("route", ["plain"])
 @pytest.mark.parametrize("delta, exit_code", [(-0.55, 0), (1.1, 3)])
 def test_simulate_csv_bytes_on_every_route(tmp_path: Path, monkeypatch, forks, route, delta, exit_code):
-    if CSV_ROUTES[route] is not None:
-        monkeypatch.delattr(os, CSV_ROUTES[route])
     # the divergent run stops after about 2 000 rows: blocks of 1 000 make two of them
     monkeypatch.setattr(gaussian, "PROPAGATE_BLOCK", 1000)
     params = SwansonParams(1.0, delta)
@@ -1181,7 +1171,7 @@ def test_process_runs_one_blas_thread_unless_preset(preset):
 
 
 # (argv, exit code) of a process per subcommand: simulate over two periods writes five blocks
-# of rows, a supercritical simulate exits 3, default validate forks its oracle checks
+# of rows, a supercritical simulate exits 3, default validate runs every check below the pole
 PROCESS_RUNS = [
     (["simulate", "--periods=2"], 0),
     (["simulate", "--delta=1.2"], 3),

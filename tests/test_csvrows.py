@@ -14,8 +14,8 @@ from swansim._csvrows import CELLS, ROW, _digits, sample_lines
 
 @pytest.fixture(autouse=True)
 def warnings_are_errors():
-    # as in the forked child, where a numpy RuntimeWarning fails the child and the CSV is
-    # formatted again in-process
+    # a numpy RuntimeWarning of sample_lines would add a line to simulate's stderr, which
+    # holds at most the one divergence line: here it fails the test
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         yield
