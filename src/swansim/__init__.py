@@ -23,8 +23,7 @@ _EXPORTS = {
                  "metric_closed", "metric_from_b", "project_expectations", "propagate", "riccati_direct"),
     "geometry": ("HyperboloidPoint", "RegionLabel", "classify_b", "classify_metric", "plane_slope",
                  "region_grid", "xyz_from_metric", "xyz_rhs"),
-    "model": ("QuadraticHamiltonian", "SpectralData", "SwansonParams", "doubled_generator", "spectral_data",
-              "swanson_hamiltonian"),
+    "model": ("QuadraticHamiltonian", "SwansonParams", "doubled_generator", "swanson_hamiltonian"),
     "ode": ("MetriplecticState", "Trajectory", "integrate"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -18,8 +18,8 @@ one pass of _csvrows.sample_lines at a time, the classify labels in runs of
 equal labels.  Nor does the memory behind them: simulate and sweep hold one
 engine block of gaussian.PROPAGATE_BLOCK rows at a time.  simulate computes,
 formats and writes a block before it computes the next, and peaks at about
-32 MB resident whether it runs 2 periods or 200 (369 MB when it held the
-whole run); sweep keeps only each run's stop.
+32 MB resident whether it runs 2 periods or 200; sweep keeps only each run's
+stop.
 
 main(argv) is the in-process API; a process runs it through swansim.__main__.
 
@@ -57,7 +57,7 @@ from .gaussian import (
     riccati_direct,
 )
 from .geometry import DEFAULT_BAND, RegionLabel, classify_metric, region_grid
-from .model import SwansonParams, spectral_data, swanson_hamiltonian
+from .model import SwansonParams, swanson_hamiltonian
 from .ode import MetriplecticState, integrate, step_count
 
 __all__ = ["main"]
@@ -390,7 +390,7 @@ def _mobius_vs_riccati(params: SwansonParams, step: float) -> float | None:
     stride = max(1, n_steps // 100)
     times = step * np.arange(0, n_steps + 1, stride)
     worst = 0.0
-    for b0 in (spectral_data(params).ground_b, 1j, 0.8 + 1.5j, -0.6 + 2j):
+    for b0 in (params.ground_b, 1j, 0.8 + 1.5j, -0.6 + 2j):
         try:
             ref = riccati_direct(model, b0, t_end, step)[::stride]
         except MobiusPoleError:

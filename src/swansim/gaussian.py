@@ -28,7 +28,7 @@ import numpy as np
 
 from .closed_form import ComplexState, Metric, RealState, metric_eigen
 from .errors import DivergenceError, MobiusPoleError, NonNormalizableError
-from .model import MIN_FREQUENCY, QuadraticHamiltonian, SwansonParams, spectral_data, swanson_hamiltonian
+from .model import MIN_FREQUENCY, QuadraticHamiltonian, SwansonParams, swanson_hamiltonian
 from .ode import BLOWUP_THRESHOLD, MetriplecticState, Trajectory, step_count
 
 __all__ = [
@@ -377,7 +377,7 @@ def mapped_dynamics(
     direct evolution wherever every stage stays inside the chart, and is
     periodic with the Hermitian period regardless of divergences in between.
     """
-    theta = spectral_data(params).theta
+    theta = params.theta
     hermitian = QuadraticHamiltonian(
         hess_h=params.omega * np.eye(2),
         hess_gamma=np.zeros((2, 2)),

@@ -1,8 +1,9 @@
-"""Quadratic Hamiltonian data model and Swanson-oscillator spectral quantities.
+"""Quadratic Hamiltonian data model and the Swanson oscillator's parameters.
 
 The model family is H - i*Gamma with H and Gamma real quadratic forms on the
 phase-space point (p, q), momentum first.  The Swanson oscillator is the
-special case H = omega0*(p^2 + q^2)/2, Gamma = delta*p*q.
+special case H = omega0*(p^2 + q^2)/2, Gamma = delta*p*q, similar to a Hermitian
+oscillator of frequency omega; SwansonParams carries omega, theta and ground_b.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ __all__ = [
     "OMEGA",
     "SwansonParams",
     "QuadraticHamiltonian",
-    "SpectralData",
     "swanson_hamiltonian",
-    "spectral_data",
     "doubled_generator",
 ]
 
@@ -64,6 +63,16 @@ class SwansonParams:
     def period(self) -> float:
         return 2.0 * math.pi / self.omega
 
+    @property
+    def theta(self) -> float:
+        """Similarity-map angle to the Hermitian oscillator: tan(2*theta) = -delta/omega0, |theta| < pi/4."""
+        return -0.5 * math.atan(self.delta / self.omega0)
+
+    @property
+    def ground_b(self) -> complex:
+        """Uncertainty parameter b of the ground state: the stationary root of the width equation."""
+        return 1j * self.omega0 / (self.omega - self.delta)
+
 
 def _as_symmetric(m, name: str) -> np.ndarray:
     a = np.asarray(m, dtype=float)
@@ -101,20 +110,6 @@ class QuadraticHamiltonian:
         return self.hess_h - 1j * self.hess_gamma
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Static quantities derived from Swanson parameters.
-
-    theta: rotation parameter of the similarity map to the Hermitian
-    oscillator (principal branch, |theta| < pi/4), read by
-    gaussian.mapped_dynamics; ground_b: uncertainty parameter of the ground
-    state.  The eigenfrequency is SwansonParams.omega.
-    """
-
-    theta: float
-    ground_b: complex
-
-
 def swanson_hamiltonian(params: SwansonParams) -> QuadraticHamiltonian:
     """Quadratic model with hess_h = omega0*I and hess_gamma = delta off-diagonal."""
     w0, d = params.omega0, params.delta
@@ -122,12 +117,6 @@ def swanson_hamiltonian(params: SwansonParams) -> QuadraticHamiltonian:
         hess_h=np.array([[w0, 0.0], [0.0, w0]]),
         hess_gamma=np.array([[0.0, d], [d, 0.0]]),
     )
-
-
-def spectral_data(params: SwansonParams) -> SpectralData:
-    w0, d = params.omega0, params.delta
-    # principal branch: tan(2*theta) = -delta/omega0 with theta in (-pi/4, pi/4)
-    return SpectralData(theta=-0.5 * math.atan(d / w0), ground_b=1j * w0 / (params.omega - d))
 
 
 def doubled_generator(model: QuadraticHamiltonian) -> np.ndarray:

@@ -10,9 +10,9 @@ without numpy warnings; the tests pin one step and whole runs of it to the
 matrix form of the same equations.  Blow-up is detected by thresholding the
 largest metric eigenvalue and the centre norm.
 
-The CLI's simulate and sweep run the exact propagator
-(gaussian.propagate), which returns the same Trajectory on the same grid;
-integrate stays as its independent oracle for validate and the tests.
+The CLI's simulate and sweep run the exact engine (gaussian._propagate_blocks,
+whose rows gaussian.propagate returns as the same Trajectory on the same
+grid); integrate stays as its independent oracle for validate and the tests.
 """
 
 from __future__ import annotations
@@ -90,23 +90,26 @@ def step_count(t_end: float, step: float) -> int:
     return max(1, int(round(t_end / step)))
 
 
-def _metriplectic_rk4(hess_h, hess_g, const_g, y0, step, n_steps, blow_threshold, out):
-    """Fixed-step RK4 on the coupled centre/metric/norm system.
+def _metriplectic_rk4(model: QuadraticHamiltonian, y0, step: float, n_steps: int):
+    """Fixed-step RK4 on the coupled centre/metric/norm system of model.
 
-    State layout: y = (P, Q, g_pp, g_pq, g_qq, n).  After every step the
-    metric determinant is renormalized to one (the flow preserves it exactly
-    but RK4 does not); symmetry of the metric is structural in this packing.
+    State layout: y = (P, Q, g_pp, g_pq, g_qq, n), y0 any six numbers.  After
+    every step the metric determinant is renormalized to one (the flow
+    preserves it exactly but RK4 does not); symmetry of the metric is
+    structural in this packing.
 
-    Fills out[k] for k = 0..n_steps and returns (stop, drift): stop == -1 on
-    a completed run, otherwise the first step index whose state is divergent
-    (rows out[:stop] are valid); drift is the largest |det - 1| seen before
+    Returns (out, stop, drift).  out has n_steps + 1 rows with out[0] = y0;
+    stop == -1 on a completed run, every row then filled, otherwise the first
+    step index whose state is divergent (non-finite, not positive definite,
+    or a metric eigenvalue or centre norm over BLOWUP_THRESHOLD), and only
+    rows out[:stop] are valid.  drift is the largest |det - 1| seen before
     renormalization.  The arithmetic runs on Python floats held in locals; a
     stage that divides by a zero determinant would leave a non-finite state,
     so its ZeroDivisionError stops the run at that step.
     """
-    a00, a01, a11 = float(hess_h[0, 0]), float(hess_h[0, 1]), float(hess_h[1, 1])
-    b00, b01, b11 = float(hess_g[0, 0]), float(hess_g[0, 1]), float(hess_g[1, 1])
-    const_g = float(const_g)
+    (a00, a01), (_, a11) = model.hess_h.tolist()
+    (b00, b01), (_, b11) = model.hess_gamma.tolist()
+    const_g = float(model.const_gamma)
     step = float(step)
     half, sixth = 0.5 * step, step / 6.0
     isfinite, sqrt = math.isfinite, math.sqrt
@@ -137,8 +140,9 @@ def _metriplectic_rk4(hess_h, hess_g, const_g, y0, step, n_steps, blow_threshold
             -(2.0 * gam + 0.5 * (b11 * gpp - 2.0 * b01 * gpq + b00 * gqq)) * nn,
         )
 
+    out = np.empty((n_steps + 1, 6))
     out[0] = y0
-    z0, z1, z2, z3, z4, z5 = y0.tolist()
+    z0, z1, z2, z3, z4, z5 = map(float, y0)
     drift = 0.0
     for k in range(1, n_steps + 1):
         try:
@@ -153,7 +157,7 @@ def _metriplectic_rk4(hess_h, hess_g, const_g, y0, step, n_steps, blow_threshold
                 z0 + step * p3, z1 + step * q3, z2 + step * a3, z3 + step * b3, z4 + step * c3, z5 + step * n3
             )
         except ZeroDivisionError:
-            return k, drift
+            return out, k, drift
         z0 = z0 + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
         z1 = z1 + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
         z2 = z2 + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
@@ -162,9 +166,9 @@ def _metriplectic_rk4(hess_h, hess_g, const_g, y0, step, n_steps, blow_threshold
         z5 = z5 + sixth * (n1 + 2.0 * n2 + 2.0 * n3 + n4)
 
         if not (isfinite(z0) and isfinite(z1) and isfinite(z2) and isfinite(z3) and isfinite(z4) and isfinite(z5)):
-            return k, drift
+            return out, k, drift
         if z2 <= 0.0 or z4 <= 0.0:
-            return k, drift
+            return out, k, drift
         det = z2 * z4 - z3 * z3
         tr = z2 + z4
         # The computed det is authoritative only at moderate amplitude; for
@@ -173,7 +177,7 @@ def _metriplectic_rk4(hess_h, hess_g, const_g, y0, step, n_steps, blow_threshold
         # approach to a blow-up.
         if tr < 1e3:
             if det <= 0.0 or not isfinite(det):
-                return k, drift
+                return out, k, drift
             d1 = abs(det - 1.0)
             if d1 > drift:
                 drift = d1
@@ -186,10 +190,10 @@ def _metriplectic_rk4(hess_h, hess_g, const_g, y0, step, n_steps, blow_threshold
         disc = tr * tr - 4.0 * det
         if disc < 0.0:
             disc = 0.0
-        if 0.5 * (tr + sqrt(disc)) > blow_threshold or math.hypot(z0, z1) > blow_threshold:
-            return k, drift
+        if 0.5 * (tr + sqrt(disc)) > BLOWUP_THRESHOLD or math.hypot(z0, z1) > BLOWUP_THRESHOLD:
+            return out, k, drift
         out[k] = (z0, z1, z2, z3, z4, z5)
-    return -1, drift
+    return out, -1, drift
 
 
 def integrate(model: QuadraticHamiltonian, init: MetriplecticState, t_end: float, step: float) -> Trajectory:
@@ -202,11 +206,7 @@ def integrate(model: QuadraticHamiltonian, init: MetriplecticState, t_end: float
     """
     if not init.G.det > 0:
         raise ValueError(f"initial metric must be positive definite, got det = {init.G.det!r} <= 0")
-    n_steps = step_count(t_end, step)
-    y0 = np.array([init.Z.P, init.Z.Q, init.G.g_pp, init.G.g_pq, init.G.g_qq, init.n])
-    out = np.empty((n_steps + 1, 6))
-    stop, drift = _metriplectic_rk4(
-        model.hess_h, model.hess_gamma, model.const_gamma, y0, step, n_steps, BLOWUP_THRESHOLD, out
-    )
+    y0 = (init.Z.P, init.Z.Q, init.G.g_pp, init.G.g_pq, init.G.g_qq, init.n)
+    out, stop, drift = _metriplectic_rk4(model, y0, step, step_count(t_end, step))
     return Trajectory.from_samples(out, stop, step, det_drift=drift)
 

@@ -29,7 +29,6 @@ from swansim import (
     integrate,
     metric_closed,
     riccati_direct,
-    spectral_data,
     survival_closed,
     swanson_hamiltonian,
 )
@@ -109,7 +108,7 @@ def test_criterion_5_critical_divergence():
 
 
 def test_criterion_6_ground_state_fixed_point():
-    b_ground = spectral_data(PARAMS).ground_b
+    b_ground = PARAMS.ground_b
     worst = max(
         abs(evolve_b(MODEL, b_ground, float(t)) - b_ground)
         for t in np.linspace(0.0, PARAMS.period, 101)

@@ -261,7 +261,7 @@ def test_validation_report_is_what_validate_writes(tmp_path: Path, delta):
     assert (code, report["pass"]) == ((0, True) if delta != 0.96 else (4, False))
 
 
-def test_power_of_two_scaling_is_exact(tmp_path: Path):
+def test_power_of_two_scaling_is_exact(tmp_path: Path, capsys):
     # (omega0, delta) -> (2^k omega0, 2^k delta) scales every time by 2^-k, and every product
     # and sqrt of the arithmetic scales exactly with it: the outputs agree to the last bit
     def run(command, omega0, delta, *argv):
@@ -287,6 +287,33 @@ def test_power_of_two_scaling_is_exact(tmp_path: Path):
         return [line.split(",", 1)[1] for line in text.splitlines()]
 
     assert csv_without_t(1, 0.5) == csv_without_t(2, 1) == csv_without_t(0.25, 0.125)
+
+    def divergent_simulate(omega0, delta):
+        capsys.readouterr()
+        code, text = run("simulate", omega0, delta, "--periods=3")
+        lines = text.splitlines()
+        times = [float(line.split(",", 1)[0]) for line in lines[1:]]
+        # the last row is the first divergent sample, flagged, at the time stderr reports
+        assert (code, capsys.readouterr().err) == (3, f"divergence detected at t = {times[-1]:.6g}\n")
+        return times, [line.split(",", 1)[1] for line in lines]
+
+    fast_times, fast_rows = divergent_simulate(1, 1.2)
+    slow_times, slow_rows = divergent_simulate(0.5, 0.6)
+    assert fast_rows == slow_rows and slow_times == [2.0 * t for t in fast_times]
+
+    def sweep(omega0):
+        # the coupling range scales with omega0: delta_min + k * delta_step scales exactly too
+        out = tmp_path / f"sweep{omega0}"
+        argv = [f"--delta-min={0.5 * omega0}", f"--delta-max={1.2 * omega0}", f"--delta-step={0.1 * omega0}"]
+        assert main(["sweep", f"--omega0={omega0}", "--periods=2", *argv, f"--out={out}"]) == 0
+        return [line.split(",") for line in out.read_text().splitlines()[1:]]
+
+    slow, fast = sweep(1), sweep(2)
+    assert len(slow) == 8 and [row[2] for row in slow] == ["0"] * 5 + ["1"] * 3
+    for (delta, label, diverged, time, g_plus), row in zip(slow, fast):
+        assert row[1:3] + row[4:] == [label, diverged, g_plus]
+        assert float(row[0]) == 2.0 * float(delta)
+        assert (row[3] == time == "") if diverged == "0" else (float(row[3]) == float(time) / 2.0)
 
 
 def test_validate_stdout_holds_the_report_once(tmp_path: Path, capfd, monkeypatch):

@@ -45,7 +45,7 @@ def test_star_import_binds_every_name():
     namespace = {}
     exec("from swansim import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == swansim.__all__
-    assert len(swansim.__all__) == 44
+    assert len(swansim.__all__) == 42
 
 
 def test_dir_lists_every_name():

@@ -1,8 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -15,9 +16,11 @@ from swansim import (
     NonNormalizableError,
     QuadraticHamiltonian,
     RealState,
+    RegionLabel,
     SwansonParams,
     b_from_metric,
     blowup_detected,
+    classify_b,
     closed_series,
     complex_trajectory,
     eta_action,
@@ -31,7 +34,6 @@ from swansim import (
     project_expectations,
     propagate,
     riccati_direct,
-    spectral_data,
     survival_closed,
     swanson_hamiltonian,
 )
@@ -176,7 +178,7 @@ class TestEvolveB:
         assert evolve_b(MODEL, 0.7 + 1.3j, 0.0) == pytest.approx(0.7 + 1.3j, abs=1e-15)
 
     def test_ground_state_fixed_point(self):
-        b_ground = spectral_data(PARAMS).ground_b
+        b_ground = PARAMS.ground_b
         for t in np.linspace(0.0, PARAMS.period, 50):
             assert abs(evolve_b(MODEL, b_ground, float(t)) - b_ground) < 1e-9
 
@@ -385,9 +387,9 @@ class TestEtaAction:
         assert out.gamma == pytest.approx(state.gamma, abs=1e-13)
 
     def test_maps_coherent_state_to_ground_state(self):
-        theta = spectral_data(PARAMS).theta
+        theta = PARAMS.theta
         out = eta_action(-1j * theta, 1j * theta, GaussianState.coherent(RealState(0.0, 0.0)))
-        assert out.b == pytest.approx(spectral_data(PARAMS).ground_b, abs=1e-12)
+        assert out.b == pytest.approx(PARAMS.ground_b, abs=1e-12)
         assert abs(out.z.p) < 1e-12 and abs(out.z.q) < 1e-12
 
     def test_fourier_action_inverts_b(self):
@@ -436,8 +438,7 @@ class TestMappedDynamics:
 
 class TestEvaluateWavefunction:
     def test_ground_state_shape(self):
-        sd = spectral_data(PARAMS)
-        state = GaussianState(ComplexState(0j, 0j), sd.ground_b)
+        state = GaussianState(ComplexState(0j, 0j), PARAMS.ground_b)
         x = np.linspace(-3.0, 3.0, 7)
         psi = evaluate_wavefunction(state, x)
         width = PARAMS.omega0 / (PARAMS.omega - PARAMS.delta)
@@ -633,3 +634,81 @@ class TestPropagate:
             init = MetriplecticState(Z=RealState(1.0, 0.0), G=g, n=1.0)
             with pytest.raises(ValueError, match="det = .* <= 0"):
                 propagate(model, init, 1.0, 0.1)
+
+
+def quarter_turn(state: GaussianState) -> GaussianState:
+    """The rotation (p, q) -> (-q, p) of a Gaussian, phase included: b goes to -1/b."""
+    return eta_action(math.pi / 2, math.pi / 2, state)
+
+
+def rotated_rows(values: np.ndarray) -> np.ndarray:
+    """Rows (P, Q, g_pp, g_pq, g_qq, n) under (p, q) -> (-q, p): the metric's diagonal swaps, g_pq changes sign."""
+    p, q, g_pp, g_pq, g_qq, n = values.T
+    return np.column_stack((-q, p, g_qq, -g_pq, g_pp, n))
+
+
+def relative_deviation(values, ref) -> float:
+    return float((np.abs(np.asarray(values) - ref) / np.maximum(1.0, np.abs(ref))).max())
+
+
+rotation_draws = dict(
+    omega0=st.floats(min_value=0.5, max_value=2.0),
+    ratio=st.floats(min_value=-2.0, max_value=2.0),
+    b0=upper_half_b,
+    # centres in the unit square: at delta = 1.9 omega0 and a centre of 2, RK4's n reaches 3e279
+    centre=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+)
+
+
+class TestRotation:
+    """(p, q) -> (-q, p) sends the Swanson model at delta to the one at -delta: an oracle with no reference.
+
+    omega0 I is invariant under the rotation and the off-diagonal delta changes sign, so at -delta
+    the flow entries are those at delta, permuted, to the last bit.  What stays is rounding: the
+    two sides round the same quantities in different operations.  Draws are bounded beyond band
+    0.1, so that no run stops and every row is compared.  The measured worst deviations are those
+    of 1 000 random draws and of the corners of the drawn ranges.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(**rotation_draws, n0=st.floats(min_value=0.5, max_value=2.0))
+    def test_engines_rotate_with_the_model(self, omega0, ratio, b0, centre, n0):
+        params = SwansonParams(omega0, ratio * omega0)
+        assume(classify_b(params, b0, band=0.1) is RegionLabel.BOUNDED)
+        g = metric_from_b(b0)
+        p0, q0 = centre
+        init = MetriplecticState(RealState(p0, q0), g, n0)
+        rotated = MetriplecticState(RealState(-q0, p0), Metric(g.g_qq, -g.g_pq, g.g_pp), n0)
+        model, mirror = swanson_hamiltonian(params), swanson_hamiltonian(SwansonParams(omega0, -params.delta))
+        step = params.period / 500
+        # propagate: the rotated start b0 = (g_pq + i) / g_qq is -1/b0 only to rounding, and n = n0 exp(...)
+        # turns the rounding of its exponent into a relative one (measured worst 2.1e-13, where n reaches 1.8e14).
+        # integrate: each RK4 step rounds P and Q, and g_pp and g_qq, in swapped operations, and the
+        # determinant renormalization rounds again, over 1000 steps (measured worst 7.7e-12)
+        for run, bound in ((propagate, 1e-12), (integrate, 1e-10)):
+            ref = run(model, init, 2.0 * params.period, step)
+            out = run(mirror, rotated, 2.0 * params.period, step)
+            assert ref.divergence_time is None and out.divergence_time is None
+            assert relative_deviation(out.values, rotated_rows(ref.values)) <= bound
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        **rotation_draws,
+        imag_centre=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        gamma=st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        periods=st.floats(min_value=0.0, max_value=2.0),
+    )
+    def test_evolve_state_rotates_with_the_model(self, omega0, ratio, b0, centre, imag_centre, gamma, periods):
+        params = SwansonParams(omega0, ratio * omega0)
+        assume(classify_b(params, b0, band=0.1) is RegionLabel.BOUNDED)
+        z = ComplexState(complex(centre[0], imag_centre[0]), complex(centre[1], imag_centre[1]))
+        state = GaussianState(z, b0, gamma)
+        t = periods * params.period
+        ref = quarter_turn(evolve_state(swanson_hamiltonian(params), state, t))
+        out = evolve_state(swanson_hamiltonian(SwansonParams(omega0, -params.delta)), quarter_turn(state), t)
+        # the quarter turn is itself an evolution (to t = 1 under its generator), so each side rounds
+        # through a different chain of two evolutions: measured worst 7.1e-16 in b, 3.1e-16 in z and
+        # 2.4e-15 in exp(i gamma), which compares the phase modulo 2 pi and Im gamma through |exp(i gamma)|
+        assert relative_deviation(out.b, ref.b) <= 1e-13
+        assert relative_deviation([out.z.p, out.z.q], np.array([ref.z.p, ref.z.q])) <= 1e-13
+        assert relative_deviation(cmath.exp(1j * out.gamma), cmath.exp(1j * ref.gamma)) <= 1e-13

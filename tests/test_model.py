@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from swansim import (
     SwansonParams,
     doubled_generator,
-    spectral_data,
     swanson_hamiltonian,
 )
 from swansim.model import MIN_FREQUENCY
@@ -74,17 +73,16 @@ def test_hamiltonian_rejects_asymmetric_hessian():
 
 
 def test_spectral_hermitian_limit():
-    sd = spectral_data(SwansonParams(1.0, 0.0))
-    assert sd.theta == 0.0
-    assert sd.ground_b == 1j
+    params = SwansonParams(1.0, 0.0)
+    assert params.theta == 0.0
+    assert params.ground_b == 1j
 
 
 def test_spectral_reference_point():
     params = SwansonParams(1.0, 0.5)
-    sd = spectral_data(params)
     assert params.omega == pytest.approx(1.1180339887498949, abs=1e-12)
-    assert sd.theta == pytest.approx(-0.2318238045004031, abs=1e-12)
-    assert sd.ground_b == pytest.approx(1.6180339887498949j, abs=1e-12)
+    assert params.theta == pytest.approx(-0.2318238045004031, abs=1e-12)
+    assert params.ground_b == pytest.approx(1.6180339887498949j, abs=1e-12)
 
 
 def test_ground_b_is_riccati_fixed_point():
@@ -92,7 +90,7 @@ def test_ground_b_is_riccati_fixed_point():
     # stationary width equation b' = -(c_pp b^2 + 2 c_pq b + c_qq) = 0
     params = SwansonParams(1.0, 0.5)
     model = swanson_hamiltonian(params)
-    b = spectral_data(params).ground_b
+    b = params.ground_b
     hc = model.hess_complex
     residual = hc[0, 0] * b * b + 2.0 * hc[0, 1] * b + hc[1, 1]
     assert abs(residual) < 1e-12
@@ -106,11 +104,10 @@ def test_ground_state_energy():
 @given(omega0=positive_omegas, delta=finite_deltas)
 def test_spectral_invariants(omega0, delta):
     params = SwansonParams(omega0, delta)
-    sd = spectral_data(params)
     assert params.omega**2 == pytest.approx(omega0**2 + delta**2, rel=1e-13)
-    assert math.tan(2.0 * sd.theta) + delta / omega0 == pytest.approx(0.0, abs=1e-12 * max(1.0, abs(delta / omega0)))
-    assert abs(sd.theta) < math.pi / 4
-    assert sd.ground_b.imag > 0
+    assert math.tan(2.0 * params.theta) + delta / omega0 == pytest.approx(0.0, abs=1e-12 * max(1.0, abs(delta / omega0)))
+    assert abs(params.theta) < math.pi / 4
+    assert params.ground_b.imag > 0
 
 
 def test_doubled_generator_swanson_blocks():
