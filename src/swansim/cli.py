@@ -1,8 +1,9 @@
 """Command-line front end: simulate, classify, validate, sweep.
 
 simulate and sweep evaluate the exact propagator (gaussian.propagate, block by
-block) on the sample grid set by --step; validate cross-checks it against the
-independent routes, the RK4 integrator (ode.integrate) among them.
+block) on the sample grid set by --step; validate cross-checks the closed forms
+against the independent routes, the RK4 oracles (ode._rk4_blocks through
+ode._integrate_blocks, and gaussian._riccati_blocks) among them.
 _validation_report runs those checks one after another in the calling process
 and builds the whole report; cmd_validate writes it and picks the exit code.
 
@@ -19,7 +20,11 @@ equal labels.  Nor does the memory behind them: simulate and sweep hold one
 engine block of gaussian.PROPAGATE_BLOCK rows at a time.  simulate computes,
 formats and writes a block before it computes the next, and peaks at about
 32 MB resident whether it runs 2 periods or 200; sweep keeps only each run's
-stop.
+stop.  validate holds one block of each RK4 oracle at a time: it compares each
+RK4 block with closed_series as it comes and keeps the running largest
+errors, its divergence check keeps only the stop, and its Riccati check only
+the strided samples it compares; it peaks at about 30 MB resident whatever
+its step.
 
 main(argv) is the in-process API; a process runs it through swansim.__main__.
 
@@ -47,6 +52,7 @@ from .errors import MobiusPoleError, SwansimError
 from .gaussian import (
     GaussianState,
     _propagate_blocks,
+    _riccati_blocks,
     _sampled_rows,
     evolve_b,
     evolve_state,
@@ -54,11 +60,15 @@ from .gaussian import (
     mapped_dynamics,
     metric_from_b,
     project_expectations,
-    riccati_direct,
 )
 from .geometry import DEFAULT_BAND, RegionLabel, classify_metric, region_grid
 from .model import SwansonParams, swanson_hamiltonian
-from .ode import MetriplecticState, integrate, step_count
+from .ode import MetriplecticState, _integrate_blocks, step_count
+
+# Not called here: validate consumes the oracles' blocks.  perfbench/tracing.py rebinds these
+# two names on this module to time them, so they stay importable from it.
+from .gaussian import riccati_direct
+from .ode import integrate
 
 __all__ = ["main"]
 
@@ -370,20 +380,27 @@ def _label_chunks(codes: np.ndarray):
     yield "\n  ]"
 
 
+def _rk4_oracle(params: SwansonParams, step: float):
+    """The RK4 oracle's blocks over one period from _VALIDATION_SEED (ode._integrate_blocks)."""
+    return _integrate_blocks(swanson_hamiltonian(params), _VALIDATION_SEED, params.period, step)
+
+
 def _validation_errors(params: SwansonParams, step: float) -> dict:
-    traj = integrate(swanson_hamiltonian(params), _VALIDATION_SEED, params.period, step)
-    ref = closed_series(params, _VALIDATION_SEED.Z, traj.times)
-    diff = np.abs(traj.values - ref)
-    return {
-        "Z": float(diff[:, :2].max()),
-        "G": float(diff[:, 2:5].max()),
-        "n": float(diff[:, 5].max()),
-    }
+    """Largest |RK4 - closed form| of the centre, the metric and n, one RK4 block at a time."""
+    # np.maximum, unlike max(), keeps a NaN, as the max over the whole run would
+    worst = np.zeros(3)
+    for k0, rows, _, _ in _rk4_oracle(params, step):
+        # a run cut on a block edge ends in an empty block
+        if len(rows):
+            ref = closed_series(params, _VALIDATION_SEED.Z, step * np.arange(k0, k0 + len(rows)))
+            diff = np.abs(rows - ref)
+            worst = np.maximum(worst, (diff[:, :2].max(), diff[:, 2:5].max(), diff[:, 5].max()))
+    return {"Z": float(worst[0]), "G": float(worst[1]), "n": float(worst[2])}
 
 
 def _mobius_vs_riccati(params: SwansonParams, step: float) -> float | None:
-    """Largest |b| difference of the Möbius route from the Riccati RK4 oracle; None if the oracle
-    left the chart, which an under-resolved step does near |delta| = omega0."""
+    """Largest |b| difference of the Möbius route from the Riccati RK4 oracle on every stride-th
+    step; None if the oracle left the chart, which an under-resolved step does near |delta| = omega0."""
     model = swanson_hamiltonian(params)
     t_end = params.period
     n_steps = step_count(t_end, step)
@@ -391,8 +408,13 @@ def _mobius_vs_riccati(params: SwansonParams, step: float) -> float | None:
     times = step * np.arange(0, n_steps + 1, stride)
     worst = 0.0
     for b0 in (params.ground_b, 1j, 0.8 + 1.5j, -0.6 + 2j):
+        # the strided samples are copied out of each block, so that no block outlives its turn
+        ref = np.empty(len(times), dtype=complex)
         try:
-            ref = riccati_direct(model, b0, t_end, step)[::stride]
+            for k0, samples in _riccati_blocks(model, b0, t_end, step):
+                lo = -(-k0 // stride)  # the block's first strided step is lo * stride
+                picked = samples[lo * stride - k0 :: stride]
+                ref[lo : lo + len(picked)] = picked
         except MobiusPoleError:
             return None
         mob = np.array([evolve_b(model, b0, t) for t in times])
@@ -439,11 +461,13 @@ def _validation_report(params: SwansonParams, step: float) -> dict:
         "thresholds": thresholds,
     }
     if pole is not None:
-        traj = integrate(swanson_hamiltonian(params), _VALIDATION_SEED, params.period, step)
-        ok = traj.divergence_time is not None and abs(traj.divergence_time - pole) <= 2 * step
+        for _, _, stop, _ in _rk4_oracle(params, step):
+            pass
+        ode_time = stop * step if stop >= 0 else None
+        ok = ode_time is not None and abs(ode_time - pole) <= 2 * step
         report["divergence"] = {
             "closed_form_time": pole,
-            "ode_time": traj.divergence_time,
+            "ode_time": ode_time,
             "within_tolerance": ok,
         }
         report["max_errors"] = None

@@ -3,7 +3,7 @@
 Classical fixed-step RK4 on the coupled centre/metric/norm flow: the flows
 are smooth, periodic and low-dimensional, so adaptivity buys nothing and
 fixed steps keep the convergence-order tests clean.  The right-hand side is
-written once, inline in _metriplectic_rk4, a loop on plain Python floats held
+written once, inline in _rk4_blocks, a loop on plain Python floats held
 in locals (indexing numpy elements would cost several times the arithmetic)
 that stops at the first non-finite state (a zero determinant included)
 without numpy warnings; the tests pin one step and whole runs of it to the
@@ -12,7 +12,10 @@ largest metric eigenvalue and the centre norm.
 
 The CLI's simulate and sweep run the exact engine (gaussian._propagate_blocks,
 whose rows gaussian.propagate returns as the same Trajectory on the same
-grid); integrate stays as its independent oracle for validate and the tests.
+grid); RK4 stays as its independent oracle.  _rk4_blocks yields a run
+RK4_BLOCK rows at a time, carrying the state across blocks: validate consumes
+those blocks (through _integrate_blocks) and holds one at a time, and
+integrate collects them into the whole Trajectory for the tests.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ __all__ = [
 
 # metric eigenvalue / centre norm beyond which a trajectory counts as divergent
 BLOWUP_THRESHOLD = 1e8
+
+# rows per block of _rk4_blocks: what validate holds of an RK4 run at once, whatever its length
+RK4_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -90,22 +96,25 @@ def step_count(t_end: float, step: float) -> int:
     return max(1, int(round(t_end / step)))
 
 
-def _metriplectic_rk4(model: QuadraticHamiltonian, y0, step: float, n_steps: int):
-    """Fixed-step RK4 on the coupled centre/metric/norm system of model.
+def _rk4_blocks(model: QuadraticHamiltonian, y0, step: float, n_steps: int):
+    """Fixed-step RK4 on the coupled centre/metric/norm system of model, RK4_BLOCK rows at a time.
 
     State layout: y = (P, Q, g_pp, g_pq, g_qq, n), y0 any six numbers.  After
     every step the metric determinant is renormalized to one (the flow
     preserves it exactly but RK4 does not); symmetry of the metric is
     structural in this packing.
 
-    Returns (out, stop, drift).  out has n_steps + 1 rows with out[0] = y0;
-    stop == -1 on a completed run, every row then filled, otherwise the first
-    step index whose state is divergent (non-finite, not positive definite,
-    or a metric eigenvalue or centre norm over BLOWUP_THRESHOLD), and only
-    rows out[:stop] are valid.  drift is the largest |det - 1| seen before
-    renormalization.  The arithmetic runs on Python floats held in locals; a
-    stage that divides by a zero determinant would leave a non-finite state,
-    so its ZeroDivisionError stops the run at that step.
+    Yields (k0, rows, stop, drift) for each block.  rows is a fresh (m, 6)
+    array of the rows k0 .. k0 + m - 1 of the n_steps + 1, with row 0 = y0.
+    stop is -1, except on the last block of a run that diverged: that block
+    ends just before the first divergent step, stop is that step's index,
+    and m may be 0.  Divergent means non-finite, not positive definite, or a
+    metric eigenvalue or centre norm over BLOWUP_THRESHOLD.  drift is the
+    largest |det - 1| seen before renormalization up to the block's end.
+    The state carries from block to block.  The arithmetic runs on Python
+    floats held in locals; a stage that divides by a zero determinant would
+    leave a non-finite state, so its ZeroDivisionError stops the run at that
+    step.
     """
     (a00, a01), (_, a11) = model.hess_h.tolist()
     (b00, b01), (_, b11) = model.hess_gamma.tolist()
@@ -140,60 +149,77 @@ def _metriplectic_rk4(model: QuadraticHamiltonian, y0, step: float, n_steps: int
             -(2.0 * gam + 0.5 * (b11 * gpp - 2.0 * b01 * gpq + b00 * gqq)) * nn,
         )
 
-    out = np.empty((n_steps + 1, 6))
-    out[0] = y0
+    n_rows = n_steps + 1
     z0, z1, z2, z3, z4, z5 = map(float, y0)
     drift = 0.0
-    for k in range(1, n_steps + 1):
-        try:
-            p1, q1, a1, b1, c1, n1 = rate(z0, z1, z2, z3, z4, z5)
-            p2, q2, a2, b2, c2, n2 = rate(
-                z0 + half * p1, z1 + half * q1, z2 + half * a1, z3 + half * b1, z4 + half * c1, z5 + half * n1
-            )
-            p3, q3, a3, b3, c3, n3 = rate(
-                z0 + half * p2, z1 + half * q2, z2 + half * a2, z3 + half * b2, z4 + half * c2, z5 + half * n2
-            )
-            p4, q4, a4, b4, c4, n4 = rate(
-                z0 + step * p3, z1 + step * q3, z2 + step * a3, z3 + step * b3, z4 + step * c3, z5 + step * n3
-            )
-        except ZeroDivisionError:
-            return out, k, drift
-        z0 = z0 + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-        z1 = z1 + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-        z2 = z2 + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        z3 = z3 + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        z4 = z4 + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-        z5 = z5 + sixth * (n1 + 2.0 * n2 + 2.0 * n3 + n4)
+    for k0 in range(0, n_rows, RK4_BLOCK):
+        out = np.empty((min(RK4_BLOCK, n_rows - k0), 6))
+        if k0 == 0:
+            out[0] = y0
+        # row j of the block is step k0 + j
+        for j in range(1 if k0 == 0 else 0, len(out)):
+            try:
+                p1, q1, a1, b1, c1, n1 = rate(z0, z1, z2, z3, z4, z5)
+                p2, q2, a2, b2, c2, n2 = rate(
+                    z0 + half * p1, z1 + half * q1, z2 + half * a1, z3 + half * b1, z4 + half * c1, z5 + half * n1
+                )
+                p3, q3, a3, b3, c3, n3 = rate(
+                    z0 + half * p2, z1 + half * q2, z2 + half * a2, z3 + half * b2, z4 + half * c2, z5 + half * n2
+                )
+                p4, q4, a4, b4, c4, n4 = rate(
+                    z0 + step * p3, z1 + step * q3, z2 + step * a3, z3 + step * b3, z4 + step * c3, z5 + step * n3
+                )
+            except ZeroDivisionError:
+                break
+            z0 = z0 + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+            z1 = z1 + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+            z2 = z2 + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            z3 = z3 + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            z4 = z4 + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+            z5 = z5 + sixth * (n1 + 2.0 * n2 + 2.0 * n3 + n4)
 
-        if not (isfinite(z0) and isfinite(z1) and isfinite(z2) and isfinite(z3) and isfinite(z4) and isfinite(z5)):
-            return out, k, drift
-        if z2 <= 0.0 or z4 <= 0.0:
-            return out, k, drift
-        det = z2 * z4 - z3 * z3
-        tr = z2 + z4
-        # The computed det is authoritative only at moderate amplitude; for
-        # large metrics it is cancellation noise, and renormalizing by it (or
-        # rejecting on its sign) corrupts an otherwise accurate solution on
-        # approach to a blow-up.
-        if tr < 1e3:
-            if det <= 0.0 or not isfinite(det):
-                return out, k, drift
-            d1 = abs(det - 1.0)
-            if d1 > drift:
-                drift = d1
-            scale = 1.0 / sqrt(det)
-            z2 *= scale
-            z3 *= scale
-            z4 *= scale
-            det = 1.0
+            if not (isfinite(z0) and isfinite(z1) and isfinite(z2) and isfinite(z3) and isfinite(z4) and isfinite(z5)):
+                break
+            if z2 <= 0.0 or z4 <= 0.0:
+                break
+            det = z2 * z4 - z3 * z3
             tr = z2 + z4
-        disc = tr * tr - 4.0 * det
-        if disc < 0.0:
-            disc = 0.0
-        if 0.5 * (tr + sqrt(disc)) > BLOWUP_THRESHOLD or math.hypot(z0, z1) > BLOWUP_THRESHOLD:
-            return out, k, drift
-        out[k] = (z0, z1, z2, z3, z4, z5)
-    return out, -1, drift
+            # The computed det is authoritative only at moderate amplitude; for
+            # large metrics it is cancellation noise, and renormalizing by it (or
+            # rejecting on its sign) corrupts an otherwise accurate solution on
+            # approach to a blow-up.
+            if tr < 1e3:
+                if det <= 0.0 or not isfinite(det):
+                    break
+                d1 = abs(det - 1.0)
+                if d1 > drift:
+                    drift = d1
+                scale = 1.0 / sqrt(det)
+                z2 *= scale
+                z3 *= scale
+                z4 *= scale
+                det = 1.0
+                tr = z2 + z4
+            disc = tr * tr - 4.0 * det
+            if disc < 0.0:
+                disc = 0.0
+            if 0.5 * (tr + sqrt(disc)) > BLOWUP_THRESHOLD or math.hypot(z0, z1) > BLOWUP_THRESHOLD:
+                break
+            out[j] = (z0, z1, z2, z3, z4, z5)
+        else:
+            yield k0, out, -1, drift
+            continue
+        # step k0 + j is the first divergent one
+        yield k0, out[:j], k0 + j, drift
+        return
+
+
+def _integrate_blocks(model: QuadraticHamiltonian, init: MetriplecticState, t_end: float, step: float):
+    """integrate's rows as _rk4_blocks yields them; ValueError, raised at the call, if det G0 <= 0."""
+    if not init.G.det > 0:
+        raise ValueError(f"initial metric must be positive definite, got det = {init.G.det!r} <= 0")
+    y0 = (init.Z.P, init.Z.Q, init.G.g_pp, init.G.g_pq, init.G.g_qq, init.n)
+    return _rk4_blocks(model, y0, step, step_count(t_end, step))
 
 
 def integrate(model: QuadraticHamiltonian, init: MetriplecticState, t_end: float, step: float) -> Trajectory:
@@ -203,10 +229,11 @@ def integrate(model: QuadraticHamiltonian, init: MetriplecticState, t_end: float
     The metric determinant is renormalized to one after every step.  On
     blow-up the trajectory is truncated and divergence_time is set to the
     first offending time.  ValueError if the initial metric has det <= 0.
+    The whole run is held in memory; validate consumes the blocks
+    (_integrate_blocks) instead, one at a time.
     """
-    if not init.G.det > 0:
-        raise ValueError(f"initial metric must be positive definite, got det = {init.G.det!r} <= 0")
-    y0 = (init.Z.P, init.Z.Q, init.G.g_pp, init.G.g_pq, init.G.g_qq, init.n)
-    out, stop, drift = _metriplectic_rk4(model, y0, step, step_count(t_end, step))
+    out = np.empty((step_count(t_end, step) + 1, 6))
+    for k0, rows, stop, drift in _integrate_blocks(model, init, t_end, step):
+        out[k0 : k0 + len(rows)] = rows
     return Trajectory.from_samples(out, stop, step, det_drift=drift)
 

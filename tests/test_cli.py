@@ -23,17 +23,20 @@ import swansim.__main__ as swansim_main
 from swansim import (
     Metric,
     MetriplecticState,
+    MobiusPoleError,
     RealState,
     RegionLabel,
     SwansimError,
     SwansonParams,
+    integrate,
     metric_eigen,
     metric_from_b,
     propagate,
     region_grid,
+    riccati_direct,
     swanson_hamiltonian,
 )
-from swansim import cli, gaussian
+from swansim import cli, gaussian, ode
 from swansim.cli import _COMMANDS, CSV_HEADER, _build_parser, _label_chunks, main
 
 # JSON value of each region_grid code: code k is list(RegionLabel)[k]
@@ -591,12 +594,21 @@ PEAK_RSS_SCRIPT = """if True:
 """
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep"])
+# a run's flags, then those of a run ten times as long: ten times the periods, or a tenth of
+# validate's default step T/10^4 (its span is one period of the default model)
+LONGER_RUNS = {
+    "simulate": (["--periods=2"], ["--periods=20"]),
+    "sweep": (["--periods=2"], ["--periods=20"]),
+    "validate": ([], [f"--step={SwansonParams(1.0, 0.5).period / 100_000!r}"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LONGER_RUNS))
 def test_peak_memory_does_not_grow_with_the_run(tmp_path: Path, command):
-    # one engine block at a time: ten times the periods, the same peak
+    # one engine or oracle block at a time: a run ten times as long, the same peak
     peaks = []
-    for periods in (2, 20):
-        argv = [command, f"--periods={periods}", f"--out={tmp_path / f'{periods}.csv'}"]
+    for i, flags in enumerate(LONGER_RUNS[command]):
+        argv = [command, *flags, f"--out={tmp_path / f'{i}.out'}"]
         cp = subprocess.run([sys.executable, "-c", PEAK_RSS_SCRIPT, *argv], capture_output=True, text=True, timeout=120)
         assert cp.returncode == 0, cp.stderr
         code, peak_kib = map(int, cp.stdout.split())
@@ -614,7 +626,15 @@ UNWRITABLE_ARGV = {
 
 
 # what each subcommand computes; --out is checked before any of it runs
-COMPUTE = ("_propagate_blocks", "_sampled_rows", "region_grid", "integrate", "first_pole_time", "classify_metric")
+COMPUTE = (
+    "_propagate_blocks",
+    "_sampled_rows",
+    "region_grid",
+    "_integrate_blocks",
+    "_riccati_blocks",
+    "first_pole_time",
+    "classify_metric",
+)
 
 
 @pytest.mark.parametrize("command", sorted(UNWRITABLE_ARGV))
@@ -1050,6 +1070,54 @@ def test_simulate_divergence_row_follows_a_block_edge(tmp_path: Path, monkeypatc
     assert main(["simulate", "--delta=1.1", f"--out={out}"]) == 3
     assert out.read_bytes() == expected
     assert forks == []
+
+
+# the RK4 seed and step of the oracle block tests; at (1, 1.2) the RK4 run diverges.  T/357 makes
+# the Riccati check's stride 3, so that a block of 100 starts off the stride
+ORACLE_INIT = MetriplecticState(Z=RealState(0.6, -0.8), G=metric_from_b(0.8 + 1.5j), n=1.0)
+ORACLE_STEPS = 357
+
+
+def oracle_results(params: SwansonParams):
+    """integrate's run from ORACLE_INIT and from validate's seed, the Riccati runs from 0.8 + 1.5i
+    and from 0.3 + i delta/omega0 (or the error and bracket of a run that leaves the chart), and the
+    validate report, at step T/ORACLE_STEPS."""
+    model, step = swanson_hamiltonian(params), params.period / ORACLE_STEPS
+    results = []
+    for init in (ORACLE_INIT, cli._VALIDATION_SEED):
+        traj = integrate(model, init, params.period, step)
+        results.append((traj.values.tobytes(), traj.times.tobytes(), traj.divergence_time, traj.det_drift))
+    # Im b0 = delta / omega0: the Möbius denominator of the second is real and vanishes before T
+    for b0 in (0.8 + 1.5j, complex(0.3, params.delta / params.omega0)):
+        try:
+            results.append(riccati_direct(model, b0, params.period, step).tobytes())
+        except MobiusPoleError as exc:
+            results.append((str(exc), exc.bracket))
+    results.append(cli._validation_report(params, step))
+    return results
+
+
+@pytest.mark.parametrize("delta, block", [(0.5, 1), (0.5, 3), (0.5, 100), (1.2, 1), (1.2, 3), (1.2, 100), (1.2, "stop")])
+def test_oracle_results_at_block_edges(monkeypatch, delta, block):
+    # the RK4 and Riccati oracles run in blocks (ode.RK4_BLOCK, gaussian.RICCATI_BLOCK); blocks of
+    # 1, 3 or 100 rows, or as many as validate's divergent RK4 run keeps, change no result
+    params = SwansonParams(1.0, delta)
+    step = params.period / ORACLE_STEPS
+    expected = oracle_results(params)
+    divergence = expected[-1]["divergence"]
+    stop = None if divergence is None else round(divergence["ode_time"] / step)
+    if block == "stop":
+        block = stop
+    monkeypatch.setattr(ode, "RK4_BLOCK", block)
+    monkeypatch.setattr(gaussian, "RICCATI_BLOCK", block)
+    assert oracle_results(params) == expected
+    # the second Riccati run leaves the chart
+    assert isinstance(expected[3], tuple) and expected[3][0] == "Riccati solution left the chart"
+    if stop is not None:
+        # the divergent model: validate's RK4 run ends in a block cut at its stop, empty where the
+        # stop falls on a block edge (blocks of 1 and of stop)
+        ends = [(k0, len(rows), k) for k0, rows, k, _ in cli._rk4_oracle(params, step)][-1]
+        assert ends == (stop - stop % block, stop % block, stop)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device every write to fails")

@@ -15,7 +15,7 @@ from swansim import (
     swanson_hamiltonian,
 )
 from swansim.model import OMEGA
-from swansim.ode import BLOWUP_THRESHOLD, _metriplectic_rk4
+from swansim.ode import BLOWUP_THRESHOLD, _rk4_blocks
 
 PARAMS = SwansonParams(1.0, 0.5)
 MODEL = swanson_hamiltonian(PARAMS)
@@ -297,8 +297,8 @@ class TestIntegrate:
         model = QuadraticHamiltonian(hess_h=np.eye(2), hess_gamma=np.zeros((2, 2)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out, stop, drift = _metriplectic_rk4(model, y0, 0.1, 3)
-        assert (stop, drift) == (1, 0.0)
+            ((k0, out, stop, drift),) = _rk4_blocks(model, y0, 0.1, 3)
+        assert (k0, stop, drift) == (0, 1, 0.0)
         assert np.array_equal(out[0], y0)
 
 
