@@ -19,12 +19,14 @@ one pass of _csvrows.sample_lines at a time, the classify labels in runs of
 equal labels.  Nor does the memory behind them: simulate and sweep hold one
 engine block of gaussian.PROPAGATE_BLOCK rows at a time.  simulate computes,
 formats and writes a block before it computes the next, and peaks at about
-32 MB resident whether it runs 2 periods or 200; sweep keeps only each run's
-stop.  validate holds one block of each RK4 oracle at a time: it compares each
-RK4 block with closed_series as it comes and keeps the running largest
-errors, its divergence check keeps only the stop, and its Riccati check only
-the strided samples it compares; it peaks at about 30 MB resident whatever
-its step.
+32 MB resident whether it runs 2 periods or 200.  sweep needs only each run's
+stop, and takes it from _stops._stop_index: the closed forms prove most
+bounded runs without evaluating a row, and any other run is scanned block by
+block.  validate holds one block of each RK4 oracle at a time: it
+compares each RK4 block with closed_series as it comes and keeps the running
+largest errors, its divergence check keeps only the stop, and its Riccati
+check only the strided samples it compares; it peaks at about 30 MB resident
+whatever its step.
 
 main(argv) is the in-process API; a process runs it through swansim.__main__.
 
@@ -514,20 +516,21 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if not (math.isfinite(n_delta_steps) and n_delta_steps < MAX_SAMPLES):
         raise ConfigError(f"the coupling range must hold at most {MAX_SAMPLES} values")
     n_values = int(math.floor(n_delta_steps + 1e-9)) + 1
+    # imported here, so that the other commands do not compile it
+    from ._stops import _stop_index
+
     for k in range(n_values):
         delta = cfg.delta_min + k * cfg.delta_step
         params = dataclasses.replace(cfg, delta=delta).params
         label = classify_metric(params, init.G)
         t_end = periods * params.period
         step = cfg.sample_step(params.period, t_end)
-        model = swanson_hamiltonian(params)
-        for _, _, stop in _propagate_blocks(model, init, t_end, step):
-            pass
+        stop = _stop_index(params, init, t_end, step)
         diverged = stop >= 0
         # every max(1, kept // 200)-th kept row, evaluated again once the stop is known, so that
         # no row outlives its block; the stop is never row 0, so the sample is never empty
         kept = stop if diverged else step_count(t_end, step) + 1
-        sample, _ = _sampled_rows(model, init, step * np.arange(0, kept, max(1, kept // 200)))
+        sample, _ = _sampled_rows(swanson_hamiltonian(params), init, step * np.arange(0, kept, max(1, kept // 200)))
         g_plus = metric_eigen(sample[:, 2], sample[:, 3], sample[:, 4])[0]
         rows.append(
             ",".join(

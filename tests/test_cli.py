@@ -37,6 +37,7 @@ from swansim import (
     swanson_hamiltonian,
 )
 from swansim import cli, gaussian, ode
+from swansim.gaussian import _sampled_rows
 from swansim.cli import _COMMANDS, CSV_HEADER, _build_parser, _label_chunks, main
 
 # JSON value of each region_grid code: code k is list(RegionLabel)[k]
@@ -1158,6 +1159,50 @@ def test_closed_stdout_leaves_no_child():
         cp = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120)
         assert cp.returncode == 0, cp.stderr
         assert json.loads(cp.stdout) == [CSV_HEADER[:20], code, err, None]
+
+
+def test_sweep_work_does_not_grow_with_bounded_periods(tmp_path: Path, monkeypatch):
+    # the couplings 0.5 .. 0.9 are bounded and 1.1, 1.2 divergent (identity seed); a bounded coupling
+    # is proved without a row and evaluates only its 200 or so sampled rows, whatever its length,
+    # while a divergent one scans, block by block, up to its stop
+    scanned, resampled = [], []
+    monkeypatch.setattr(gaussian, "_sampled_rows", lambda *args: scanned.append(len(args[2])) or _sampled_rows(*args))
+    monkeypatch.setattr(cli, "_sampled_rows", lambda *args: resampled.append(len(args[2])) or _sampled_rows(*args))
+    out = tmp_path / "sweep.csv"
+    work = {}
+    for periods in (2, 50):
+        for name, lo, hi in (("bounded", 0.5, 0.95), ("divergent", 1.1, 1.25)):
+            scanned.clear()
+            resampled.clear()
+            argv = [f"--delta-min={lo}", f"--delta-max={hi}", "--delta-step=0.1", f"--periods={periods}"]
+            assert main(["sweep", *argv, f"--out={out}"]) == 0
+            _, rows = read_csv(out)
+            work[name, periods] = (list(scanned), len(resampled))
+            if name == "divergent":
+                # each run scans the blocks up to the one that holds its stop, which the first
+                # period holds whatever the length
+                stops = [round(float(cells[3]) / (SwansonParams(1.0, float(cells[0])).period / 10_000)) for cells in rows]
+                blocks = [min(-(-(stop + 1) // gaussian.PROPAGATE_BLOCK), 2) for stop in stops]
+                assert len(scanned) == sum(blocks)
+    assert work["bounded", 2] == work["bounded", 50] == ([], 5)
+    assert work["divergent", 2] == work["divergent", 50]
+
+
+def test_only_sweep_compiles_the_stop_proof(tmp_path: Path):
+    # a simulate that writes to a file, classify and validate never import _stops; sweep does
+    code = """if True:
+        import sys
+        from swansim.cli import main
+        seen = []
+        for argv in (["simulate", "--periods=0.5"], ["classify", "--resolution=5"], ["validate", "--step=0.002"],
+                     ["sweep", "--delta-max=0.2"]):
+            assert main([*argv, "--out=" + sys.argv[1]]) == 0
+            seen.append("swansim._stops" in sys.modules)
+        print(seen)
+    """
+    cp = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "[False, False, False, True]"
 
 
 @pytest.mark.parametrize(

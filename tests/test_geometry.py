@@ -26,6 +26,7 @@ from swansim import (
     xyz_from_metric,
     xyz_rhs,
 )
+from swansim import _stops
 from swansim.gaussian import _flow_entries
 from swansim.geometry import _b_margin, grid_axes
 
@@ -353,3 +354,14 @@ class TestDivergenceLaw:
             sign = np.sign(alpha - radius)
             assert np.sign(_b_margin(params, b0.real, b0.imag)) == sign
             assert np.sign(1.0 - abs(plane_slope(params, xyz_from_metric(metric_from_b(b0))))) == sign
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        omega0=st.floats(min_value=0.2, max_value=3.0),
+        delta=st.floats(min_value=-3.0, max_value=3.0),
+        b0=upper_half_b,
+    )
+    def test_library_law_is_this_formula(self, omega0, delta, b0):
+        # _stops.divergence_law, which proves bounded runs for the engine, is this helper's formula
+        params = SwansonParams(omega0, delta)
+        assert _stops.divergence_law(params, b0) == divergence_law(params, b0)
