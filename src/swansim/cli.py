@@ -3,7 +3,7 @@
 simulate and sweep evaluate the exact propagator (gaussian.propagate, block by
 block) on the sample grid set by --step; validate cross-checks the closed forms
 against the independent routes, the RK4 oracles (ode._rk4_blocks through
-ode._integrate_blocks, and gaussian._riccati_blocks) among them.
+ode._integrate_blocks, and gaussian._riccati_steps) among them.
 _validation_report runs those checks one after another in the calling process
 and builds the whole report; cmd_validate writes it and picks the exit code.
 
@@ -22,10 +22,11 @@ formats and writes a block before it computes the next, and peaks at about
 32 MB resident whether it runs 2 periods or 200.  sweep needs only each run's
 stop, and takes it from _stops._stop_index: the closed forms prove most
 bounded runs without evaluating a row, and any other run is scanned block by
-block.  validate holds one block of each RK4 oracle at a time: it
-compares each RK4 block with closed_series as it comes and keeps the running
-largest errors, its divergence check keeps only the stop, and its Riccati
-check only the strided samples it compares; it peaks at about 30 MB resident
+block.  validate holds one block of the metriplectic RK4 oracle at a time:
+it compares each block with closed_series as it comes and keeps the running
+largest errors, and its divergence check keeps only the stop.  The Riccati
+oracle is a stream of steps, of which the Riccati check keeps only the
+strided samples it compares.  validate peaks at about 30 MB resident
 whatever its step.
 
 main(argv) is the in-process API; a process runs it through swansim.__main__.
@@ -54,7 +55,7 @@ from .errors import MobiusPoleError, SwansimError
 from .gaussian import (
     GaussianState,
     _propagate_blocks,
-    _riccati_blocks,
+    _riccati_steps,
     _sampled_rows,
     evolve_b,
     evolve_state,
@@ -67,7 +68,7 @@ from .geometry import DEFAULT_BAND, RegionLabel, classify_metric, region_grid
 from .model import SwansonParams, swanson_hamiltonian
 from .ode import MetriplecticState, _integrate_blocks, step_count
 
-# Not called here: validate consumes the oracles' blocks.  perfbench/tracing.py rebinds these
+# Not called here: validate consumes the oracles' blocks and steps.  perfbench/tracing.py rebinds these
 # two names on this module to time them, so they stay importable from it.
 from .gaussian import riccati_direct
 from .ode import integrate
@@ -402,7 +403,9 @@ def _validation_errors(params: SwansonParams, step: float) -> dict:
 
 def _mobius_vs_riccati(params: SwansonParams, step: float) -> float | None:
     """Largest |b| difference of the Möbius route from the Riccati RK4 oracle on every stride-th
-    step; None if the oracle left the chart, which an under-resolved step does near |delta| = omega0."""
+    step; None if the oracle left the chart, which an under-resolved step does near |delta| = omega0.
+
+    Only the strided steps of each oracle run (gaussian._riccati_steps) are kept."""
     model = swanson_hamiltonian(params)
     t_end = params.period
     n_steps = step_count(t_end, step)
@@ -410,13 +413,10 @@ def _mobius_vs_riccati(params: SwansonParams, step: float) -> float | None:
     times = step * np.arange(0, n_steps + 1, stride)
     worst = 0.0
     for b0 in (params.ground_b, 1j, 0.8 + 1.5j, -0.6 + 2j):
-        # the strided samples are copied out of each block, so that no block outlives its turn
-        ref = np.empty(len(times), dtype=complex)
         try:
-            for k0, samples in _riccati_blocks(model, b0, t_end, step):
-                lo = -(-k0 // stride)  # the block's first strided step is lo * stride
-                picked = samples[lo * stride - k0 :: stride]
-                ref[lo : lo + len(picked)] = picked
+            # islice runs the stream to its end, so a run that leaves the chart after its last
+            # strided step is refused too
+            ref = np.fromiter(itertools.islice(_riccati_steps(model, b0, t_end, step), 0, None, stride), complex)
         except MobiusPoleError:
             return None
         mob = np.array([evolve_b(model, b0, t) for t in times])

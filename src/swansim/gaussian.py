@@ -56,9 +56,6 @@ POLE_TOL = 1e-12
 # whatever its length
 PROPAGATE_BLOCK = 2048
 
-# samples per block of _riccati_blocks: what validate holds of a Riccati run at once
-RICCATI_BLOCK = 2048
-
 # uniform times from 0 to t_end at which blowup_detected samples the Möbius flow
 BLOWUP_SAMPLES = 4001
 
@@ -153,55 +150,46 @@ def metric_closed(params: SwansonParams, g0: Metric, t: float) -> Metric:
         raise DivergenceError(f"metric flow diverged: {exc}", time=t) from exc
 
 
-def _riccati_blocks(model: QuadraticHamiltonian, b0: complex, t_end: float, step: float):
-    """Direct RK4 on the Riccati flow b' = -(cpp b^2 + 2 cpq b + cqq), RICCATI_BLOCK samples at a time.
+def _riccati_steps(model: QuadraticHamiltonian, b0: complex, t_end: float, step: float):
+    """Direct RK4 on the Riccati flow b' = -(cpp b^2 + 2 cpq b + cqq), one step at a time.
 
-    Yields (k0, samples) for each block: a fresh complex array of the
-    solution at steps k0 .. k0 + m - 1 of step_count(t_end, step) + 1, with
-    sample 0 = b0.  The state carries from block to block, and the loop runs
-    on Python complex numbers held in locals.  Raises MobiusPoleError when
-    the solution first leaves the chart (|b| > 1e12 or non-finite), at step
-    k, with the bracket ((k - 2) step, k step), cut at 0: fixed-step RK4 lags
-    the pole, so step k alone can begin just after it.
+    Yields the solution, a Python complex, at steps 0 .. step_count(t_end,
+    step), with step 0 = b0.  The loop runs on Python complex numbers held
+    in locals.  A Python loop yields steps, and blocks exist only where
+    numpy takes them whole; validate keeps one step in a hundred of this
+    one.  Raises MobiusPoleError when the solution first leaves the chart
+    (|b| > 1e12 or non-finite), at step k, with the bracket ((k - 2) step,
+    k step), cut at 0: fixed-step RK4 lags the pole, so step k alone can
+    begin just after it.
     """
     cpp, cpq, cqq = _hessian_coeffs(model)
-    n_rows = step_count(t_end, step) + 1
     # (2.0 * cpq) * b is 2.0 * cpq * b, since products group left to right
     cpq2, half, sixth, isfinite = 2.0 * cpq, 0.5 * step, step / 6.0, math.isfinite
     b = complex(b0)
-    for k0 in range(0, n_rows, RICCATI_BLOCK):
-        out = np.empty(min(RICCATI_BLOCK, n_rows - k0), dtype=complex)
-        if k0 == 0:
-            out[0] = b
-        # sample j of the block is step k0 + j
-        for j in range(1 if k0 == 0 else 0, len(out)):
-            k1 = -(cpp * b * b + cpq2 * b + cqq)
-            b2 = b + half * k1
-            k2 = -(cpp * b2 * b2 + cpq2 * b2 + cqq)
-            b3 = b + half * k2
-            k3 = -(cpp * b3 * b3 + cpq2 * b3 + cqq)
-            b4 = b + step * k3
-            k4 = -(cpp * b4 * b4 + cpq2 * b4 + cqq)
-            b = b + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not (isfinite(b.real) and isfinite(b.imag)) or abs(b) > 1e12:
-                k = k0 + j
-                raise MobiusPoleError("Riccati solution left the chart", bracket=(max(k - 2, 0) * step, k * step))
-            out[j] = b
-        yield k0, out
+    yield b
+    for k in range(1, step_count(t_end, step) + 1):
+        k1 = -(cpp * b * b + cpq2 * b + cqq)
+        b2 = b + half * k1
+        k2 = -(cpp * b2 * b2 + cpq2 * b2 + cqq)
+        b3 = b + half * k2
+        k3 = -(cpp * b3 * b3 + cpq2 * b3 + cqq)
+        b4 = b + step * k3
+        k4 = -(cpp * b4 * b4 + cpq2 * b4 + cqq)
+        b = b + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not (isfinite(b.real) and isfinite(b.imag)) or abs(b) > 1e12:
+            raise MobiusPoleError("Riccati solution left the chart", bracket=(max(k - 2, 0) * step, k * step))
+        yield b
 
 
 def riccati_direct(model: QuadraticHamiltonian, b0: complex, t_end: float, step: float) -> np.ndarray:
     """Direct RK4 on the Riccati flow b' = -(cpp b^2 + 2 cpq b + cqq), sampled at every step.
 
-    Independent of the Möbius route; used as its cross-check.  The samples
-    of _riccati_blocks, collected into one array; MobiusPoleError, with its
+    Independent of the Möbius route; used as its cross-check.  The steps of
+    _riccati_steps, collected into one array; MobiusPoleError, with its
     bracket, when the solution leaves the chart.  The whole run is held in
-    memory; validate consumes the blocks instead, one at a time.
+    memory; validate takes only its strided steps from the stream instead.
     """
-    out = np.empty(step_count(t_end, step) + 1, dtype=complex)
-    for k0, samples in _riccati_blocks(model, b0, t_end, step):
-        out[k0 : k0 + len(samples)] = samples
-    return out
+    return np.fromiter(_riccati_steps(model, b0, t_end, step), complex)
 
 
 def _centre(p, q, g_pp, g_pq, g_qq):
@@ -433,9 +421,10 @@ def blowup_detected(model: QuadraticHamiltonian, b0, t_end: float) -> np.ndarray
     """
     b0 = np.asarray(b0, dtype=complex)
     times = np.linspace(0.0, t_end, BLOWUP_SAMPLES)
-    spp, spq, sqp, sqq = _flow_entries(model, times)
-    den = np.multiply.outer(sqp, b0) + sqq.reshape(sqq.shape + (1,) * b0.ndim)
-    num = np.multiply.outer(spp, b0) + spq.reshape(spq.shape + (1,) * b0.ndim)
+    # one time per leading index, broadcast against b0
+    spp, spq, sqp, sqq = _flow_entries(model, times.reshape(times.shape + (1,) * b0.ndim))
+    den = sqp * b0 + sqq
+    num = spp * b0 + spq
     with np.errstate(all="ignore"):
         bs = num / den
         bad = (bs.imag <= 0.0) | ~np.isfinite(bs.real) | ~np.isfinite(bs.imag) | (np.abs(bs) > 1e8)

@@ -15,7 +15,10 @@ whose rows gaussian.propagate returns as the same Trajectory on the same
 grid); RK4 stays as its independent oracle.  _rk4_blocks yields a run
 RK4_BLOCK rows at a time, carrying the state across blocks: validate consumes
 those blocks (through _integrate_blocks) and holds one at a time, and
-integrate collects them into the whole Trajectory for the tests.
+integrate collects them into the whole Trajectory for the tests.  A Python
+loop yields steps, and blocks exist only where numpy takes them whole: here
+closed_series compares each block at once, while the Riccati oracle
+(gaussian._riccati_steps), whose consumer keeps single steps, yields steps.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -37,7 +38,8 @@ from swansim import (
     swanson_hamiltonian,
 )
 from swansim import cli, gaussian, ode
-from swansim.gaussian import _sampled_rows
+from swansim.gaussian import _riccati_steps, _sampled_rows, evolve_b
+from swansim.ode import step_count
 from swansim.cli import _COMMANDS, CSV_HEADER, _build_parser, _label_chunks, main
 
 # JSON value of each region_grid code: code k is list(RegionLabel)[k]
@@ -632,7 +634,7 @@ COMPUTE = (
     "_sampled_rows",
     "region_grid",
     "_integrate_blocks",
-    "_riccati_blocks",
+    "_riccati_steps",
     "first_pole_time",
     "classify_metric",
 )
@@ -1100,8 +1102,9 @@ def oracle_results(params: SwansonParams):
 
 @pytest.mark.parametrize("delta, block", [(0.5, 1), (0.5, 3), (0.5, 100), (1.2, 1), (1.2, 3), (1.2, 100), (1.2, "stop")])
 def test_oracle_results_at_block_edges(monkeypatch, delta, block):
-    # the RK4 and Riccati oracles run in blocks (ode.RK4_BLOCK, gaussian.RICCATI_BLOCK); blocks of
-    # 1, 3 or 100 rows, or as many as validate's divergent RK4 run keeps, change no result
+    # the RK4 oracle runs in blocks (ode.RK4_BLOCK); blocks of 1, 3 or 100 rows, or as many as
+    # validate's divergent RK4 run keeps, change no result.  The Riccati oracle is a stream of steps
+    # with no block to resize; its strided samples are pinned by the tests after this one
     params = SwansonParams(1.0, delta)
     step = params.period / ORACLE_STEPS
     expected = oracle_results(params)
@@ -1110,7 +1113,6 @@ def test_oracle_results_at_block_edges(monkeypatch, delta, block):
     if block == "stop":
         block = stop
     monkeypatch.setattr(ode, "RK4_BLOCK", block)
-    monkeypatch.setattr(gaussian, "RICCATI_BLOCK", block)
     assert oracle_results(params) == expected
     # the second Riccati run leaves the chart
     assert isinstance(expected[3], tuple) and expected[3][0] == "Riccati solution left the chart"
@@ -1119,6 +1121,53 @@ def test_oracle_results_at_block_edges(monkeypatch, delta, block):
         # stop falls on a block edge (blocks of 1 and of stop)
         ends = [(k0, len(rows), k) for k0, rows, k, _ in cli._rk4_oracle(params, step)][-1]
         assert ends == (stop - stop % block, stop % block, stop)
+
+
+def whole_run_b_error(params: SwansonParams, step: float) -> float:
+    """_mobius_vs_riccati's result from whole Riccati runs: the largest |evolve_b - riccati_direct|
+    over its four seeds, on every stride-th step."""
+    model, n_steps = swanson_hamiltonian(params), step_count(params.period, step)
+    stride = max(1, n_steps // 100)
+    worst = 0.0
+    for b0 in (params.ground_b, 1j, 0.8 + 1.5j, -0.6 + 2j):
+        ref = riccati_direct(model, b0, params.period, step)[::stride]
+        mob = np.array([evolve_b(model, b0, k * step) for k in range(0, n_steps + 1, stride)])
+        worst = max(worst, float(np.abs(mob - ref).max()))
+    return worst
+
+
+# T/357 has stride 3 and ends on a strided step; T/1001 has stride 10 and one step after the last
+@pytest.mark.parametrize("steps", [357, 1001])
+@pytest.mark.parametrize("delta", [0.5, -0.99])
+def test_mobius_vs_riccati_matches_whole_runs(delta, steps):
+    params = SwansonParams(1.0, delta)
+    step = params.period / steps
+    assert cli._mobius_vs_riccati(params, step) == whole_run_b_error(params, step)
+
+
+def test_mobius_vs_riccati_is_none_off_the_chart():
+    params = SwansonParams(1.0, 0.9999)
+    assert cli._mobius_vs_riccati(params, params.period / 10_000) is None
+
+
+def test_strided_riccati_samples_consume_the_whole_run(monkeypatch):
+    # from 0.3 + i delta/omega0 at delta = 1.2 the run leaves the chart at step k = 101; with stride
+    # k - 1 the last strided sample is step k - 1, and the step after it still raises
+    params, k = SwansonParams(1.0, 1.2), 101
+    model, step, b0 = swanson_hamiltonian(params), params.period / 357, complex(0.3, 1.2)
+    assert len(np.fromiter(_riccati_steps(model, b0, (k - 1) * step, step), complex)) == k
+    with pytest.raises(MobiusPoleError) as info:
+        np.fromiter(itertools.islice(_riccati_steps(model, b0, k * step, step), 0, None, k - 1), complex)
+    assert info.value.bracket == ((k - 2) * step, k * step)
+
+    # so does validate's check: a stream that leaves the chart only after its last strided step
+    def late_exit(*args):
+        yield from _riccati_steps(*args)
+        raise MobiusPoleError("Riccati solution left the chart")
+
+    monkeypatch.setattr(cli, "_riccati_steps", late_exit)
+    params = SwansonParams(1.0, 0.5)
+    assert cli._mobius_vs_riccati(params, params.period / 1001) is None
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device every write to fails")
