@@ -91,6 +91,6 @@ def _stop_index(params: SwansonParams, init: MetriplecticState, t_end: float, st
     """
     if _proved_bounded(params, init):
         return -1
-    for _, _, stop in _propagate_blocks(swanson_hamiltonian(params), init, t_end, step):
+    for _, _, stop, _ in _propagate_blocks(swanson_hamiltonian(params), init, t_end, step):
         pass
     return stop

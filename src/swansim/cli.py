@@ -1,9 +1,10 @@
 """Command-line front end: simulate, classify, validate, sweep.
 
-simulate and sweep evaluate the exact propagator (gaussian.propagate, block by
-block) on the sample grid set by --step; validate cross-checks the closed forms
+simulate and sweep evaluate the exact propagator (gaussian._propagate_blocks)
+on the sample grid set by --step; validate cross-checks the closed forms
 against the independent routes, the RK4 oracles (ode._rk4_blocks through
-ode._integrate_blocks, and gaussian._riccati_steps) among them.
+ode._integrate_blocks, whose blocks have the exact engine's shape, and
+gaussian._riccati_steps) among them.
 _validation_report runs those checks one after another in the calling process
 and builds the whole report; cmd_validate writes it and picks the exit code.
 
@@ -17,7 +18,7 @@ exponent notation, inf or NaN) with the % template.
 Outputs are streamed, so no chunk of text grows with the run: simulate's CSV
 one pass of _csvrows.sample_lines at a time, the classify labels in runs of
 equal labels.  Nor does the memory behind them: simulate and sweep hold one
-engine block of gaussian.PROPAGATE_BLOCK rows at a time.  simulate computes,
+engine block of ode.BLOCK_ROWS rows at a time.  simulate computes,
 formats and writes a block before it computes the next, and peaks at about
 32 MB resident whether it runs 2 periods or 200.  sweep needs only each run's
 stop, and takes it from _stops._stop_index: the closed forms prove most
@@ -318,7 +319,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         from ._csvrows import sample_lines
 
         yield CSV_HEADER + "\n"
-        for k0, rows, stop in blocks:
+        for k0, rows, stop, _ in blocks:
             times = step * np.arange(k0, k0 + len(rows))
             eigen = metric_eigen(rows[:, 2], rows[:, 3], rows[:, 4])
             yield from sample_lines(np.column_stack((times, times / params.period, rows[:, :5], *eigen, rows[:, 5])))
@@ -328,7 +329,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
     _write_chunks(cfg.out, chunks())
     # a reader that went away leaves blocks unread; the exit code needs their stop
-    for _, _, stop in blocks:
+    for _, _, stop, _ in blocks:
         pass
     if stop >= 0 and not cfg.allow_divergence:
         print(f"divergence detected at t = {stop * step:.6g}", file=sys.stderr)

@@ -29,6 +29,7 @@ import numpy as np
 from .closed_form import ComplexState, Metric, RealState, metric_eigen
 from .errors import DivergenceError, MobiusPoleError, NonNormalizableError
 from .model import MIN_FREQUENCY, QuadraticHamiltonian, SwansonParams, swanson_hamiltonian
+from . import ode
 from .ode import BLOWUP_THRESHOLD, MetriplecticState, Trajectory, step_count
 
 __all__ = [
@@ -51,10 +52,6 @@ __all__ = [
 
 # Möbius denominators below this (relative) size count as a pole
 POLE_TOL = 1e-12
-
-# samples per block of _propagate_blocks: what simulate and sweep hold of a run at once,
-# whatever its length
-PROPAGATE_BLOCK = 2048
 
 # uniform times from 0 to t_end at which blowup_detected samples the Möbius flow
 BLOWUP_SAMPLES = 4001
@@ -319,24 +316,25 @@ def _sampled_rows(model: QuadraticHamiltonian, init: MetriplecticState, times: n
 
 
 def _propagate_blocks(model: QuadraticHamiltonian, init: MetriplecticState, t_end: float, step: float):
-    """propagate's rows, PROPAGATE_BLOCK at a time: yields (k0, rows, stop) for each block.
+    """propagate's rows, ode.BLOCK_ROWS at a time: yields (k0, rows, stop, drift) for each block.
 
-    rows is a fresh (m, 6) array of the rows k0 .. k0 + m - 1.  stop is -1,
-    except on the last block of a run that diverged: that block is cut just
-    before the first divergent sample, stop is that sample's index, and m may
-    be 0.  numpy's error state is suppressed only while a block is computed,
-    so the consumer runs under its own.
+    The run protocol of ode._rk4_blocks: rows is a fresh (m, 6) array of the
+    rows k0 .. k0 + m - 1.  stop is -1, except on the last block of a run
+    that diverged: that block is cut just before the first divergent sample,
+    stop is that sample's index, and m may be 0.  drift is 0.0: the closed
+    forms renormalize nothing.  numpy's error state is suppressed only while
+    a block is computed, so the consumer runs under its own.
     """
-    n_rows = step_count(t_end, step) + 1
-    for k0 in range(0, n_rows, PROPAGATE_BLOCK):
-        rows, bad = _sampled_rows(model, init, step * np.arange(k0, min(k0 + PROPAGATE_BLOCK, n_rows)))
+    n_rows, block = step_count(t_end, step) + 1, ode.BLOCK_ROWS
+    for k0 in range(0, n_rows, block):
+        rows, bad = _sampled_rows(model, init, step * np.arange(k0, min(k0 + block, n_rows)))
         if k0 == 0:
             bad[0] = False
         if bad.any():
             cut = int(np.argmax(bad))
-            yield k0, rows[:cut], k0 + cut
+            yield k0, rows[:cut], k0 + cut, 0.0
             return
-        yield k0, rows, -1
+        yield k0, rows, -1, 0.0
 
 
 def propagate(model: QuadraticHamiltonian, init: MetriplecticState, t_end: float, step: float) -> Trajectory:
@@ -346,19 +344,16 @@ def propagate(model: QuadraticHamiltonian, init: MetriplecticState, t_end: float
     ode.integrate, but every row is the closed-form Gaussian solution for the
     packet with b0 = b_from_metric(G0 / sqrt(det G0)) and a real centre: the metric of the
     Möbius image of b0, the expectation values of the complex centre S(t) z0,
-    and n0 times the squared norm.  Rows are evaluated PROPAGATE_BLOCK at a
+    and n0 times the squared norm.  Rows are evaluated ode.BLOCK_ROWS at a
     time (_propagate_blocks), and the run stops at the first divergent
     sample.  Divergent means, as in the RK4 kernel: a non-finite entry, Im b <= 0, a
     Möbius pole, or the largest metric eigenvalue or the centre norm above
     BLOWUP_THRESHOLD.  The initial row is the given state and is never a
     stop.  An initial metric with det <= 0 is refused with ValueError.
-    The whole run is held in memory; simulate and sweep consume the blocks
-    instead, one at a time.
+    The whole run is held in memory (ode.Trajectory.from_blocks); simulate
+    and sweep consume the blocks instead, one at a time.
     """
-    out = np.empty((step_count(t_end, step) + 1, 6))
-    for k0, rows, stop in _propagate_blocks(model, init, t_end, step):
-        out[k0 : k0 + len(rows)] = rows
-    return Trajectory.from_samples(out, stop, step)
+    return Trajectory.from_blocks(_propagate_blocks(model, init, t_end, step), step_count(t_end, step) + 1, step)
 
 
 def _generator_model(m_pp: complex, m_qq: complex) -> QuadraticHamiltonian:

@@ -71,6 +71,9 @@ class SwansonParams:
     @property
     def ground_b(self) -> complex:
         """Uncertainty parameter b of the ground state: the stationary root of the width equation."""
+        # (omega - delta)(omega + delta) = omega0^2; past delta = omega0 the difference cancels, the sum does not
+        if self.delta > self.omega0:
+            return 1j * (self.omega + self.delta) / self.omega0
         return 1j * self.omega0 / (self.omega - self.delta)
 
 

@@ -10,14 +10,14 @@ without numpy warnings; the tests pin one step and whole runs of it to the
 matrix form of the same equations.  Blow-up is detected by thresholding the
 largest metric eigenvalue and the centre norm.
 
-The CLI's simulate and sweep run the exact engine (gaussian._propagate_blocks,
-whose rows gaussian.propagate returns as the same Trajectory on the same
-grid); RK4 stays as its independent oracle.  _rk4_blocks yields a run
-RK4_BLOCK rows at a time, carrying the state across blocks: validate consumes
-those blocks (through _integrate_blocks) and holds one at a time, and
-integrate collects them into the whole Trajectory for the tests.  A Python
-loop yields steps, and blocks exist only where numpy takes them whole: here
-closed_series compares each block at once, while the Riccati oracle
+The CLI's simulate and sweep run the exact engine (gaussian._propagate_blocks);
+RK4 stays as its independent oracle.  Both engines speak one run protocol:
+they yield a run BLOCK_ROWS rows at a time as (k0, rows, stop, drift) blocks
+on the same grid, with the same row layout and truncation.  The CLI consumes
+the blocks and holds one at a time; Trajectory.from_blocks collects them into
+the whole run that integrate and gaussian.propagate return for the tests.  A
+Python loop yields steps, and blocks exist only where numpy takes them whole:
+here closed_series compares each RK4 block at once, while the Riccati oracle
 (gaussian._riccati_steps), whose consumer keeps single steps, yields steps.
 """
 
@@ -42,8 +42,8 @@ __all__ = [
 # metric eigenvalue / centre norm beyond which a trajectory counts as divergent
 BLOWUP_THRESHOLD = 1e8
 
-# rows per block of _rk4_blocks: what validate holds of an RK4 run at once, whatever its length
-RK4_BLOCK = 2048
+# rows per block of both engines, read when a run starts: what the CLI holds of a run at once, whatever its length
+BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -75,16 +75,15 @@ class Trajectory:
     det_drift: float = 0.0
 
     @classmethod
-    def from_samples(cls, out: np.ndarray, stop: int, step: float, det_drift: float = 0.0) -> "Trajectory":
-        """Rows out[k] at times step * k; stop >= 0 truncates to out[:stop] and sets the divergence time."""
+    def from_blocks(cls, blocks, n_rows: int, step: float) -> "Trajectory":
+        """The run of n_rows rows at times step * k from an engine's (k0, rows, stop, drift) blocks; the
+        last block's stop >= 0 truncates it and sets the divergence time, and its drift is det_drift."""
+        out = np.empty((n_rows, 6))
+        for k0, rows, stop, drift in blocks:
+            out[k0 : k0 + len(rows)] = rows
         if stop < 0:
-            return cls(times=step * np.arange(len(out)), values=out, det_drift=det_drift)
-        return cls(
-            times=step * np.arange(stop),
-            values=out[:stop],
-            divergence_time=stop * step,
-            det_drift=det_drift,
-        )
+            return cls(times=step * np.arange(n_rows), values=out, det_drift=drift)
+        return cls(times=step * np.arange(stop), values=out[:stop], divergence_time=stop * step, det_drift=drift)
 
     @property
     def final(self) -> MetriplecticState:
@@ -100,7 +99,7 @@ def step_count(t_end: float, step: float) -> int:
 
 
 def _rk4_blocks(model: QuadraticHamiltonian, y0, step: float, n_steps: int):
-    """Fixed-step RK4 on the coupled centre/metric/norm system of model, RK4_BLOCK rows at a time.
+    """Fixed-step RK4 on the coupled centre/metric/norm system of model, BLOCK_ROWS rows at a time.
 
     State layout: y = (P, Q, g_pp, g_pq, g_qq, n), y0 any six numbers.  After
     every step the metric determinant is renormalized to one (the flow
@@ -152,11 +151,11 @@ def _rk4_blocks(model: QuadraticHamiltonian, y0, step: float, n_steps: int):
             -(2.0 * gam + 0.5 * (b11 * gpp - 2.0 * b01 * gpq + b00 * gqq)) * nn,
         )
 
-    n_rows = n_steps + 1
+    n_rows, block = n_steps + 1, BLOCK_ROWS
     z0, z1, z2, z3, z4, z5 = map(float, y0)
     drift = 0.0
-    for k0 in range(0, n_rows, RK4_BLOCK):
-        out = np.empty((min(RK4_BLOCK, n_rows - k0), 6))
+    for k0 in range(0, n_rows, block):
+        out = np.empty((min(block, n_rows - k0), 6))
         if k0 == 0:
             out[0] = y0
         # row j of the block is step k0 + j
@@ -232,11 +231,8 @@ def integrate(model: QuadraticHamiltonian, init: MetriplecticState, t_end: float
     The metric determinant is renormalized to one after every step.  On
     blow-up the trajectory is truncated and divergence_time is set to the
     first offending time.  ValueError if the initial metric has det <= 0.
-    The whole run is held in memory; validate consumes the blocks
-    (_integrate_blocks) instead, one at a time.
+    The whole run is held in memory (Trajectory.from_blocks); validate
+    consumes the blocks (_integrate_blocks) instead, one at a time.
     """
-    out = np.empty((step_count(t_end, step) + 1, 6))
-    for k0, rows, stop, drift in _integrate_blocks(model, init, t_end, step):
-        out[k0 : k0 + len(rows)] = rows
-    return Trajectory.from_samples(out, stop, step, det_drift=drift)
+    return Trajectory.from_blocks(_integrate_blocks(model, init, t_end, step), step_count(t_end, step) + 1, step)
 

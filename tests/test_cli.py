@@ -1029,34 +1029,66 @@ def test_simulate_csv_bytes(tmp_path: Path, omega0, delta, b0, exit_code):
     assert out.read_bytes() == expected_csv(SwansonParams(omega0, delta), init, 1.0)
 
 
-# simulate writes its CSV on one route, in the calling process
-@pytest.mark.parametrize("route", ["plain"])
+def recorded_blocks(monkeypatch, module, name: str) -> list:
+    """(k0, len(rows), stop) of each block the engine module.name yields from here on, as its caller takes them."""
+    seen, engine = [], getattr(module, name)
+
+    def recorded(*args):
+        for k0, rows, stop, drift in engine(*args):
+            seen.append((k0, len(rows), stop))
+            yield k0, rows, stop, drift
+
+    monkeypatch.setattr(module, name, recorded)
+    return seen
+
+
+def expected_blocks(n_rows: int, stop: int, block: int) -> list:
+    """(k0, len(rows), stop) of each block of a run of n_rows rows in blocks of `block` rows, cut at stop >= 0.
+
+    A run that stops ends in the block that holds its stop, cut just before it: empty if the stop
+    falls on a block edge.
+    """
+    blocks = [(k0, min(block, n_rows - k0), -1) for k0 in range(0, n_rows if stop < 0 else stop + 1, block)]
+    if stop >= 0:
+        blocks[-1] = (blocks[-1][0], stop - blocks[-1][0], stop)
+    return blocks
+
+
+# simulate writes its CSV in the calling process
 @pytest.mark.parametrize("delta, exit_code", [(-0.55, 0), (1.1, 3)])
-def test_simulate_csv_bytes_on_every_route(tmp_path: Path, monkeypatch, forks, route, delta, exit_code):
-    # the divergent run stops after about 2 000 rows: blocks of 1 000 make two of them
-    monkeypatch.setattr(gaussian, "PROPAGATE_BLOCK", 1000)
+def test_simulate_csv_bytes_in_blocks_of_1000(tmp_path: Path, monkeypatch, forks, delta, exit_code):
+    # the divergent run stops after about 2 000 rows: blocks of 1 000 make two of them, and a third
+    # that the stop cuts
+    monkeypatch.setattr(ode, "BLOCK_ROWS", 1000)
+    seen = recorded_blocks(monkeypatch, cli, "_propagate_blocks")
     params = SwansonParams(1.0, delta)
     init = MetriplecticState(Z=RealState(0.6, -0.8), G=Metric.identity(), n=1.0)
     expected = expected_csv(params, init, 2.0)
-    assert expected.count(b"\n") >= 2 * gaussian.PROPAGATE_BLOCK + 2
+    assert expected.count(b"\n") >= 2 * ode.BLOCK_ROWS + 2
     out = tmp_path / "run.csv"
     assert main(["simulate", f"--delta={delta}", "--p0=0.6", "--q0=-0.8", "--periods=2", f"--out={out}"]) == exit_code
     assert out.read_bytes() == expected
     assert forks == []
+    # 20 001 rows, or the sample rows up to the stop, header and flagged row aside
+    stop = -1 if exit_code == 0 else expected.count(b"\n") - 2
+    assert seen == expected_blocks(20_001, stop, 1000)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_simulate_csv_bytes_at_block_edges(tmp_path: Path, forks, offset):
-    # sample rows one short of, equal to and one past one block of gaussian.PROPAGATE_BLOCK, and of two
+def test_simulate_csv_bytes_at_block_edges(tmp_path: Path, monkeypatch, forks, offset):
+    # sample rows one short of, equal to and one past one block of ode.BLOCK_ROWS, and of two
     init = MetriplecticState(Z=RealState(1.0, 0.0), G=Metric.identity(), n=1.0)
     out = tmp_path / "run.csv"
+    seen = recorded_blocks(monkeypatch, cli, "_propagate_blocks")
     for blocks in (1, 2):
-        rows = blocks * gaussian.PROPAGATE_BLOCK + offset
+        seen.clear()
+        rows = blocks * ode.BLOCK_ROWS + offset
         periods = (rows - 1) / 10_000
         assert main(["simulate", "--delta=0.5", f"--periods={periods!r}", f"--out={out}"]) == 0
         expected = expected_csv(SwansonParams(1.0, 0.5), init, periods)
         assert expected.count(b"\n") == rows + 1
         assert out.read_bytes() == expected
+        assert seen == expected_blocks(rows, -1, ode.BLOCK_ROWS)
     assert forks == []
 
 
@@ -1066,13 +1098,16 @@ def test_simulate_divergence_row_follows_a_block_edge(tmp_path: Path, monkeypatc
     expected = expected_csv(params, init, 1.0)
     # header and flagged row aside, the sample rows fill whole blocks of this size, two of them:
     # the stop is the first row of a third block, which is empty
-    monkeypatch.setattr(gaussian, "PROPAGATE_BLOCK", (expected.count(b"\n") - 2) // 2)
-    assert (expected.count(b"\n") - 2) % gaussian.PROPAGATE_BLOCK == 0
+    stop = expected.count(b"\n") - 2
+    monkeypatch.setattr(ode, "BLOCK_ROWS", stop // 2)
+    assert stop % ode.BLOCK_ROWS == 0
     assert expected_csv(params, init, 1.0) == expected
+    seen = recorded_blocks(monkeypatch, cli, "_propagate_blocks")
     out = tmp_path / "run.csv"
     assert main(["simulate", "--delta=1.1", f"--out={out}"]) == 3
     assert out.read_bytes() == expected
     assert forks == []
+    assert seen == [(0, stop // 2, -1), (stop // 2, stop // 2, -1), (stop, 0, stop)]
 
 
 # the RK4 seed and step of the oracle block tests; at (1, 1.2) the RK4 run diverges.  T/357 makes
@@ -1102,25 +1137,24 @@ def oracle_results(params: SwansonParams):
 
 @pytest.mark.parametrize("delta, block", [(0.5, 1), (0.5, 3), (0.5, 100), (1.2, 1), (1.2, 3), (1.2, 100), (1.2, "stop")])
 def test_oracle_results_at_block_edges(monkeypatch, delta, block):
-    # the RK4 oracle runs in blocks (ode.RK4_BLOCK); blocks of 1, 3 or 100 rows, or as many as
+    # the RK4 oracle runs in blocks (ode.BLOCK_ROWS); blocks of 1, 3 or 100 rows, or as many as
     # validate's divergent RK4 run keeps, change no result.  The Riccati oracle is a stream of steps
     # with no block to resize; its strided samples are pinned by the tests after this one
     params = SwansonParams(1.0, delta)
     step = params.period / ORACLE_STEPS
     expected = oracle_results(params)
     divergence = expected[-1]["divergence"]
-    stop = None if divergence is None else round(divergence["ode_time"] / step)
+    stop = -1 if divergence is None else round(divergence["ode_time"] / step)
     if block == "stop":
         block = stop
-    monkeypatch.setattr(ode, "RK4_BLOCK", block)
+    monkeypatch.setattr(ode, "BLOCK_ROWS", block)
     assert oracle_results(params) == expected
     # the second Riccati run leaves the chart
     assert isinstance(expected[3], tuple) and expected[3][0] == "Riccati solution left the chart"
-    if stop is not None:
-        # the divergent model: validate's RK4 run ends in a block cut at its stop, empty where the
-        # stop falls on a block edge (blocks of 1 and of stop)
-        ends = [(k0, len(rows), k) for k0, rows, k, _ in cli._rk4_oracle(params, step)][-1]
-        assert ends == (stop - stop % block, stop % block, stop)
+    # validate's RK4 run: on the divergent model it ends in a block cut at its stop, empty where the
+    # stop falls on a block edge (blocks of 1 and of stop)
+    blocks = [(k0, len(rows), k) for k0, rows, k, _ in cli._rk4_oracle(params, step)]
+    assert blocks == expected_blocks(ORACLE_STEPS + 1, stop, block)
 
 
 def whole_run_b_error(params: SwansonParams, step: float) -> float:
@@ -1171,7 +1205,7 @@ def test_strided_riccati_samples_consume_the_whole_run(monkeypatch):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device every write to fails")
-def test_failed_simulate_write_reaps_the_child(capsys, forks):
+def test_failed_simulate_write_is_one_config_error(capsys, forks):
     # every write to /dev/full fails: one config error line, and simulate forks no child
     err = config_error(["simulate", "--periods=2", "--out=/dev/full"], capsys)
     assert err.startswith("config error: cannot write output file /dev/full: ")
@@ -1231,7 +1265,7 @@ def test_sweep_work_does_not_grow_with_bounded_periods(tmp_path: Path, monkeypat
                 # each run scans the blocks up to the one that holds its stop, which the first
                 # period holds whatever the length
                 stops = [round(float(cells[3]) / (SwansonParams(1.0, float(cells[0])).period / 10_000)) for cells in rows]
-                blocks = [min(-(-(stop + 1) // gaussian.PROPAGATE_BLOCK), 2) for stop in stops]
+                blocks = [min(-(-(stop + 1) // ode.BLOCK_ROWS), 2) for stop in stops]
                 assert len(scanned) == sum(blocks)
     assert work["bounded", 2] == work["bounded", 50] == ([], 5)
     assert work["divergent", 2] == work["divergent", 50]

@@ -735,3 +735,24 @@ class TestPeriod:
         assert traj.divergence_time is None and len(traj.values) == 2 * n + 1
         # measured worst 2.0e-13 over 1 258 bounded draws of 3 000 and the corners of the drawn ranges
         assert relative_deviation(traj.values[n:], traj.values[: n + 1]) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(**rotation_draws, gamma=st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+    def test_half_period_is_minus_i_times_parity(self, omega0, ratio, b0, centre, gamma):
+        """U(T/2) = -i P, the real spectrum omega (n + 1/2): at k T/2 the state is (p, q, b, gamma)
+        -> ((-1)^k p, (-1)^k q, b, exp(i gamma) (-i)^k).
+
+        S(T/2) = -I, so den = (-1)^k and only the continuous branch of its argument sets the phase:
+        the principal angle, or its sign flipped, is off by 2.0.  The pq term and the ln Im b term
+        vanish at k T/2, so this cannot see them.
+        """
+        params = SwansonParams(omega0, ratio * omega0)
+        assume(classify_b(params, b0, band=0.1) is RegionLabel.BOUNDED)
+        state = GaussianState(ComplexState(complex(centre[0]), complex(centre[1])), b0, gamma)
+        for k in range(1, 5):
+            out = evolve_state(swanson_hamiltonian(params), state, k * params.period / 2)
+            sign = (-1) ** k
+            # measured worst 1.4e-14 over 300 bounded draws
+            assert relative_deviation([out.z.p, out.z.q], np.array([sign * state.z.p, sign * state.z.q])) <= 1e-12
+            assert relative_deviation(out.b, b0) <= 1e-12
+            assert relative_deviation(cmath.exp(1j * out.gamma), cmath.exp(1j * gamma) * (-1j) ** k) <= 1e-12

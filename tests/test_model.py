@@ -97,6 +97,23 @@ def test_ground_b_is_riccati_fixed_point():
     assert b.imag > 0
 
 
+def test_ground_b_is_the_fixed_point_at_strong_coupling():
+    # |delta| / omega0 log-uniform in [1e-3, 1e150], both signs.  i omega0 / (omega - delta) alone cancels
+    # as omega - delta -> 0: on these draws its worst residual is 0.33 and 9 255 of them raise
+    # ZeroDivisionError.  Measured worst 3.1e-16, relative to the sizes of the residual's three terms
+    rng = np.random.default_rng(0)
+    omega0s = rng.uniform(0.05, 5.0, 20_000)
+    ratios = 10.0 ** rng.uniform(-3.0, 150.0, 20_000) * rng.choice([-1.0, 1.0], 20_000)
+    # and delta = +-omega0, where the two formulas meet
+    for omega0, ratio in [*zip(omega0s.tolist(), ratios.tolist()), (0.05, 1.0), (5.0, 1.0), (1.0, -1.0)]:
+        delta = ratio * omega0
+        b = SwansonParams(omega0, delta).ground_b
+        # cpp = cqq = omega0 and cpq = -i delta: the residual cpp b^2 + 2 cpq b + cqq
+        residual = omega0 * b * b - 2j * delta * b + omega0
+        assert abs(residual) <= 1e-14 * (omega0 * abs(b) ** 2 + 2.0 * abs(delta * b) + omega0)
+        assert b.imag > 0
+
+
 def test_ground_state_energy():
     assert SwansonParams(1.0, 0.5).omega / 2.0 == pytest.approx(0.5590169943749475, abs=1e-12)
 

@@ -32,7 +32,7 @@ from swansim.ode import BLOWUP_THRESHOLD
 def scan_stop(params: SwansonParams, init: MetriplecticState, t_end: float, step: float) -> int:
     """The block scan's stop, -1 if the run never stops."""
     stop = -1
-    for _, _, stop in _propagate_blocks(swanson_hamiltonian(params), init, t_end, step):
+    for _, _, stop, _ in _propagate_blocks(swanson_hamiltonian(params), init, t_end, step):
         pass
     return stop
 
