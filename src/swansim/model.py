@@ -70,11 +70,13 @@ class SwansonParams:
 
     @property
     def ground_b(self) -> complex:
-        """Uncertainty parameter b of the ground state: the stationary root of the width equation."""
+        """Uncertainty b of the ground state, the stationary root of the width equation; ValueError past the doubles."""
+        w0, d = self.omega0, self.delta
         # (omega - delta)(omega + delta) = omega0^2; past delta = omega0 the difference cancels, the sum does not
-        if self.delta > self.omega0:
-            return 1j * (self.omega + self.delta) / self.omega0
-        return 1j * self.omega0 / (self.omega - self.delta)
+        im = (self.omega + d) / w0 if d > w0 else w0 / (self.omega - d)
+        if not 0.0 < im < math.inf:
+            raise ValueError(f"omega0 {w0:g} with delta {d:g} gives a ground state Im b of {im:g}, not normalizable")
+        return 1j * im
 
 
 def _as_symmetric(m, name: str) -> np.ndarray:

@@ -120,7 +120,7 @@ def _rk4_blocks(model: QuadraticHamiltonian, y0, step: float, n_steps: int):
     """
     (a00, a01), (_, a11) = model.hess_h.tolist()
     (b00, b01), (_, b11) = model.hess_gamma.tolist()
-    const_g = float(model.const_gamma)
+    two_a00, two_a01, two_a11, two_c = 2.0 * a00, 2.0 * a01, 2.0 * a11, 2.0 * float(model.const_gamma)
     step = float(step)
     half, sixth = 0.5 * step, step / 6.0
     isfinite, sqrt = math.isfinite, math.sqrt
@@ -131,24 +131,21 @@ def _rk4_blocks(model: QuadraticHamiltonian, y0, step: float, n_steps: int):
         gp = b00 * P + b01 * Q
         gq = b01 * P + b11 * Q
         det = gpp * gqq - gpq * gpq
-        # m = hess_h . Omega . G gives the commutator part as m + m^T
-        m00 = a01 * gpp - a00 * gpq
-        m01 = a01 * gpq - a00 * gqq
-        m10 = a11 * gpp - a01 * gpq
-        m11 = a11 * gpq - a01 * gqq
         # w = G . (Omega^T hess_g Omega) = G . adj(hess_g)
         w00 = gpp * b11 - gpq * b01
-        w01 = -gpp * b01 + gpq * b00
+        w01 = gpq * b00 - gpp * b01
         w10 = gpq * b11 - gqq * b01
-        w11 = -gpq * b01 + gqq * b00
-        gam = 0.5 * (b00 * P * P + b11 * Q * Q) + b01 * P * Q + const_g
+        w11 = gqq * b00 - gpq * b01
+        # the commutator part is m + m^T, m = hess_h . Omega . G = [[a01 gpp - a00 gpq, a01 gpq - a00 gqq],
+        # [a11 gpp - a01 gpq, a11 gpq - a01 gqq]], and in m01 + m10 the a01 gpq terms cancel; the norm decays
+        # at 2 Gamma(Z) + tr(adj(hess_g) G) / 2 = P gp + Q gq + 2 const_gamma + (w00 + w11) / 2
         return (
             -hq - (gqq * gp - gpq * gq) / det,
             hp + (gpq * gp - gpp * gq) / det,
-            2.0 * m00 + b00 - (w00 * gpp + w01 * gpq),
-            m01 + m10 + b01 - (w00 * gpq + w01 * gqq),
-            2.0 * m11 + b11 - (w10 * gpq + w11 * gqq),
-            -(2.0 * gam + 0.5 * (b11 * gpp - 2.0 * b01 * gpq + b00 * gqq)) * nn,
+            two_a01 * gpp - two_a00 * gpq + b00 - (w00 * gpp + w01 * gpq),
+            a11 * gpp - a00 * gqq + b01 - (w00 * gpq + w01 * gqq),
+            two_a11 * gpq - two_a01 * gqq + b11 - (w10 * gpq + w11 * gqq),
+            -(P * gp + Q * gq + two_c + 0.5 * (w00 + w11)) * nn,
         )
 
     n_rows, block = n_steps + 1, BLOCK_ROWS
@@ -191,7 +188,7 @@ def _rk4_blocks(model: QuadraticHamiltonian, y0, step: float, n_steps: int):
             # rejecting on its sign) corrupts an otherwise accurate solution on
             # approach to a blow-up.
             if tr < 1e3:
-                if det <= 0.0 or not isfinite(det):
+                if det <= 0.0:
                     break
                 d1 = abs(det - 1.0)
                 if d1 > drift:

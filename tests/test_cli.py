@@ -807,6 +807,37 @@ def test_fuzz_exits_cleanly(tmp_path_factory, capsys, command, data):
     assert code == 2 or (work / "out").stat().st_size > 0
 
 
+# ROADMAP item 11: inputs at the edges of each route, with the exit code each gave when measured.
+# simulate --b0=1e300,1 (test_config_errors) and validate --delta=-0.999 (the overflow tests) are pinned already
+EDGE_INPUTS = [
+    (["simulate", "--delta=1e10"], 3),
+    (["simulate", "--omega0=1e-100", "--delta=1e-100"], 3),
+    (["simulate", "--p0=1e200"], 3),
+    (["simulate", "--delta=-1", "--periods=1"], 3),
+    (["simulate", "--b0=0,1e-300"], 2),
+    (["simulate", "--n0=1e300"], 0),
+    (["classify", "--resolution=11", "--delta=-1e-300"], 0),
+    (["classify", "--resolution=11", "--delta=-0.5", "--re-min=-1e300", "--re-max=1e300"], 0),
+    (["classify", "--resolution=11", "--delta=1e300"], 2),
+    (["classify", "--resolution=11", "--delta=-1e300", "--im-max=1e300"], 2),
+    (["validate", "--delta=0"], 0),
+    (["validate", "--delta=1e6"], 0),
+    (["validate", "--delta=-1e6"], 0),
+    (["validate", "--omega0=1e-100", "--delta=0.5e-100"], 0),
+    (["sweep", "--delta-min=-2", "--delta-max=2", "--delta-step=0.5", "--p0=1e100"], 0),
+    (["sweep", "--g0=1e-9,0,1e9"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", EDGE_INPUTS, ids=[" ".join(argv) for argv, _ in EDGE_INPUTS])
+def test_edge_inputs_end_in_their_exit_code(tmp_path: Path, capfd, argv, code):
+    # in-process, with warnings raised as errors: an escaping exception or a numpy warning fails the test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, f"--out={tmp_path / 'out'}"]) == code
+    assert capfd.readouterr().err.count("\n") <= 1
+
+
 def parsed_config(argv: list[str]) -> cli.RunConfig:
     """The RunConfig that main runs argv with."""
     args = vars(_build_parser().parse_args(argv))

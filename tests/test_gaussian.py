@@ -212,6 +212,13 @@ class TestEvolveB:
             assert hi == pytest.approx(lo + 2 * step, rel=1e-12), divisor
             assert lo <= T_POLE <= hi, divisor
 
+    @pytest.mark.parametrize("b0", [complex(math.nan, 1.0), complex(math.inf, 1.0)])
+    def test_non_finite_riccati_state_leaves_the_chart(self, b0):
+        # a NaN state must not flow on: validate's running max(worst, nan) keeps worst and would drop it
+        with pytest.raises(MobiusPoleError) as info:
+            riccati_direct(MODEL, b0, 1.0, 0.1)
+        assert info.value.bracket == (0.0, 0.1)
+
     def test_metric_route_consistency(self):
         # width flow must reproduce the metric ODE route
         step = PARAMS.period / 10_000

@@ -114,6 +114,15 @@ def test_ground_b_is_the_fixed_point_at_strong_coupling():
         assert b.imag > 0
 
 
+@pytest.mark.parametrize("omega0, delta", [(1e-300, 1e10), (1e-300, 1e150), (1e-300, -1e150), (1e-200, -1e150)])
+def test_ground_b_past_the_doubles_is_refused(omega0, delta):
+    # Im b = (omega + delta) / omega0 overflows to inf for delta > 0 and omega0 / (omega - delta)
+    # underflows to 0 for delta < 0: neither b is normalizable
+    params = SwansonParams(omega0, delta)
+    with pytest.raises(ValueError, match="not normalizable"):
+        params.ground_b
+
+
 def test_ground_state_energy():
     assert SwansonParams(1.0, 0.5).omega / 2.0 == pytest.approx(0.5590169943749475, abs=1e-12)
 

@@ -1,0 +1,230 @@
+"""Mutation catalogue: small edits of swansim's sources that the tier-1 tests are expected to catch.
+
+Each Mutant replaces one exact text (old, which occurs exactly once in file) by new.  killers are
+the pytest node ids expected to fail on it, run first by tools/mutants/run.py; survives, set
+instead of killers, says why no test can catch it.  tests/test_mutants.py checks that every old
+text still occurs exactly once, so a change that moves the code updates its entries here.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str
+    old: str
+    new: str
+    killers: tuple[str, ...] = ()
+    survives: str = ""
+
+
+CLI, CLOSED_FORM, GAUSSIAN, MODEL, ODE, STOPS = (
+    f"src/swansim/{name}.py" for name in ("cli", "closed_form", "gaussian", "model", "ode", "_stops")
+)
+
+MUTANTS = (
+    # the metriplectic right-hand side of the RK4 oracle
+    Mutant(
+        "rate-commutator-offdiagonal-sign",
+        ODE,
+        "a11 * gpp - a00 * gqq",
+        "a11 * gpp + a00 * gqq",
+        ("tests/test_ode.py",),
+    ),
+    Mutant(
+        "rate-commutator-qq-entry",
+        ODE,
+        "two_a11 * gpq - two_a01 * gqq",
+        "two_a11 * gpq - two_a00 * gqq",
+        ("tests/test_ode.py",),
+    ),
+    Mutant(
+        "rate-norm-trace-entry",
+        ODE,
+        "0.5 * (w00 + w11)",
+        "0.5 * (w00 + w10)",
+        ("tests/test_ode.py",),
+    ),
+    Mutant(
+        "rate-norm-gamma-gradient",
+        ODE,
+        "P * gp + Q * gq",
+        "P * gq + Q * gq",
+        ("tests/test_ode.py",),
+    ),
+    Mutant(
+        "rate-norm-constant-not-doubled",
+        ODE,
+        "2.0 * a11, 2.0 * float(model.const_gamma)",
+        "2.0 * a11, float(model.const_gamma)",
+        ("tests/test_ode.py",),
+    ),
+    Mutant(
+        "rk4-block-size-ignored",
+        ODE,
+        "n_rows, block = n_steps + 1, BLOCK_ROWS",
+        "n_rows, block = n_steps + 1, 2048",
+        ("tests/test_cli.py::test_oracle_results_at_block_edges",),
+    ),
+    # the Riccati oracle's chart
+    Mutant(
+        "riccati-chart-lets-nan-through",
+        GAUSSIAN,
+        "if not abs(b) <= 1e12:",
+        "if abs(b) > 1e12:",
+        ("tests/test_gaussian.py::TestEvolveB::test_non_finite_riccati_state_leaves_the_chart",),
+    ),
+    Mutant(
+        "strided-riccati-samples-stop-early",
+        CLI,
+        "_riccati_steps(model, b0, t_end, step), 0, None, stride)",
+        "_riccati_steps(model, b0, t_end, step), 0, n_steps + 1, stride)",
+        ("tests/test_cli.py::test_strided_riccati_samples_consume_the_whole_run",),
+    ),
+    # the exact engine
+    Mutant(
+        "engine-block-size-ignored",
+        GAUSSIAN,
+        "n_rows, block = step_count(t_end, step) + 1, ode.BLOCK_ROWS",
+        "n_rows, block = step_count(t_end, step) + 1, 2048",
+        ("tests/test_cli.py::test_simulate_csv_bytes_in_blocks_of_1000",),
+    ),
+    Mutant(
+        "phase-principal-angle",
+        GAUSSIAN,
+        "return np.unwrap(np.concatenate(([0.0], np.angle(den))))[1:]",
+        "return np.angle(den)",
+        ("tests/test_gaussian.py::TestPeriod::test_half_period_is_minus_i_times_parity",),
+    ),
+    Mutant(
+        "phase-angle-sign",
+        GAUSSIAN,
+        "return np.unwrap(np.concatenate(([0.0], np.angle(den))))[1:]",
+        "return -np.unwrap(np.concatenate(([0.0], np.angle(den))))[1:]",
+        ("tests/test_gaussian.py",),
+    ),
+    # the ground state
+    Mutant(
+        "ground-b-cancelling-formula",
+        MODEL,
+        "im = (self.omega + d) / w0 if d > w0 else w0 / (self.omega - d)",
+        "im = w0 / (self.omega - d)",
+        ("tests/test_model.py::test_ground_b_is_the_fixed_point_at_strong_coupling",),
+    ),
+    Mutant(
+        "ground-b-overflow-accepted",
+        MODEL,
+        "if not 0.0 < im < math.inf:",
+        "if not 0.0 < im:",
+        ("tests/test_model.py::test_ground_b_past_the_doubles_is_refused",),
+    ),
+    Mutant(
+        "ground-b-underflow-accepted",
+        MODEL,
+        "if not 0.0 < im < math.inf:",
+        "if not im < math.inf:",
+        ("tests/test_model.py::test_ground_b_past_the_doubles_is_refused",),
+    ),
+    # the closed-form pole
+    Mutant(
+        "first-pole-threshold-moved",
+        CLOSED_FORM,
+        "if d * d < w0 * w0:",
+        "if d * d < w0 * w0 * (1.0 + 1e-10):",
+        ("tests/test_stops.py::test_first_pole_time_is_the_identity_case_of_the_law",),
+    ),
+    Mutant(
+        "first-pole-time-off",
+        CLOSED_FORM,
+        "return math.acos(max(-1.0, arg)) / (2.0 * w)",
+        "return math.acos(max(-1.0, arg)) / (2.0 * w) * (1.0 + 1e-12)",
+        ("tests/test_stops.py::test_first_pole_time_is_the_identity_case_of_the_law",),
+    ),
+    # the proof that a bounded run cannot stop
+    Mutant(
+        "law-gap-flipped",
+        STOPS,
+        "if not alpha - r > MARGIN * (abs(alpha) + r):",
+        "if not alpha + r > MARGIN * (abs(alpha) + r):",
+        ("tests/test_stops.py",),
+    ),
+    Mutant(
+        "law-margin-dropped",
+        STOPS,
+        "if not alpha - r > MARGIN * (abs(alpha) + r):",
+        "if not alpha - r > 0.0:",
+        ("tests/test_stops.py::test_runs_near_a_margin_take_the_scan",),
+    ),
+    Mutant(
+        "law-beta-sign",
+        STOPS,
+        "beta = d * (2.0 * d * y - w0 * excess)",
+        "beta = -d * (2.0 * d * y - w0 * excess)",
+        ("tests/test_geometry.py", "tests/test_stops.py"),
+    ),
+    Mutant(
+        "g-plus-margin-dropped",
+        STOPS,
+        "return g_plus <= limit and centre <= limit",
+        "return g_plus <= BLOWUP_THRESHOLD and centre <= limit",
+        ("tests/test_stops.py::test_runs_near_a_margin_take_the_scan",),
+    ),
+    Mutant(
+        "centre-margin-dropped",
+        STOPS,
+        "return g_plus <= limit and centre <= limit",
+        "return g_plus <= limit and centre <= BLOWUP_THRESHOLD",
+        survives="implied: within the g_plus and ln n limits a proved run's centre bound is at most 8.4e3",
+    ),
+    Mutant(
+        "log-n-cap-margin-dropped",
+        STOPS,
+        "LOG_N_CAP = 0.5 * math.log(sys.float_info.max)",
+        "LOG_N_CAP = math.log(sys.float_info.max)",
+        ("tests/test_stops.py::test_runs_near_a_margin_take_the_scan",),
+    ),
+    Mutant(
+        "log-n-without-n0",
+        STOPS,
+        "log_n + max(0.0, math.log(init.n)) <= LOG_N_CAP",
+        "log_n <= LOG_N_CAP",
+        ("tests/test_stops.py::test_runs_near_a_margin_take_the_scan",),
+    ),
+    Mutant(
+        "g-plus-without-its-one",
+        STOPS,
+        "g_plus = (1.0 + b0.real * b0.real + b0.imag * b0.imag) / gap",
+        "g_plus = (b0.real * b0.real + b0.imag * b0.imag) / gap",
+        ("tests/test_stops.py",),
+    ),
+    Mutant(
+        "g-plus-doubled",
+        STOPS,
+        "g_plus = (1.0 + b0.real * b0.real + b0.imag * b0.imag) / gap",
+        "g_plus = 2.0 * (1.0 + b0.real * b0.real + b0.imag * b0.imag) / gap",
+        ("tests/test_stops.py",),
+    ),
+    Mutant(
+        "g-plus-halved",
+        STOPS,
+        "g_plus = (1.0 + b0.real * b0.real + b0.imag * b0.imag) / gap",
+        "g_plus = 0.5 * (1.0 + b0.real * b0.real + b0.imag * b0.imag) / gap",
+        ("tests/test_stops.py",),
+    ),
+    Mutant(
+        "centre-bound-without-g-plus",
+        STOPS,
+        "r0 * (1.0 + g_plus), ",
+        "r0, ",
+        ("tests/test_stops.py",),
+    ),
+    Mutant(
+        "log-n-bound-without-centre",
+        STOPS,
+        "r0 * r0 * (0.5 + g_plus) + 0.5 * math.log(b0.imag / gap)",
+        "0.5 * math.log(b0.imag / gap)",
+        ("tests/test_stops.py",),
+    ),
+)
