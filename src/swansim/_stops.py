@@ -6,8 +6,8 @@ anti-Hermitian.  Take b0 = x + iy, den = S_qp b0 + S_qq, num = S_pp b0 + S_pq
 (so b = num / den) and z = (1 + |b|^2) / (2 Im b), half the trace of the
 metric of b.  Then at every t:
 
-- Im b |den|^2 = alpha + beta cos 2wt + gamma sin 2wt (divergence_law), which
-  is at least alpha - R with R = hypot(beta, gamma);
+- Im b |den|^2 = alpha + beta cos 2wt + gamma sin 2wt (closed_form.divergence_law),
+  which is at least alpha - R with R = hypot(beta, gamma);
 - z Im b |den|^2 = (|num|^2 + |den|^2) / 2 = A + B cos 2wt + C sin 2wt with
   A = (1 + |b0|^2) / 2 and B = C = 0, by unitarity;
 - the complex centre (p, q) = S(t) (p0, q0) keeps |p|^2 + |q|^2 = p0^2 + q0^2.
@@ -21,7 +21,8 @@ So once alpha > R, at every t (stop_bounds):
   ln(Im b |den|^2 / y) (gaussian._norm_exponent with _sampled_rows' phase), is
   at most r0^2 (1/2 + g_plus) + ln(y / (alpha - R)) / 2.
 
-Imported only by sweep, so other commands do not compile it.
+The law is closed_form's; this module keeps only the bounds that follow from
+it.  Imported only by sweep, so other commands do not compile it.
 """
 
 from __future__ import annotations
@@ -29,33 +30,18 @@ from __future__ import annotations
 import math
 import sys
 
+from .closed_form import divergence_law
 from .gaussian import _propagate_blocks, b_from_metric
 from .model import SwansonParams, swanson_hamiltonian
 from .ode import BLOWUP_THRESHOLD, MetriplecticState
 
-__all__ = ["divergence_law", "stop_bounds"]
+__all__ = ["stop_bounds"]
 
 # a bound proves "no stop" only this far inside its limit: far wider than the rounding of the
 # bounds and of the engine's rows, so a run near any limit takes the block scan
 MARGIN = 1e-3
 # largest bound on ln n a proved run may have: half the exponent at which exp overflows
 LOG_N_CAP = 0.5 * math.log(sys.float_info.max)
-
-
-def divergence_law(params: SwansonParams, b0: complex) -> tuple[float, float, float, float]:
-    """(alpha, beta, gamma, R) of Im b(t) |den(t)|^2 = alpha + beta cos 2wt + gamma sin 2wt, R = hypot(beta, gamma).
-
-    den = S_qp b0 + S_qq is the Möbius denominator of the Swanson flow from
-    b0 = x + iy, w = params.omega; the packet stays bounded exactly when
-    alpha > R, and alpha + beta = y.
-    """
-    w0, d, w = params.omega0, params.delta, params.omega
-    x, y = b0.real, b0.imag
-    excess = x * x + y * y - 1.0
-    alpha = w0 * (d * excess + 2.0 * w0 * y) / (2.0 * w * w)
-    beta = d * (2.0 * d * y - w0 * excess) / (2.0 * w * w)
-    gamma = d * x / w
-    return alpha, beta, gamma, math.hypot(beta, gamma)
 
 
 def stop_bounds(init: MetriplecticState, b0: complex, gap: float) -> tuple[float, float, float]:

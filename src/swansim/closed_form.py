@@ -4,8 +4,9 @@ The complexified flow of the Swanson model is a rotation at frequency
 omega = sqrt(omega0^2 + delta^2) (complex_trajectory), so every
 identity-seeded quantity (centre, metric, survival probability) is a
 trigonometric expression sharing one scale factor, which diverges
-periodically once |delta| >= omega0 (closed_series).  The metric of an
-arbitrary initial metric is gaussian.metric_closed, the Möbius route.
+periodically once |delta| >= omega0 (closed_series), first at first_pole_time:
+both are the b0 = i case of divergence_law, which holds for every initial
+Gaussian.  The metric of an arbitrary initial metric is gaussian.metric_closed.
 The state and metric types every module shares live here too.
 """
 
@@ -24,6 +25,7 @@ __all__ = [
     "Metric",
     "RealState",
     "ComplexState",
+    "divergence_law",
     "first_pole_time",
     "complex_trajectory",
     "survival_closed",
@@ -106,29 +108,36 @@ class Metric:
         return Metric(self.g_pp * s, self.g_pq * s, self.g_qq * s)
 
 
-def _stretch(params: SwansonParams, times: np.ndarray) -> np.ndarray:
-    """Stretch factor 1/den on an array of times; DivergenceError in a blow-up window."""
-    d, w = params.delta, params.omega
-    den = 1.0 - (d * d / (w * w)) * (1.0 - np.cos(2.0 * w * times))
-    if den.min() <= SINGULAR_DET_TOL:
-        k = int(np.argmax(den <= SINGULAR_DET_TOL))
-        raise DivergenceError("sampled times include a blow-up window", time=float(times[k]))
-    return 1.0 / den
+def divergence_law(params: SwansonParams, b0: complex) -> tuple[float, float, float, float]:
+    """(alpha, beta, gamma, R) of Im b(t) |den(t)|^2 = alpha + beta cos 2wt + gamma sin 2wt, R = hypot(beta, gamma).
+
+    den = S_qp b0 + S_qq is the Möbius denominator of the Swanson flow from
+    b0 = x + iy, w = params.omega; the packet stays bounded exactly when
+    alpha > R, and alpha + beta = y.  The identity seed is b0 = i.
+    """
+    # the law reads only omega0 / w and delta / w: scaling all three by the power of two that puts w in
+    # [1/2, 1) is exact, and leaves no product to overflow while |b0|^2 is finite
+    e = -math.frexp(params.omega)[1]
+    w0, d, w = (math.ldexp(v, e) for v in (params.omega0, params.delta, params.omega))
+    x, y = b0.real, b0.imag
+    excess = x * x + y * y - 1.0
+    alpha = w0 * (0.5 * d * excess + w0 * y) / (w * w)
+    beta = d * (d * y - 0.5 * w0 * excess) / (w * w)
+    gamma = d * x / w
+    return alpha, beta, gamma, math.hypot(beta, gamma)
 
 
 def first_pole_time(params: SwansonParams) -> float | None:
     """Earliest blow-up time of the identity-seeded flow, None if bounded.
 
-    The first zero of the stretch factor's denominator: closed_series is
-    finite before it and raises DivergenceError from it until the window
-    closes.
+    The first root of alpha + R cos 2wt, the law at b0 = i (R = beta): closed_series
+    is finite before it and raises DivergenceError from it until the window
+    closes.  |delta| = omega0 gives -alpha / R = -1 exactly.
     """
-    w0, d = params.omega0, params.delta
-    if d * d < w0 * w0:
+    alpha, _, _, r = divergence_law(params, 1j)
+    if alpha > r:
         return None
-    w = params.omega
-    arg = 1.0 - w * w / (d * d)
-    return math.acos(max(-1.0, arg)) / (2.0 * w)
+    return math.acos(-alpha / r) / (2.0 * params.omega)
 
 
 def complex_trajectory(params: SwansonParams, z0: ComplexState, t: float) -> ComplexState:
@@ -142,7 +151,7 @@ def complex_trajectory(params: SwansonParams, z0: ComplexState, t: float) -> Com
 
 
 def survival_closed(params: SwansonParams, z0: RealState, t: float) -> float:
-    """Survival probability n(t) for G(0) = I and n(0) = 1; math.inf past blow-up."""
+    """Survival probability n(t) for G(0) = I and n(0) = 1; math.inf inside a blow-up window, finite between them."""
     try:
         return float(closed_series(params, z0, [t])[0, 5])
     except DivergenceError:
@@ -157,10 +166,15 @@ def closed_series(params: SwansonParams, z0: RealState, times) -> np.ndarray:
     Raises DivergenceError if any sampled time lies in a blow-up window.
     """
     times = np.asarray(times, dtype=float)
-    dd = _stretch(params, times)
     w0, d = params.omega0, params.delta
     w = params.omega
     two = 2.0 * w * times
+    # the stretch factor is 1/den, den = Im b |S_qp i + S_qq|^2: the law at b0 = i, where alpha + beta = 1
+    den = 1.0 - divergence_law(params, 1j)[1] * (1.0 - np.cos(two))
+    if den.min() <= SINGULAR_DET_TOL:
+        k = int(np.argmax(den <= SINGULAR_DET_TOL))
+        raise DivergenceError("sampled times include a blow-up window", time=float(times[k]))
+    dd = 1.0 / den
     c, s = np.cos(w * times), np.sin(w * times) / w
     out = np.empty(times.shape + (6,))
     out[..., 0] = dd * (z0.P * c - z0.Q * (w0 + d) * s)

@@ -10,10 +10,11 @@ and 7, and each `swansim ...` command example of README.md, in-process
 through swansim.cli.main on this checkout's sources.  For each run it records
 the argv without --out, the exit code, the stderr text, and the byte count and
 SHA-256 of the output, together with the Python, numpy and machine
-architecture the digests hold for.
+architecture the digests hold for.  It then prints the name of each run whose
+record differs from the one in the file it overwrites, or that none changed.
 
-The test imports environment() and digest() from here, but never the
-workloads: the argv it runs are the ones in the file.
+The test imports environment(), digest() and changed_runs() from here, but
+never the workloads: the argv it runs are the ones in the file.
 """
 
 from __future__ import annotations
@@ -77,6 +78,15 @@ def readme_runs() -> list[tuple[str, list[str]]]:
     return runs
 
 
+def changed_runs(old: dict, new: dict) -> list[str]:
+    """Names of the runs whose record differs between old and new or is in one only; all if the environments differ."""
+    if old.get("environment") != new["environment"]:
+        return [run["name"] for run in new["runs"]]
+    before = {run["name"]: run for run in old.get("runs", [])}
+    after = {run["name"]: run for run in new["runs"]}
+    return [name for name in {**before, **after} if before.get(name) != after.get(name)]
+
+
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     runs = []
@@ -84,8 +94,11 @@ def main() -> int:
         for name, argv in perfbench_runs() + readme_runs():
             runs.append({"name": name, "argv": argv, **digest(argv, Path(tmp) / "out")})
     record = {"environment": environment(), "runs": runs}
+    old = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
     DIGESTS.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(runs)} digests to {DIGESTS}")
+    changed = changed_runs(old, record)
+    print("\n".join(f"changed: {name}" for name in changed) if changed else "no record changed")
     return 0
 
 

@@ -963,7 +963,7 @@ def test_readme_flag_lines_match_the_parser():
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_frequency_below_min_is_refused(capsys, command):
-    # at these frequencies the closed forms' squares underflow to 0 (first_pole_time divides by one)
+    # at these frequencies the closed forms' squares underflow to 0 (closed_series divides by omega^2)
     # and the exact flow takes its free-particle branch
     for omega0 in ("1e-300", "2e-151"):
         argv = [command, f"--omega0={omega0}", "--delta-max=0" if command == "sweep" else "--delta=0"]

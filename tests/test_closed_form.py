@@ -1,9 +1,10 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.spatial import cKDTree
@@ -23,6 +24,7 @@ from swansim import (
     survival_closed,
     swanson_hamiltonian,
 )
+from swansim.closed_form import divergence_law
 
 PARAMS = SwansonParams(1.0, 0.5)
 
@@ -183,6 +185,53 @@ class TestFirstPoleTime:
             stretch(params, t)
         assert info.value.time == t
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        omega0=st.floats(min_value=0.25, max_value=4.0),
+        ratio=st.one_of(
+            st.sampled_from([1.0, -1.0]),
+            st.floats(min_value=-10.0, max_value=10.0),
+            # near the tangent case |delta| = omega0, on either side
+            st.builds(lambda sign, e: sign * (1.0 + 10.0**e), st.sampled_from([-1.0, 1.0]), st.floats(-15.0, -1.0)),
+            st.builds(lambda sign, e: sign * (1.0 - 10.0**e), st.sampled_from([-1.0, 1.0]), st.floats(-15.0, -1.0)),
+        ),
+    )
+    # just past the tangent case on either side of it, where a moved threshold decides wrongly
+    @example(omega0=1.3, ratio=1.0 + 1e-11)
+    @example(omega0=1.3, ratio=-(1.0 + 1e-11))
+    @example(omega0=1.3, ratio=1.0 - 1e-11)
+    def test_is_the_identity_case_of_the_law(self, omega0, ratio):
+        # the identity seed is b0 = i: alpha = omega0^2 / omega^2, beta = R = delta^2 / omega^2 and gamma = 0,
+        # bit for bit wherever delta^2 is a normal double, so closed_series' stretch 1 / (1 - beta (1 - cos 2wt))
+        # is the law's
+        params = SwansonParams(omega0, ratio * omega0)
+        w0, d, w = params.omega0, params.delta, params.omega
+        identity = (w0 * w0 / (w * w), d * d / (w * w), 0.0, d * d / (w * w))
+        if d == 0.0 or d * d >= sys.float_info.min:
+            assert divergence_law(params, 1j) == identity
+        else:
+            # a subnormal delta^2 rounds apart from the law's, whose delta is scaled by a power of two
+            assert divergence_law(params, 1j) == pytest.approx(identity, rel=0.0, abs=1e-300)
+        # so the first pole is the first root of cos 2wt = 1 - omega^2 / delta^2, and there is none
+        # when |delta| < omega0
+        pole = first_pole_time(params)
+        if abs(d * d - w0 * w0) > 1e-12 * (d * d + w0 * w0):
+            assert (pole is None) == (d * d < w0 * w0)
+        if pole is not None:
+            assert abs(math.cos(2.0 * w * pole) - (1.0 - w * w / (d * d))) <= 1e-13
+            assert 0.0 < pole <= math.pi / (2.0 * w)
+
+
+class TestDivergenceLaw:
+    @pytest.mark.parametrize("b0", [1j, 0.6 + 0.8j, -0.3 + 0.5j, 2j, -1.5 + 3j, 1e100j])
+    @pytest.mark.parametrize("omega0, delta", [(1.0, 1.3e154), (1.0, -1.3e154), (1.3e154, 1.0), (0.9e154, 0.9e154)])
+    def test_finite_at_the_top_of_the_accepted_range(self, omega0, delta, b0):
+        # omega^2 is a finite double up to omega = 1.34e154; a model past it is refused (tests/test_model.py).
+        # Seeds off the unit circle multiply omega0 and delta by |b0|^2 - 1 and Im b0 before the law divides.
+        alpha, beta, gamma, radius = divergence_law(SwansonParams(omega0, delta), b0)
+        assert all(math.isfinite(v) for v in (alpha, beta, gamma, radius))
+        assert abs(alpha + beta - b0.imag) <= 1e-15 * (abs(alpha) + abs(beta))
+
 
 class TestComplexTrajectory:
     def test_initial_condition(self):
@@ -253,6 +302,13 @@ class TestSurvivalClosed:
     def test_supercritical_flag(self):
         params = SwansonParams(1.0, 1.0)
         assert math.isinf(survival_closed(params, RealState(1.0, 0.0), math.pi / (2.0 * params.omega)))
+
+    def test_finite_again_after_the_window(self):
+        # n is inf only inside each blow-up window: at delta = 1.2 the first closes before T/2
+        params = SwansonParams(1.0, 1.2)
+        z0 = RealState(1.0, 0.7)
+        assert math.isinf(survival_closed(params, z0, 0.2 * params.period))
+        assert survival_closed(params, z0, 0.5 * params.period) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("z0", [RealState(1.0, 0.0), RealState(1.0, 0.7), RealState(-0.4, 1.2)])
     def test_against_quadrature_of_rate(self, z0):

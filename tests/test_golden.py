@@ -37,3 +37,14 @@ def test_record_covers_every_workload_seed_and_readme_example():
     assert sorted(name for name in names if name.startswith("README/")) == [
         "README/classify", "README/simulate", "README/sweep", "README/validate"
     ]
+
+
+def test_regen_names_the_runs_it_changes():
+    assert regen.changed_runs(RECORD, RECORD) == []
+    runs = [dict(run) for run in RECORD["runs"]]
+    runs[3]["sha256"] = "0" * 64
+    first = runs.pop(0)
+    assert regen.changed_runs(RECORD, {**RECORD, "runs": runs}) == [first["name"], runs[2]["name"]]
+    elsewhere = {"environment": {**RECORD["environment"], "numpy": "0"}, "runs": RECORD["runs"]}
+    assert regen.changed_runs(RECORD, elsewhere) == [run["name"] for run in RECORD["runs"]]
+    assert regen.changed_runs({}, RECORD) == [run["name"] for run in RECORD["runs"]]

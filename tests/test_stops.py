@@ -18,12 +18,12 @@ from swansim import (
     Metric,
     RealState,
     SwansonParams,
-    first_pole_time,
     metric_from_b,
     swanson_hamiltonian,
 )
 from swansim import gaussian
-from swansim._stops import LOG_N_CAP, MARGIN, _stop_index, divergence_law, stop_bounds
+from swansim._stops import LOG_N_CAP, MARGIN, _stop_index, stop_bounds
+from swansim.closed_form import divergence_law
 from swansim.cli import main
 from swansim.gaussian import _flow_entries, _propagate_blocks, _sampled_rows, b_from_metric
 from swansim.ode import BLOWUP_THRESHOLD
@@ -94,31 +94,6 @@ def runs(draw):
 def test_stop_index_equals_the_block_scan(run):
     params, init, t_end, step = run
     assert _stop_index(params, init, t_end, step) == scan_stop(params, init, t_end, step)
-
-
-@settings(max_examples=500, deadline=None)
-@given(
-    omega0=st.floats(min_value=0.25, max_value=4.0),
-    ratio=st.one_of(
-        st.sampled_from([1.0, -1.0]),
-        st.floats(min_value=-10.0, max_value=10.0),
-        # near the tangent case |delta| = omega0, on either side
-        st.builds(lambda sign, e: sign * (1.0 + 10.0**e), st.sampled_from([-1.0, 1.0]), st.floats(-15.0, -1.0)),
-        st.builds(lambda sign, e: sign * (1.0 - 10.0**e), st.sampled_from([-1.0, 1.0]), st.floats(-15.0, -1.0)),
-    ),
-)
-def test_first_pole_time_is_the_identity_case_of_the_law(omega0, ratio):
-    # the identity seed is b0 = i: alpha = omega0^2 / omega^2, beta = R = delta^2 / omega^2, gamma = 0,
-    # so the first pole is the first root of cos 2wt = -alpha / R, and there is none when alpha > R
-    params = SwansonParams(omega0, ratio * omega0)
-    alpha, _, gamma, radius = divergence_law(params, 1j)
-    assert gamma == 0.0
-    pole = first_pole_time(params)
-    if abs(alpha - radius) > 1e-12 * (alpha + radius):
-        assert (pole is None) == (alpha > radius)
-    if pole is not None:
-        assert abs(math.cos(2.0 * params.omega * pole) + alpha / radius) <= 1e-13
-        assert 0.0 < pole <= math.pi / (2.0 * params.omega)
 
 
 def bounded_inits():

@@ -77,6 +77,13 @@ MUTANTS = (
         ("tests/test_gaussian.py::TestEvolveB::test_non_finite_riccati_state_leaves_the_chart",),
     ),
     Mutant(
+        "riccati-stride-halved",
+        CLI,
+        "stride = max(1, n_steps // 100)",
+        "stride = max(1, n_steps // 200)",
+        ("tests/test_cli.py::test_mobius_vs_riccati_matches_whole_runs",),
+    ),
+    Mutant(
         "strided-riccati-samples-stop-early",
         CLI,
         "_riccati_steps(model, b0, t_end, step), 0, None, stride)",
@@ -90,6 +97,41 @@ MUTANTS = (
         "n_rows, block = step_count(t_end, step) + 1, ode.BLOCK_ROWS",
         "n_rows, block = step_count(t_end, step) + 1, 2048",
         ("tests/test_cli.py::test_simulate_csv_bytes_in_blocks_of_1000",),
+    ),
+    Mutant(
+        "engine-row-0-guard-dropped",
+        GAUSSIAN,
+        "bad[0] = False",
+        "bad[0] = bad[0]",
+        ("tests/test_gaussian.py::TestPropagate::test_centre_threshold_keeps_initial_row",),
+    ),
+    Mutant(
+        "flow-period-halved",
+        GAUSSIAN,
+        "arg = mu * t",
+        "arg = 0.5 * mu * t",
+        ("tests/test_gaussian.py::TestPeriod",),
+    ),
+    Mutant(
+        "centre-p-sign",
+        GAUSSIAN,
+        "return p.real + g_pq * p.imag + g_qq * q.imag,",
+        "return p.real - g_pq * p.imag - g_qq * q.imag,",
+        ("tests/test_gaussian.py::TestRotation",),
+    ),
+    Mutant(
+        "centre-q-sign",
+        GAUSSIAN,
+        "q.real - g_pp * p.imag - g_pq * q.imag",
+        "q.real + g_pp * p.imag + g_pq * q.imag",
+        ("tests/test_gaussian.py::TestRotation",),
+    ),
+    Mutant(
+        "norm-exponent-pq-sign",
+        GAUSSIAN,
+        "+ 2.0 * p.real * qi",
+        "- 2.0 * p.real * qi",
+        ("tests/test_gaussian.py::TestRotation",),
     ),
     Mutant(
         "phase-principal-angle",
@@ -127,20 +169,41 @@ MUTANTS = (
         "if not im < math.inf:",
         ("tests/test_model.py::test_ground_b_past_the_doubles_is_refused",),
     ),
-    # the closed-form pole
+    # the divergence law and its identity-seed case: closed_series' stretch and first_pole_time
+    Mutant(
+        "law-beta-sign",
+        CLOSED_FORM,
+        "beta = d * (d * y - 0.5 * w0 * excess)",
+        "beta = -d * (d * y - 0.5 * w0 * excess)",
+        ("tests/test_closed_form.py", "tests/test_geometry.py", "tests/test_stops.py"),
+    ),
+    Mutant(
+        "law-unscaled",
+        CLOSED_FORM,
+        "e = -math.frexp(params.omega)[1]",
+        "e = 0",
+        ("tests/test_closed_form.py::TestDivergenceLaw::test_finite_at_the_top_of_the_accepted_range",),
+    ),
+    Mutant(
+        "stretch-cosine-sign",
+        CLOSED_FORM,
+        "divergence_law(params, 1j)[1] * (1.0 - np.cos(two))",
+        "divergence_law(params, 1j)[1] * (1.0 + np.cos(two))",
+        ("tests/test_closed_form.py::TestStretchFactor",),
+    ),
     Mutant(
         "first-pole-threshold-moved",
         CLOSED_FORM,
-        "if d * d < w0 * w0:",
-        "if d * d < w0 * w0 * (1.0 + 1e-10):",
-        ("tests/test_stops.py::test_first_pole_time_is_the_identity_case_of_the_law",),
+        "if alpha > r:",
+        "if alpha > r * (1.0 - 1e-10):",
+        ("tests/test_closed_form.py::TestFirstPoleTime::test_is_the_identity_case_of_the_law",),
     ),
     Mutant(
         "first-pole-time-off",
         CLOSED_FORM,
-        "return math.acos(max(-1.0, arg)) / (2.0 * w)",
-        "return math.acos(max(-1.0, arg)) / (2.0 * w) * (1.0 + 1e-12)",
-        ("tests/test_stops.py::test_first_pole_time_is_the_identity_case_of_the_law",),
+        "return math.acos(-alpha / r) / (2.0 * params.omega)",
+        "return math.acos(-alpha / r) / (2.0 * params.omega) * (1.0 + 1e-12)",
+        ("tests/test_closed_form.py::TestFirstPoleTime::test_is_the_identity_case_of_the_law",),
     ),
     # the proof that a bounded run cannot stop
     Mutant(
@@ -156,13 +219,6 @@ MUTANTS = (
         "if not alpha - r > MARGIN * (abs(alpha) + r):",
         "if not alpha - r > 0.0:",
         ("tests/test_stops.py::test_runs_near_a_margin_take_the_scan",),
-    ),
-    Mutant(
-        "law-beta-sign",
-        STOPS,
-        "beta = d * (2.0 * d * y - w0 * excess)",
-        "beta = -d * (2.0 * d * y - w0 * excess)",
-        ("tests/test_geometry.py", "tests/test_stops.py"),
     ),
     Mutant(
         "g-plus-margin-dropped",
