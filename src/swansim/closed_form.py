@@ -169,8 +169,10 @@ def closed_series(params: SwansonParams, z0: RealState, times) -> np.ndarray:
     w0, d = params.omega0, params.delta
     w = params.omega
     two = 2.0 * w * times
+    # 1 - cos 2wt, sin 2wt and delta omega0 / w^2 serve the stretch, the metric and the exponent alike
+    vers, sin2, dw = 1.0 - np.cos(two), np.sin(two), d * w0 / (w * w)
     # the stretch factor is 1/den, den = Im b |S_qp i + S_qq|^2: the law at b0 = i, where alpha + beta = 1
-    den = 1.0 - divergence_law(params, 1j)[1] * (1.0 - np.cos(two))
+    den = 1.0 - divergence_law(params, 1j)[1] * vers
     if den.min() <= SINGULAR_DET_TOL:
         k = int(np.argmax(den <= SINGULAR_DET_TOL))
         raise DivergenceError("sampled times include a blow-up window", time=float(times[k]))
@@ -179,13 +181,11 @@ def closed_series(params: SwansonParams, z0: RealState, times) -> np.ndarray:
     out = np.empty(times.shape + (6,))
     out[..., 0] = dd * (z0.P * c - z0.Q * (w0 + d) * s)
     out[..., 1] = dd * (z0.Q * c + z0.P * (w0 - d) * s)
-    out[..., 2] = dd * (1.0 - (d * w0 / (w * w)) * (1.0 - np.cos(two)))
-    out[..., 3] = dd * (d / w) * np.sin(two)
-    out[..., 4] = dd * (1.0 + (d * w0 / (w * w)) * (1.0 - np.cos(two)))
-    ex = (d * dd / (2.0 * w * w)) * (
-        ((d - w0) * z0.P**2 + (d + w0) * z0.Q**2) * (1.0 - np.cos(two))
-        - 2.0 * w * z0.P * z0.Q * np.sin(two)
-    )
+    out[..., 2] = dd * (1.0 - dw * vers)
+    out[..., 3] = dd * (d / w) * sin2
+    out[..., 4] = dd * (1.0 + dw * vers)
+    # halving delta, not doubling w^2: 2 w^2 is inf past w = 9.5e153, and SwansonParams accepts up to 1.34e154
+    ex = (0.5 * d * dd / (w * w)) * (((d - w0) * z0.P**2 + (d + w0) * z0.Q**2) * vers - 2.0 * w * z0.P * z0.Q * sin2)
     # near delta = -omega0 the norm overflows before the pole: inf is the value meant there
     with np.errstate(over="ignore"):
         out[..., 5] = np.sqrt(dd) * np.exp(ex)

@@ -280,9 +280,11 @@ def test_power_of_two_scaling_is_exact(tmp_path: Path, capsys):
         assert code == 0
         return json.loads(text)
 
-    bounded = [validate(1, 0.5), validate(2, 1)]
-    assert bounded[0]["max_errors"] == bounded[1]["max_errors"]
-    assert bounded[0]["convergence_order"] == bounded[1]["convergence_order"]
+    # the second pair sits where 2 omega^2 is no longer a finite double
+    for pair in ((1, 0.5), (2, 1)), ((1.2e154, 5e153), (6e153, 2.5e153)):
+        bounded = [validate(*model) for model in pair]
+        assert bounded[0]["max_errors"] == bounded[1]["max_errors"]
+        assert bounded[0]["convergence_order"] == bounded[1]["convergence_order"]
     slow, fast = validate(1, 1.2)["divergence"], validate(4, 4.8)["divergence"]
     for key in ("closed_form_time", "ode_time"):
         assert fast[key] == slow[key] / 4
@@ -824,6 +826,7 @@ EDGE_INPUTS = [
     (["validate", "--delta=1e6"], 0),
     (["validate", "--delta=-1e6"], 0),
     (["validate", "--omega0=1e-100", "--delta=0.5e-100"], 0),
+    (["validate", "--omega0=1.2e154", "--delta=5e153"], 0),
     (["sweep", "--delta-min=-2", "--delta-max=2", "--delta-step=0.5", "--p0=1e100"], 0),
     (["sweep", "--g0=1e-9,0,1e9"], 0),
 ]

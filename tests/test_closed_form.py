@@ -310,6 +310,25 @@ class TestSurvivalClosed:
         assert math.isinf(survival_closed(params, z0, 0.2 * params.period))
         assert survival_closed(params, z0, 0.5 * params.period) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "omega0, delta, fractions",
+        [(1.0, 1.2e154, (0.01, 0.02, 0.48)), (1.2e154, 5e153, (0.01, 0.02, 0.37, 0.48, 0.9))],
+    )
+    def test_scales_exactly_at_the_top_of_the_accepted_range(self, omega0, delta, fractions):
+        # 2 omega^2 is inf past omega = 9.5e153 while SwansonParams accepts up to 1.34e154: there the rows are
+        # those of the model scaled by 2^-10 at times scaled by 2^10, to the last bit in all six columns.
+        # The supercritical model's times lie outside its windows.
+        params = SwansonParams(omega0, delta)
+        slow = SwansonParams(math.ldexp(omega0, -10), math.ldexp(delta, -10))
+        z0 = RealState(1.0, 0.7)
+        times = np.array(fractions) * params.period
+        slow_times = np.ldexp(times, 10)
+        rows = closed_series(params, z0, times)
+        assert np.isfinite(rows).all()
+        assert rows.tobytes() == closed_series(slow, z0, slow_times).tobytes()
+        for t, slow_t in zip(times, slow_times):
+            assert survival_closed(params, z0, float(t)) == survival_closed(slow, z0, float(slow_t))
+
     @pytest.mark.parametrize("z0", [RealState(1.0, 0.0), RealState(1.0, 0.7), RealState(-0.4, 1.2)])
     def test_against_quadrature_of_rate(self, z0):
         # independent oracle: n(t) = exp(int delta*(-2 P Q + g_pq) ds) with the

@@ -20,8 +20,9 @@ class Mutant(NamedTuple):
     survives: str = ""
 
 
-CLI, CLOSED_FORM, GAUSSIAN, MODEL, ODE, STOPS = (
-    f"src/swansim/{name}.py" for name in ("cli", "closed_form", "gaussian", "model", "ode", "_stops")
+CLI, CLOSED_FORM, CSVROWS, GAUSSIAN, GEOMETRY, MODEL, ODE, STOPS = (
+    f"src/swansim/{name}.py"
+    for name in ("cli", "closed_form", "_csvrows", "gaussian", "geometry", "model", "ode", "_stops")
 )
 
 MUTANTS = (
@@ -187,8 +188,8 @@ MUTANTS = (
     Mutant(
         "stretch-cosine-sign",
         CLOSED_FORM,
-        "divergence_law(params, 1j)[1] * (1.0 - np.cos(two))",
-        "divergence_law(params, 1j)[1] * (1.0 + np.cos(two))",
+        "vers, sin2, dw = 1.0 - np.cos(two),",
+        "vers, sin2, dw = 1.0 + np.cos(two),",
         ("tests/test_closed_form.py::TestStretchFactor",),
     ),
     Mutant(
@@ -204,6 +205,100 @@ MUTANTS = (
         "return math.acos(-alpha / r) / (2.0 * params.omega)",
         "return math.acos(-alpha / r) / (2.0 * params.omega) * (1.0 + 1e-12)",
         ("tests/test_closed_form.py::TestFirstPoleTime::test_is_the_identity_case_of_the_law",),
+    ),
+    # closed_series' shared terms and its survival exponent
+    Mutant(
+        "metric-coupling-over-omega",
+        CLOSED_FORM,
+        "d * w0 / (w * w)",
+        "d * w0 / w",
+        ("tests/test_closed_form.py::TestClosedSeries::test_matches_single_time_operations",),
+    ),
+    Mutant(
+        "exponent-half-dropped",
+        CLOSED_FORM,
+        "ex = (0.5 * d * dd / (w * w))",
+        "ex = (d * dd / (w * w))",
+        ("tests/test_closed_form.py::TestSurvivalClosed::test_against_quadrature_of_rate",),
+    ),
+    Mutant(
+        "shared-sine-sign",
+        CLOSED_FORM,
+        "np.sin(two), d * w0",
+        "-np.sin(two), d * w0",
+        ("tests/test_closed_form.py::TestClosedSeries::test_matches_single_time_operations",),
+    ),
+    # the conserved plane and the classifier's margin
+    Mutant(
+        "margin-times-omega0",
+        GEOMETRY,
+        "return im - d / params.omega0",
+        "return im - d * params.omega0",
+        ("tests/test_geometry.py::TestDivergenceLaw::test_law_holds_and_signs_the_classifier_margins",),
+    ),
+    Mutant(
+        "plane-slope-denominator-sign",
+        GEOMETRY,
+        "den = params.omega0 + params.delta * pt0.x",
+        "den = params.omega0 - params.delta * pt0.x",
+        ("tests/test_geometry.py::TestPlaneSlope",),
+    ),
+    Mutant(
+        "hamiltonian-coupling-sign",
+        MODEL,
+        "hess_gamma=np.array([[0.0, d], [d, 0.0]])",
+        "hess_gamma=np.array([[0.0, -d], [-d, 0.0]])",
+        ("tests/test_ode.py::TestRightHandSides",),
+    ),
+    # simulate's CSV cells written by numpy
+    Mutant(
+        "cell-ties-round-half-up",
+        CSVROWS,
+        "d += (frac > 0.5)",
+        "d += (frac >= 0.5)",
+        ("tests/test_csvrows.py::test_ties_round_half_to_even",),
+    ),
+    Mutant(
+        "cell-exponent-check-dropped",
+        CSVROWS,
+        "ok &= (p > 1e16) | ((p == 1e16) & (e >= 0.0))",
+        "ok = ok",
+        ("tests/test_csvrows.py::test_powers_of_ten_and_their_neighbours",),
+    ),
+    Mutant(
+        "cell-trailing-zero-run-dropped",
+        CSVROWS,
+        "keep[i] |= keep[i + 1]",
+        "keep[i] = keep[i]",
+        ("tests/test_csvrows.py::test_powers_of_ten_and_their_neighbours",),
+    ),
+    Mutant(
+        "cell-point-always-written",
+        CSVROWS,
+        'cell[:, kk + 2] = np.where(group[:, kk + 1] == 0, 0, ord("."))',
+        'cell[:, kk + 2] = ord(".")',
+        ("tests/test_csvrows.py::test_ties_round_half_to_even",),
+    ),
+    Mutant(
+        "cell-two-product-low-term-dropped",
+        CSVROWS,
+        "a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo",
+        "a_hi * s_lo + a_lo * s_hi)",
+        ("tests/test_csvrows.py::test_powers_of_ten_and_their_neighbours",),
+    ),
+    Mutant(
+        "cell-exponent-unclipped",
+        CSVROWS,
+        "k = np.clip(np.floor(np.log10(a)), _FIX_MIN, _FIX_MAX).astype(np.intp)",
+        "k = np.floor(np.log10(a)).astype(np.intp)",
+        ("tests/test_csvrows.py::test_powers_of_ten_and_their_neighbours",),
+    ),
+    Mutant(
+        "cell-digit-bound-dropped",
+        CSVROWS,
+        "ok &= d < _D_MAX",
+        "ok = ok",
+        ("tests/test_csvrows.py::test_a_log10_one_ulp_off_changes_no_byte",),
     ),
     # the proof that a bounded run cannot stop
     Mutant(
