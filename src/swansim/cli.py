@@ -17,7 +17,9 @@ exponent notation, inf or NaN) with the % template.
 
 Outputs are streamed, so no chunk of text grows with the run: simulate's CSV
 one pass of _csvrows.sample_lines at a time, the classify labels in runs of
-equal labels.  Nor does the memory behind them: simulate and sweep hold one
+equal labels.  Nor does the memory behind them.  classify computes, labels and
+writes its grid one block of rows at a time (geometry._grid_blocks), and
+peaks at about 31 MB resident at any resolution.  simulate and sweep hold one
 engine block of ode.BLOCK_ROWS rows at a time.  simulate computes,
 formats and writes a block before it computes the next, and peaks at about
 32 MB resident whether it runs 2 periods or 200.  sweep needs only each run's
@@ -65,13 +67,15 @@ from .gaussian import (
     metric_from_b,
     project_expectations,
 )
-from .geometry import DEFAULT_BAND, RegionLabel, classify_metric, region_grid
+from .geometry import DEFAULT_BAND, RegionLabel, _grid_blocks, classify_metric
 from .model import SwansonParams, swanson_hamiltonian
 from .ode import MetriplecticState, _integrate_blocks, step_count
 
-# Not called here: validate consumes the oracles' blocks and steps.  perfbench/tracing.py rebinds these
-# two names on this module to time them, so they stay importable from it.
+# Not called here: validate consumes the oracles' blocks and steps, and classify the grid's blocks.
+# perfbench/tracing.py rebinds these three names on this module to time them, so they stay importable
+# from it.
 from .gaussian import riccati_direct
+from .geometry import region_grid
 from .ode import integrate
 
 __all__ = ["main"]
@@ -85,7 +89,7 @@ DEFAULT_STEPS_PER_PERIOD = 10_000
 # most samples, coupling values or grid points one run may ask for; refused before allocation
 MAX_SAMPLES = 10_000_000
 
-# JSON text of each label, indexed by region_grid's code: code k stands for list(RegionLabel)[k]
+# JSON text of each label, indexed by the grid's code: code k stands for list(RegionLabel)[k]
 _QUOTED_LABELS = tuple(json.dumps(label.value) for label in RegionLabel)
 # most labels in one chunk of classify's output; a longer run of equal labels is cut
 _LABEL_RUN_CAP = 8192
@@ -342,7 +346,7 @@ def cmd_classify(cfg: RunConfig) -> int:
     if cfg.resolution**2 > MAX_SAMPLES:
         raise ConfigError(f"a {cfg.resolution}x{cfg.resolution} grid exceeds the limit of {MAX_SAMPLES} samples")
     try:
-        codes = region_grid(
+        blocks = _grid_blocks(
             params,
             (cfg.re_min, cfg.re_max),
             (cfg.im_min, cfg.im_max),
@@ -360,28 +364,37 @@ def cmd_classify(cfg: RunConfig) -> int:
         "labels": None,
     }
     # json.dumps(..., indent=2) encodes in pure Python, one call per label; the
-    # label array is written in runs where the placeholder sits
+    # label array is written in runs where the placeholder sits, each block of
+    # codes as it is computed
     head, _, tail = json.dumps(doc, indent=2, sort_keys=True).partition('"labels": null')
-    _write_chunks(cfg.out, itertools.chain([head + '"labels": '], _label_chunks(codes), [tail + "\n"]))
+    _write_chunks(cfg.out, itertools.chain([head + '"labels": '], _label_chunks(blocks), [tail + "\n"]))
     return EXIT_OK
 
 
-def _label_chunks(codes: np.ndarray):
-    """A non-empty code array's labels as the JSON array json.dumps(indent=2) writes for a top-level key.
+def _label_chunks(blocks):
+    """The labels of an iterable of non-empty code arrays, in order, as the JSON array
+    json.dumps(indent=2) writes for a top-level key.
 
-    Each run of equal codes is one repeated ",\\n    " + label, cut every
-    _LABEL_RUN_CAP labels.
+    Every label but the first is ",\\n    " + label, so a run of equal codes cut at a block edge
+    writes the same bytes as an uncut run.
     """
-    flat = codes.ravel()
-    cuts = (np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist()
-    starts = [0] + cuts
-    yield "[\n    " + _QUOTED_LABELS[flat[0]]
-    for start, end, code in zip(starts, cuts + [flat.size], flat[starts].tolist()):
-        item = ",\n    " + _QUOTED_LABELS[code]
-        # the first label is already written with the bracket
-        for lo in range(max(start, 1), end, _LABEL_RUN_CAP):
-            yield item * min(_LABEL_RUN_CAP, end - lo)
+    runs = _label_runs(blocks)
+    # the first label opens the bracket in place of its comma
+    yield "[" + next(runs)[1:]
+    yield from runs
     yield "\n  ]"
+
+
+def _label_runs(blocks):
+    """Each block's runs of equal codes as one repeated ",\\n    " + label, cut every _LABEL_RUN_CAP labels."""
+    for block in blocks:
+        flat = block.ravel()
+        cuts = (np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist()
+        starts = [0] + cuts
+        for start, end, code in zip(starts, cuts + [flat.size], flat[starts].tolist()):
+            item = ",\n    " + _QUOTED_LABELS[code]
+            for lo in range(start, end, _LABEL_RUN_CAP):
+                yield item * min(_LABEL_RUN_CAP, end - lo)
 
 
 def _rk4_oracle(params: SwansonParams, step: float):

@@ -34,8 +34,10 @@ __all__ = [
 
 # half-width of the classifier's undecided band, in its comparison variable
 DEFAULT_BAND = 0.02
-# grid rows whose margin region_grid evaluates at once
-_GRID_BLOCK_ROWS = 32
+# grid rows whose codes _grid_blocks computes at once: at the largest grid the CLI accepts (3162
+# columns) a block's float64 temporaries take 101 KB, under glibc malloc's 128 KB mmap threshold,
+# where 8 rows map and unmap each one (31 000 page faults at 3162^2 where 4 rows take 4 800)
+_GRID_BLOCK_ROWS = 4
 
 
 class RegionLabel(Enum):
@@ -171,6 +173,22 @@ def grid_axes(re_range: tuple[float, float], im_range: tuple[float, float], reso
     return np.linspace(re_lo, re_hi, resolution), np.linspace(im_lo, im_hi, resolution)
 
 
+def _grid_blocks(
+    params: SwansonParams,
+    re_range: tuple[float, float],
+    im_range: tuple[float, float],
+    resolution: int,
+    band: float = DEFAULT_BAND,
+):
+    """region_grid's codes, _GRID_BLOCK_ROWS rows at a time from the lowest Im(b); ValueError, raised
+    at the call, for a band or axes region_grid refuses."""
+    _require_band(band)
+    re_vals, im_vals = grid_axes(re_range, im_range, resolution)
+    # the margin of delta < 0 is a block of float64 temporaries; a block of rows bounds them
+    rows = (im_vals[lo : lo + _GRID_BLOCK_ROWS, None] for lo in range(0, resolution, _GRID_BLOCK_ROWS))
+    return (_label_codes(np.broadcast_to(_b_margin(params, re_vals, im), (len(im), resolution)), band) for im in rows)
+
+
 def region_grid(
     params: SwansonParams,
     re_range: tuple[float, float],
@@ -184,14 +202,13 @@ def region_grid(
     for list(RegionLabel)[k] (0 bounded, 1 divergent, 2 boundary).  Rows run
     over ascending Im(b), columns over ascending Re(b).  The code of every
     point is that of classify_b's label, from array evaluations of the same
-    margin, _GRID_BLOCK_ROWS rows at a time.
+    margin.  The codes are collected from _grid_blocks, which the classify
+    command consumes instead, one block of _GRID_BLOCK_ROWS rows at a time.
     """
-    _require_band(band)
-    re_vals, im_vals = grid_axes(re_range, im_range, resolution)
+    blocks = _grid_blocks(params, re_range, im_range, resolution, band)
     codes = np.empty((resolution, resolution), dtype=np.int8)
-    # the margin of delta < 0 is a full block of float64 temporaries; a block of rows bounds them
-    for lo in range(0, resolution, _GRID_BLOCK_ROWS):
-        rows = codes[lo : lo + _GRID_BLOCK_ROWS]
-        margin = _b_margin(params, re_vals[None, :], im_vals[lo : lo + len(rows), None])
-        rows[...] = _label_codes(np.broadcast_to(margin, rows.shape), band)
+    lo = 0
+    for block in blocks:
+        codes[lo : lo + len(block)] = block
+        lo += len(block)
     return codes

@@ -542,23 +542,51 @@ def label_runs(runs) -> list[int]:
     return [code for code, length in runs for _ in range(length)]
 
 
+def blocks_at(codes, cuts) -> list[np.ndarray]:
+    """codes split at the given sorted cut points into non-empty int8 blocks."""
+    edges = [0, *cuts, len(codes)]
+    return [np.asarray(codes[lo:hi], dtype=np.int8) for lo, hi in zip(edges, edges[1:])]
+
+
+CAP = cli._LABEL_RUN_CAP
 # runs of equal codes, some longer than the chunk cap
-code_runs = st.lists(st.tuples(st.integers(0, 2), st.integers(1, 2 * cli._LABEL_RUN_CAP + 3)), min_size=1, max_size=4)
+code_runs = st.lists(st.tuples(st.integers(0, 2), st.integers(1, 2 * CAP + 3)), min_size=1, max_size=4)
 
 
-@given(codes=st.one_of(st.lists(st.integers(0, 2), min_size=1, max_size=200), code_runs.map(label_runs)))
-@example(codes=[0, 1, 2] * 7)
-@example(codes=[2])
-@example(codes=label_runs([(1, 1), (0, 3 * cli._LABEL_RUN_CAP + 1), (2, cli._LABEL_RUN_CAP)]))
-@example(codes=np.array([[1, 1], [0, 2]], dtype=np.int8))
+@st.composite
+def code_blocks(draw) -> list[np.ndarray]:
+    """Drawn codes split into blocks at drawn cut points, as the grid's blocks of rows arrive."""
+    codes = draw(st.one_of(st.lists(st.integers(0, 2), min_size=1, max_size=200), code_runs.map(label_runs)))
+    cuts = draw(st.sets(st.integers(1, len(codes) - 1), max_size=5)) if len(codes) > 1 else set()
+    return blocks_at(codes, sorted(cuts))
+
+
+@given(blocks=code_blocks())
+@example(blocks=blocks_at([0, 1, 2] * 7, []))
+@example(blocks=blocks_at([2], []))
+# a first block of a single label, then a run of 3 * CAP + 1 bounded labels cut twice
+@example(blocks=blocks_at(label_runs([(1, 1), (0, 3 * CAP + 1), (2, CAP)]), [1, CAP + 5, 2 * CAP]))
+@example(blocks=blocks_at(label_runs([(1, 1), (0, 3 * CAP + 1), (2, CAP)]), []))
+@example(blocks=[np.array([[1, 1], [0, 2]], dtype=np.int8), np.array([[2, 2], [2, 0]], dtype=np.int8)])
 @settings(max_examples=60, deadline=None)
-def test_label_chunks_match_json_dumps(codes):
-    codes = np.asarray(codes, dtype=np.int8)
-    chunks = list(_label_chunks(codes))
-    expected = json.dumps({"labels": [LABEL_VALUES[code] for code in codes.ravel()]}, indent=2)
+def test_label_chunks_match_json_dumps(blocks):
+    chunks = list(_label_chunks(iter(blocks)))
+    codes = np.concatenate([block.ravel() for block in blocks])
+    expected = json.dumps({"labels": [LABEL_VALUES[code] for code in codes]}, indent=2)
     assert '{\n  "labels": ' + "".join(chunks) + "\n}" == expected
-    # no chunk grows with the grid: at most _LABEL_RUN_CAP labels each
-    assert max(map(len, chunks)) <= cli._LABEL_RUN_CAP * len(',\n    "divergent"')
+    # no chunk grows with the grid or with a block: at most _LABEL_RUN_CAP labels each
+    assert max(map(len, chunks)) <= CAP * len(',\n    "divergent"')
+
+
+@pytest.mark.parametrize("flag", ["--band=0", "--im-min=-1", "--im-max=inf"])
+def test_refused_grid_writes_nothing(tmp_path: Path, capsys, flag):
+    # the grid's checks run at the call, before the JSON head is written
+    out = tmp_path / "grid.json"
+    for argv in (["classify", flag, f"--out={out}"], ["classify", flag]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("delta", [0.5, -0.5])
@@ -599,9 +627,11 @@ PEAK_RSS_SCRIPT = """if True:
 """
 
 
-# a run's flags, then those of a run ten times as long: ten times the periods, or a tenth of
-# validate's default step T/10^4 (its span is one period of the default model)
+# a run's flags, then those of a run ten times as long: ten times the periods, a tenth of
+# validate's default step T/10^4 (its span is one period of the default model), or about ten
+# times classify's grid points
 LONGER_RUNS = {
+    "classify": (["--resolution=801"], ["--resolution=2533"]),
     "simulate": (["--periods=2"], ["--periods=20"]),
     "sweep": (["--periods=2"], ["--periods=20"]),
     "validate": ([], [f"--step={SwansonParams(1.0, 0.5).period / 100_000!r}"]),
@@ -610,7 +640,7 @@ LONGER_RUNS = {
 
 @pytest.mark.parametrize("command", sorted(LONGER_RUNS))
 def test_peak_memory_does_not_grow_with_the_run(tmp_path: Path, command):
-    # one engine or oracle block at a time: a run ten times as long, the same peak
+    # one engine, oracle or grid block at a time: a run ten times as long, the same peak
     peaks = []
     for i, flags in enumerate(LONGER_RUNS[command]):
         argv = [command, *flags, f"--out={tmp_path / f'{i}.out'}"]
@@ -634,7 +664,7 @@ UNWRITABLE_ARGV = {
 COMPUTE = (
     "_propagate_blocks",
     "_sampled_rows",
-    "region_grid",
+    "_grid_blocks",
     "_integrate_blocks",
     "_riccati_steps",
     "first_pole_time",

@@ -243,6 +243,35 @@ MUTANTS = (
         "den = params.omega0 - params.delta * pt0.x",
         ("tests/test_geometry.py::TestPlaneSlope",),
     ),
+    # classify's grid, streamed one block of rows at a time
+    Mutant(
+        "grid-collector-offset-dropped",
+        GEOMETRY,
+        "codes[lo : lo + len(block)] = block",
+        "codes[: len(block)] = block",
+        ("tests/test_geometry.py::TestRegionGrid::test_positive_coupling_horizontal_boundary",),
+    ),
+    Mutant(
+        "grid-blocks-stop-one-short",
+        GEOMETRY,
+        "for lo in range(0, resolution, _GRID_BLOCK_ROWS))",
+        "for lo in range(0, resolution - _GRID_BLOCK_ROWS, _GRID_BLOCK_ROWS))",
+        ("tests/test_cli.py::test_classify_json_bytes",),
+    ),
+    Mutant(
+        "label-first-comma-kept",
+        CLI,
+        'yield "[" + next(runs)[1:]',
+        'yield "[" + next(runs)',
+        ("tests/test_cli.py::test_label_chunks_match_json_dumps",),
+    ),
+    Mutant(
+        "label-run-cap-ignored",
+        CLI,
+        "for lo in range(start, end, _LABEL_RUN_CAP):\n                yield item * min(_LABEL_RUN_CAP, end - lo)",
+        "for lo in range(start, end, flat.size):\n                yield item * (end - lo)",
+        ("tests/test_cli.py::test_label_chunks_match_json_dumps",),
+    ),
     Mutant(
         "hamiltonian-coupling-sign",
         MODEL,

@@ -4,10 +4,10 @@
 
 The tree is copied once into a temporary directory outside the repository, and the mutants are
 applied there one at a time; the working tree is never edited.  For each mutant the runner runs
-its killers with pytest -x, and the whole tier-1 suite if they pass, then restores the file.  It
-prints a JSON report: each mutant's result ("killed" or "survived"), whether that is what the
-catalogue expects, the stage that decided it ("killers" or "suite"), the first failing test and
-the seconds taken.  It exits 1 if any result differs from the catalogue.
+its killers with pytest -x, and the whole tier-1 suite if they pass, then restores the file; both
+with --assert=plain.  It prints a JSON report: each mutant's result ("killed" or "survived"),
+whether that is what the catalogue expects, the stage that decided it ("killers" or "suite"), the
+first failing test and the seconds taken.  It exits 1 if any result differs from the catalogue.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_
 def pytest(tree: Path, args: list[str]) -> tuple[bool, str | None]:
     """Whether pytest -x passes on args in tree, and the first failing test's node id if not."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args]
+    # --assert=plain: assertions still fail a test, but pytest builds no diff of what they compared,
+    # which for two long CSV strings takes about a minute
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--assert=plain", *args]
     done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     if done.returncode == 0:
         return True, None
