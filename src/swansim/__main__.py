@@ -7,8 +7,8 @@ loads nothing (see swansim/__init__), so it acts before numpy loads:
   No CLI command makes a BLAS call, yet at `import numpy` OpenBLAS starts a
   worker thread per further CPU, which spins for about 100 ms of CPU;
 - it turns the collector off while cli imports numpy and every swansim
-  module: the 34 collections those imports trigger free about 300 objects;
-- it then moves every object alive after the imports (about 22 000: the
+  module: the 32 collections those imports trigger free about 260 objects;
+- it then moves every object alive after the imports (about 32 000: the
   interpreter's, numpy's and swansim's) to the permanent generation
   (gc.freeze), which no later collection visits.  The collections at exit
   skip that heap, and its cycles are left to the operating system rather

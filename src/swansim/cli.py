@@ -33,6 +33,8 @@ strided samples it compares.  validate peaks at about 30 MB resident
 whatever its step.
 
 main(argv) is the in-process API; a process runs it through swansim.__main__.
+json is imported inside the functions that use it, so simulate and sweep
+without --config never load it.
 
 Exit codes: 0 ok, 2 configuration or numerical (SwansimError) error or an
 unwritable --out, 3 divergence (unless --allow-divergence), 4 validation
@@ -42,14 +44,11 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
-import json
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +67,7 @@ from .gaussian import (
     project_expectations,
 )
 from .geometry import DEFAULT_BAND, RegionLabel, _grid_blocks, classify_metric
-from .model import SwansonParams, swanson_hamiltonian
+from .model import SwansonParams, _Value, swanson_hamiltonian
 from .ode import MetriplecticState, _integrate_blocks, step_count
 
 # Not called here: validate consumes the oracles' blocks and steps, and classify the grid's blocks.
@@ -89,8 +88,9 @@ DEFAULT_STEPS_PER_PERIOD = 10_000
 # most samples, coupling values or grid points one run may ask for; refused before allocation
 MAX_SAMPLES = 10_000_000
 
-# JSON text of each label, indexed by the grid's code: code k stands for list(RegionLabel)[k]
-_QUOTED_LABELS = tuple(json.dumps(label.value) for label in RegionLabel)
+# JSON text of each label, indexed by the grid's code: code k stands for list(RegionLabel)[k]; the
+# labels are plain ASCII words, which JSON quotes as they are
+_QUOTED_LABELS = tuple(f'"{label.value}"' for label in RegionLabel)
 # most labels in one chunk of classify's output; a longer run of equal labels is cut
 _LABEL_RUN_CAP = 8192
 
@@ -117,8 +117,17 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
+def _params(omega0: float, delta: float) -> SwansonParams:
+    """The model; ConfigError if SwansonParams refuses it."""
+    try:
+        return SwansonParams(omega0, delta)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+class RunConfig(_Value, frozen=False):
+    """A run's settings: the class-level defaults, then the --config file's values and the flags."""
+
     omega0: float = 1.0
     delta: float = 0.5
     p0: float = 1.0
@@ -142,11 +151,8 @@ class RunConfig:
 
     @property
     def params(self) -> SwansonParams:
-        """The model; ConfigError if SwansonParams refuses it."""
-        try:
-            return SwansonParams(self.omega0, self.delta)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        """The model of omega0 and delta; ConfigError if SwansonParams refuses it."""
+        return _params(self.omega0, self.delta)
 
     def sample_step(self, period: float, span: float) -> float:
         """Sample spacing of a run over [0, span]: --step, or period / 10^4.
@@ -192,6 +198,8 @@ class RunConfig:
 
 
 def _load_config_file(path: str) -> dict:
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -225,14 +233,17 @@ _CONFIG_TYPES = {
 }
 
 
-def _config_value(field: dataclasses.Field, value):
-    """A config value converted to its RunConfig field's type; ConfigError if it does not fit."""
-    kind = field.type.removesuffix(" | None")
-    if value is None and kind != field.type:
+def _config_value(name: str, value):
+    """A config value converted to the type of the RunConfig field name; ConfigError if it does not fit."""
+    annotation = RunConfig.__annotations__[name]
+    kind = annotation.removesuffix(" | None")
+    if value is None and kind != annotation:
         return None
     expected, fits, convert = _CONFIG_TYPES[kind]
     if not fits(value):
-        raise ConfigError(f"{field.name}: expected {expected}, got {json.dumps(value)}")
+        import json
+
+        raise ConfigError(f"{name}: expected {expected}, got {json.dumps(value)}")
     return convert(value)
 
 
@@ -243,10 +254,10 @@ def _number(text: str) -> int | float:
         return float(text)
 
 
-def _flag_value(field: dataclasses.Field, text):
-    """The JSON value a flag's text stands for: a number or a comma-separated
-    list of numbers, else the text itself (always for a str field); a switch's True as is."""
-    if text is True or field.type.startswith("str"):
+def _flag_value(name: str, text):
+    """The JSON value a flag's text stands for: a number or a comma-separated list of numbers, else
+    the text itself (always for the str field name); a switch's True as is."""
+    if text is True or RunConfig.__annotations__[name].startswith("str"):
         return text
     try:
         values = [_number(part) for part in text.split(",")]
@@ -262,13 +273,12 @@ def _merge_config(args: dict, names: tuple[str, ...]) -> RunConfig:
     """
     file_values = _load_config_file(args.pop("config")) if "config" in args else {}
     cfg = RunConfig()
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     for key, value in file_values.items():
         if key not in names:
             raise ConfigError(f"unknown config key: {key}")
-        setattr(cfg, key, _config_value(fields[key], value))
+        setattr(cfg, key, _config_value(key, value))
     for key, text in args.items():
-        setattr(cfg, key, _config_value(fields[key], _flag_value(fields[key], text)))
+        setattr(cfg, key, _config_value(key, _flag_value(key, text)))
     return cfg
 
 
@@ -342,6 +352,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_classify(cfg: RunConfig) -> int:
+    import json
+
     params = cfg.params
     if cfg.resolution**2 > MAX_SAMPLES:
         raise ConfigError(f"a {cfg.resolution}x{cfg.resolution} grid exceeds the limit of {MAX_SAMPLES} samples")
@@ -512,6 +524,8 @@ def _validation_report(params: SwansonParams, step: float) -> dict:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
+    import json
+
     params = cfg.params
     report = _validation_report(params, cfg.sample_step(params.period, params.period))
     _write_chunks(cfg.out, [json.dumps(report, indent=2, sort_keys=True) + "\n"])
@@ -535,7 +549,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
     for k in range(n_values):
         delta = cfg.delta_min + k * cfg.delta_step
-        params = dataclasses.replace(cfg, delta=delta).params
+        params = _params(cfg.omega0, delta)
         label = classify_metric(params, init.G)
         t_end = periods * params.period
         step = cfg.sample_step(params.period, t_end)

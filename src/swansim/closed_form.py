@@ -13,12 +13,11 @@ The state and metric types every module shares live here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError
-from .model import SwansonParams
+from .model import SwansonParams, _Value
 
 __all__ = [
     "SINGULAR_DET_TOL",
@@ -38,14 +37,14 @@ __all__ = [
 SINGULAR_DET_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class RealState:
+class RealState(_Value):
     """Real phase-space point (momentum first)."""
 
     P: float
     Q: float
 
-    def __post_init__(self):
+    def __init__(self, P: float, Q: float):
+        super().__init__(P, Q)
         if not (math.isfinite(self.P) and math.isfinite(self.Q)):
             raise ValueError("phase-space point must be finite")
 
@@ -54,8 +53,7 @@ class RealState:
         return np.array([self.P, self.Q])
 
 
-@dataclass(frozen=True)
-class ComplexState:
+class ComplexState(_Value):
     """Complexified phase-space point (momentum first)."""
 
     p: complex
@@ -66,8 +64,7 @@ class ComplexState:
         return np.array([self.p, self.q], dtype=complex)
 
 
-@dataclass(frozen=True)
-class Metric:
+class Metric(_Value):
     """Symmetric positive-definite phase-space metric with unit determinant.
 
     The unit determinant is what makes the metric compatible with the
@@ -80,7 +77,8 @@ class Metric:
     g_pq: float
     g_qq: float
 
-    def __post_init__(self):
+    def __init__(self, g_pp: float, g_pq: float, g_qq: float):
+        super().__init__(g_pp, g_pq, g_qq)
         vals = (self.g_pp, self.g_pq, self.g_qq)
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("metric entries must be finite")

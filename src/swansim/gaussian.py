@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .closed_form import ComplexState, Metric, RealState, metric_eigen
 from .errors import DivergenceError, MobiusPoleError, NonNormalizableError
-from .model import MIN_FREQUENCY, QuadraticHamiltonian, SwansonParams, swanson_hamiltonian
+from .model import MIN_FREQUENCY, QuadraticHamiltonian, SwansonParams, _Value, swanson_hamiltonian
 from . import ode
 from .ode import BLOWUP_THRESHOLD, MetriplecticState, Trajectory, step_count
 
@@ -61,8 +60,7 @@ def is_normalizable(b: complex) -> bool:
     return b.imag > 0.0
 
 
-@dataclass(frozen=True)
-class GaussianState:
+class GaussianState(_Value):
     """Gaussian wave packet (z, b, gamma); survival probability comes from gaussian_norm."""
 
     z: ComplexState

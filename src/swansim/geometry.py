@@ -9,7 +9,6 @@ the plane's slope is below one, a hyperbola (divergent) above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .closed_form import Metric
 from .errors import NonNormalizableError
 from .gaussian import is_normalizable
-from .model import SwansonParams
+from .model import SwansonParams, _Value
 
 __all__ = [
     "DEFAULT_BAND",
@@ -46,15 +45,15 @@ class RegionLabel(Enum):
     BOUNDARY = "boundary"
 
 
-@dataclass(frozen=True)
-class HyperboloidPoint:
+class HyperboloidPoint(_Value):
     """Point on z^2 - x^2 - y^2 = 1 with z > 0, representing a metric."""
 
     x: float
     y: float
     z: float
 
-    def __post_init__(self):
+    def __init__(self, x: float, y: float, z: float):
+        super().__init__(x, y, z)
         if self.z <= 0:
             raise ValueError("hyperboloid point must lie on the upper sheet (z > 0)")
 

@@ -9,7 +9,6 @@ oscillator of frequency omega; SwansonParams carries omega, theta and ground_b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,14 +29,67 @@ OMEGA.setflags(write=False)
 MIN_FREQUENCY = 1e-150
 
 
-@dataclass(frozen=True)
-class SwansonParams:
+class _Value:
+    """Value semantics for a class that declares its fields as annotations, in order, as a dataclass does.
+
+    The constructor takes the fields by position or by name, and one left out takes its class-level
+    default.  Instances compare equal when their types and fields are, their repr is the dataclass
+    form, and a frozen type (the default; `class C(_Value, frozen=False)` makes a mutable one) hashes
+    its tuple of fields and refuses assignment.  A subclass with checks makes them in its own
+    __init__.  Nothing is generated when a class is created: the methods below serve every subclass.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        if not frozen:
+            cls.__setattr__, cls.__delattr__, cls.__hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} arguments but {len(args)} were given")
+        values = dict(zip(cls._fields, args))
+        for name, value in kwargs.items():
+            if name not in cls._fields or name in values:
+                raise TypeError(f"{cls.__name__}() got an unexpected or repeated argument {name!r}")
+            values[name] = value
+        for name in cls._fields:
+            if name not in values and not hasattr(cls, name):
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+            object.__setattr__(self, name, values[name] if name in values else getattr(cls, name))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SwansonParams(_Value):
     """Model parameters: oscillator frequency omega0 > 0 and gain-loss coupling delta."""
 
     omega0: float
     delta: float
 
-    def __post_init__(self):
+    def __init__(self, omega0: float, delta: float):
+        super().__init__(omega0, delta)
         if not (math.isfinite(self.omega0) and math.isfinite(self.delta)):
             raise ValueError("parameters must be finite")
         if self.omega0 <= 0:
@@ -92,8 +144,7 @@ def _as_symmetric(m, name: str) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class QuadraticHamiltonian:
+class QuadraticHamiltonian(_Value):
     """General complex quadratic Hamiltonian H - i*Gamma without linear terms.
 
     hess_h / hess_gamma are the (symmetric) Hessians of the Hermitian and
@@ -102,12 +153,11 @@ class QuadraticHamiltonian:
 
     hess_h: np.ndarray
     hess_gamma: np.ndarray
-    const_h: float = 0.0
-    const_gamma: float = 0.0
+    const_h: float
+    const_gamma: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "hess_h", _as_symmetric(self.hess_h, "hess_h"))
-        object.__setattr__(self, "hess_gamma", _as_symmetric(self.hess_gamma, "hess_gamma"))
+    def __init__(self, hess_h, hess_gamma, const_h: float = 0.0, const_gamma: float = 0.0):
+        super().__init__(_as_symmetric(hess_h, "hess_h"), _as_symmetric(hess_gamma, "hess_gamma"), const_h, const_gamma)
 
     @property
     def hess_complex(self) -> np.ndarray:

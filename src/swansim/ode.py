@@ -24,12 +24,11 @@ here closed_series compares each RK4 block at once, while the Riccati oracle
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .closed_form import Metric, RealState
-from .model import QuadraticHamiltonian
+from .model import QuadraticHamiltonian, _Value
 
 __all__ = [
     "BLOWUP_THRESHOLD",
@@ -46,21 +45,20 @@ BLOWUP_THRESHOLD = 1e8
 BLOCK_ROWS = 2048
 
 
-@dataclass(frozen=True)
-class MetriplecticState:
+class MetriplecticState(_Value):
     """Joint state of the coupled flow: centre Z, metric G, survival probability n."""
 
     Z: RealState
     G: Metric
     n: float
 
-    def __post_init__(self):
+    def __init__(self, Z: RealState, G: Metric, n: float):
+        super().__init__(Z, G, n)
         if not (math.isfinite(self.n) and self.n > 0):
             raise ValueError("survival probability must be positive and finite")
 
 
-@dataclass
-class Trajectory:
+class Trajectory(_Value, frozen=False):
     """Uniformly sampled solution of the coupled flow.
 
     values has one row (P, Q, g_pp, g_pq, g_qq, n) per retained time;

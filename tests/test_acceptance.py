@@ -3,7 +3,6 @@
 Each test prints one PASS/FAIL line (run pytest -s to see them inline).
 """
 
-import dataclasses
 import math
 import time
 
@@ -14,6 +13,7 @@ from swansim import (
     GaussianState,
     Metric,
     MetriplecticState,
+    QuadraticHamiltonian,
     RealState,
     RegionLabel,
     SwansimError,
@@ -252,8 +252,9 @@ def test_criterion_13_schrodinger_equation():
         omega0 = rng.uniform(0.5, 1.0)
         delta = rng.uniform(-2.0, 2.0) * omega0
         params = SwansonParams(omega0, delta)
-        model = dataclasses.replace(swanson_hamiltonian(params), const_h=rng.uniform(-1.0, 1.0),
-                                    const_gamma=rng.uniform(-1.0, 1.0))
+        swanson = swanson_hamiltonian(params)
+        model = QuadraticHamiltonian(swanson.hess_h, swanson.hess_gamma, const_h=rng.uniform(-1.0, 1.0),
+                                     const_gamma=rng.uniform(-1.0, 1.0))
         init = GaussianState(
             z=ComplexState(*(rng.uniform(-1.0, 1.0, size=2) + 1j * rng.uniform(-0.5, 0.5, size=2))),
             b=complex(rng.uniform(-1.5, 1.5), rng.uniform(0.4, 2.0)),

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import gc
 import importlib
 import io
@@ -884,7 +883,7 @@ NEGATIVE_VALUES = {
     "tuple[float, float, float]": ("-5e-1,-.5,-1e0", (-0.5, -0.5, -1.0)),
     "complex | None": ("-.5e0,-2e-1", complex(-0.5, -0.2)),
 }
-FIELD_TYPES = {field.name: field.type for field in dataclasses.fields(cli.RunConfig)}
+FIELD_TYPES = dict(cli.RunConfig.__annotations__)
 
 
 def test_negative_values_are_not_option_names():
@@ -1350,6 +1349,23 @@ def test_only_sweep_compiles_the_stop_proof(tmp_path: Path):
     cp = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout.strip() == "[False, False, False, True]"
+
+
+def test_no_command_imports_dataclasses_and_simulate_and_sweep_skip_json(tmp_path: Path):
+    # json is imported by the commands that read a config file or write JSON, dataclasses by none
+    code = """if True:
+        import sys
+        from swansim.cli import main
+        seen = []
+        for argv in (["simulate", "--periods=0.5"], ["sweep", "--delta-max=0.2"], ["classify", "--resolution=5"],
+                     ["validate", "--step=0.002"]):
+            assert main([*argv, "--out=" + sys.argv[1]]) == 0
+            seen.append(("json" in sys.modules, "dataclasses" in sys.modules))
+        print(seen)
+    """
+    cp = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "[(False, False), (False, False), (True, False), (True, False)]"
 
 
 @pytest.mark.parametrize(

@@ -112,6 +112,11 @@ class TestMetricFromB:
         with pytest.raises(NonNormalizableError):
             metric_from_b(1 - 0.2j)
 
+    def test_rejects_the_real_axis(self):
+        # Im b = 0 is not normalizable either, and is refused before a division by it
+        with pytest.raises(NonNormalizableError):
+            metric_from_b(1 + 0j)
+
     @given(b=upper_half_b)
     def test_unit_determinant(self, b):
         assert metric_from_b(b).det == pytest.approx(1.0, abs=1e-12)

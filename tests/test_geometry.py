@@ -260,6 +260,11 @@ class TestRegionGrid:
         with pytest.raises(ValueError, match="finite"):
             region_grid(PARAMS, re_range, im_range, 5)
 
+    def test_accepts_finite_ranges_near_the_largest_double(self):
+        # the widths are finite though the sum of an im_range's ends is not
+        re_vals, im_vals = grid_axes((-1.0, 1.0), (1e308, 1.5e308), 3)
+        assert im_vals.tolist() == [1e308, 1.25e308, 1.5e308] and re_vals.tolist() == [-1.0, 0.0, 1.0]
+
     @given(
         delta=st.one_of(st.just(0.0), st.floats(min_value=-3.0, max_value=3.0)),
         re_lo=st.floats(min_value=-5.0, max_value=5.0),

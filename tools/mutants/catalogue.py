@@ -407,4 +407,118 @@ MUTANTS = (
         "0.5 * math.log(b0.imag / gap)",
         ("tests/test_stops.py",),
     ),
+    # the value types: their constructors' checks, and the value semantics of model._Value
+    Mutant(
+        "metric-zero-g-pp-accepted",
+        CLOSED_FORM,
+        "if self.g_pp <= 0 or self.g_qq <= 0:",
+        "if self.g_pp < 0 or self.g_qq <= 0:",
+        ("tests/test_values.py::test_metric_checks",),
+    ),
+    Mutant(
+        "metric-zero-g-qq-accepted",
+        CLOSED_FORM,
+        "if self.g_pp <= 0 or self.g_qq <= 0:",
+        "if self.g_pp <= 0 or self.g_qq < 0:",
+        ("tests/test_values.py::test_metric_checks",),
+    ),
+    Mutant(
+        "params-zero-omega0-accepted",
+        MODEL,
+        "if self.omega0 <= 0:",
+        "if self.omega0 < 0:",
+        ("tests/test_values.py::test_swanson_params_checks",),
+    ),
+    Mutant(
+        "real-state-one-finite-coordinate-enough",
+        CLOSED_FORM,
+        "math.isfinite(self.P) and math.isfinite(self.Q)",
+        "math.isfinite(self.P) or math.isfinite(self.Q)",
+        ("tests/test_values.py::test_real_state_checks",),
+    ),
+    Mutant(
+        "survival-zero-accepted",
+        ODE,
+        "math.isfinite(self.n) and self.n > 0",
+        "math.isfinite(self.n) and self.n >= 0",
+        ("tests/test_values.py::test_metriplectic_state_checks",),
+    ),
+    Mutant(
+        "hyperboloid-zero-z-accepted",
+        GEOMETRY,
+        "if self.z <= 0:",
+        "if self.z < 0:",
+        ("tests/test_values.py::test_hyperboloid_point_checks",),
+    ),
+    Mutant(
+        "hamiltonian-gamma-unchecked",
+        MODEL,
+        '_as_symmetric(hess_gamma, "hess_gamma")',
+        "hess_gamma",
+        ("tests/test_values.py::test_quadratic_hamiltonian_checks",),
+    ),
+    Mutant(
+        "value-equal-across-types",
+        MODEL,
+        "if other.__class__ is not self.__class__:",
+        "if not isinstance(other, _Value):",
+        ("tests/test_values.py::test_unequal_values",),
+    ),
+    Mutant(
+        "value-hash-of-type-only",
+        MODEL,
+        "return hash(self._values())",
+        "return hash(type(self))",
+        ("tests/test_values.py::test_frozen_types_compare_and_hash_by_value",),
+    ),
+    Mutant(
+        "value-frozen-assignment-allowed",
+        MODEL,
+        'raise AttributeError(f"cannot assign to field {name!r}")',
+        "object.__setattr__(self, name, value)",
+        ("tests/test_values.py::test_frozen_types_refuse_assignment",),
+    ),
+    Mutant(
+        "value-class-default-ignored",
+        MODEL,
+        "values[name] if name in values else getattr(cls, name)",
+        "values.get(name)",
+        ("tests/test_values.py::test_gaussian_state_by_position_and_name_with_default",),
+    ),
+    Mutant(
+        "sweep-coupling-not-swept",
+        CLI,
+        "params = _params(cfg.omega0, delta)",
+        "params = _params(cfg.omega0, cfg.delta)",
+        ("tests/test_cli.py::test_sweep_max_g_plus_is_the_largest_sampled_eigenvalue",),
+    ),
+    Mutant(
+        "labels-unquoted",
+        CLI,
+        """_QUOTED_LABELS = tuple(f'"{label.value}"' for label in RegionLabel)""",
+        "_QUOTED_LABELS = tuple(label.value for label in RegionLabel)",
+        ("tests/test_cli.py::test_classify_json_bytes",),
+    ),
+    # test gaps closed after a survey of random operator mutants
+    Mutant(
+        "real-axis-normalizable",
+        GAUSSIAN,
+        "return b.imag > 0.0",
+        "return b.imag >= 0.0",
+        ("tests/test_gaussian.py::TestMetricFromB::test_rejects_the_real_axis",),
+    ),
+    Mutant(
+        "grid-im-width-as-sum",
+        GEOMETRY,
+        "math.isfinite(im_hi - im_lo)",
+        "math.isfinite(im_hi + im_lo)",
+        ("tests/test_geometry.py::TestRegionGrid::test_accepts_finite_ranges_near_the_largest_double",),
+    ),
+    Mutant(
+        "symmetry-tolerance-divided-by-scale",
+        MODEL,
+        "1e-12 * max(1.0, np.abs(a).max())",
+        "1e-12 / max(1.0, np.abs(a).max())",
+        ("tests/test_values.py::test_quadratic_hamiltonian_symmetrizes_within_tolerance",),
+    ),
 )
