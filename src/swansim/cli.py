@@ -34,7 +34,11 @@ whatever its step.
 
 main(argv) is the in-process API; a process runs it through swansim.__main__.
 json is imported inside the functions that use it, so simulate and sweep
-without --config never load it.
+without --config never load it.  Nor does importing cli load the engine
+(closed_form, gaussian, ode), which classify never runs: main imports the
+engine modules its command names in _COMMANDS and binds the names cli takes
+from them (_ENGINE) as globals of cli, keeping any name already bound, and a
+name read from outside before that binds its module on first read.
 
 Exit codes: 0 ok, 2 configuration or numerical (SwansimError) error or an
 unwritable --out, 3 divergence (unless --allow-divergence), 4 validation
@@ -49,35 +53,49 @@ import math
 import os
 import re
 import sys
+from importlib import import_module
 
 import numpy as np
 
-from .closed_form import Metric, RealState, closed_series, first_pole_time, metric_eigen
 from .errors import MobiusPoleError, SwansimError
-from .gaussian import (
-    GaussianState,
-    _propagate_blocks,
-    _riccati_steps,
-    _sampled_rows,
-    evolve_b,
-    evolve_state,
-    gaussian_norm,
-    mapped_dynamics,
-    metric_from_b,
-    project_expectations,
-)
-from .geometry import DEFAULT_BAND, RegionLabel, _grid_blocks, classify_metric
+from .geometry import DEFAULT_BAND, RegionLabel, _grid_blocks, classify_metric, region_grid
 from .model import SwansonParams, _Value, swanson_hamiltonian
-from .ode import MetriplecticState, _integrate_blocks, step_count
-
-# Not called here: validate consumes the oracles' blocks and steps, and classify the grid's blocks.
-# perfbench/tracing.py rebinds these three names on this module to time them, so they stay importable
-# from it.
-from .gaussian import riccati_direct
-from .geometry import region_grid
-from .ode import integrate
 
 __all__ = ["main"]
+
+# engine module -> the names cli takes from it.  They are globals of cli that _bind binds for the
+# commands that run the module (classify runs none), or __getattr__ on their first read from outside.
+# integrate and riccati_direct, like geometry's region_grid, are not called here: validate consumes
+# the oracles' blocks and steps, and classify the grid's blocks.  perfbench/tracing.py rebinds them
+# on this module to time them, so they stay readable from it.
+_ENGINE = {
+    "closed_form": ("Metric", "RealState", "closed_series", "first_pole_time", "metric_eigen"),
+    "gaussian": ("GaussianState", "_propagate_blocks", "_riccati_steps", "_sampled_rows", "evolve_b", "evolve_state",
+                 "gaussian_norm", "mapped_dynamics", "metric_from_b", "project_expectations", "riccati_direct"),
+    "ode": ("MetriplecticState", "_integrate_blocks", "step_count", "integrate"),
+}
+_HOME = {name: module for module, names in _ENGINE.items() for name in names}
+
+
+def _bind(modules) -> None:
+    """Import each engine module named in modules and bind the names cli takes from it.
+
+    setdefault keeps a name already bound, so a function that a test or a tracer rebound on cli
+    before the command ran is the one the command calls.
+    """
+    for module in modules:
+        home = import_module(f".{module}", __package__)
+        for name in _ENGINE[module]:
+            globals().setdefault(name, getattr(home, name))
+
+
+def __getattr__(name: str):
+    """An engine name not bound yet (PEP 562): its module's names are bound, then it is read."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind((_HOME[name],))
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -105,8 +123,6 @@ VALIDATION_THRESHOLDS = {
     "order_low": 3.7,
     "order_high": 4.3,
 }
-# the RK4 seed of validate's checks against the closed forms and of its divergence check
-_VALIDATION_SEED = MetriplecticState(Z=RealState(1.0, 0.0), G=Metric.identity(), n=1.0)
 
 
 def _fmt(x: float) -> str:
@@ -409,19 +425,25 @@ def _label_runs(blocks):
                 yield item * min(_LABEL_RUN_CAP, end - lo)
 
 
+def _validation_seed() -> MetriplecticState:
+    """The RK4 seed of validate's checks against the closed forms and of its divergence check."""
+    return MetriplecticState(Z=RealState(1.0, 0.0), G=Metric.identity(), n=1.0)
+
+
 def _rk4_oracle(params: SwansonParams, step: float):
-    """The RK4 oracle's blocks over one period from _VALIDATION_SEED (ode._integrate_blocks)."""
-    return _integrate_blocks(swanson_hamiltonian(params), _VALIDATION_SEED, params.period, step)
+    """The RK4 oracle's blocks over one period from _validation_seed() (ode._integrate_blocks)."""
+    return _integrate_blocks(swanson_hamiltonian(params), _validation_seed(), params.period, step)
 
 
 def _validation_errors(params: SwansonParams, step: float) -> dict:
     """Largest |RK4 - closed form| of the centre, the metric and n, one RK4 block at a time."""
     # np.maximum, unlike max(), keeps a NaN, as the max over the whole run would
     worst = np.zeros(3)
+    z0 = _validation_seed().Z
     for k0, rows, _, _ in _rk4_oracle(params, step):
         # a run cut on a block edge ends in an empty block
         if len(rows):
-            ref = closed_series(params, _VALIDATION_SEED.Z, step * np.arange(k0, k0 + len(rows)))
+            ref = closed_series(params, z0, step * np.arange(k0, k0 + len(rows)))
             diff = np.abs(rows - ref)
             worst = np.maximum(worst, (diff[:, :2].max(), diff[:, 2:5].max(), diff[:, 5].max()))
     return {"Z": float(worst[0]), "G": float(worst[1]), "n": float(worst[2])}
@@ -576,15 +598,18 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 # subcommand -> (handler, help line, the RunConfig fields it takes as flags and
-# as config keys); every subcommand also takes --config
+# as config keys, the engine modules it runs); every subcommand also takes --config
 _COMMANDS = {
     "simulate": (cmd_simulate, "time series of centre, metric and norm",
-                 ("omega0", "delta", "out", "step", "periods", "allow_divergence", "p0", "q0", "g0", "b0", "n0")),
+                 ("omega0", "delta", "out", "step", "periods", "allow_divergence", "p0", "q0", "g0", "b0", "n0"),
+                 tuple(_ENGINE)),
     "classify": (cmd_classify, "divergence regions in the uncertainty plane",
-                 ("omega0", "delta", "out", "re_min", "re_max", "im_min", "im_max", "resolution", "band")),
-    "validate": (cmd_validate, "cross-check all computation routes", ("omega0", "delta", "out", "step")),
+                 ("omega0", "delta", "out", "re_min", "re_max", "im_min", "im_max", "resolution", "band"), ()),
+    "validate": (cmd_validate, "cross-check all computation routes", ("omega0", "delta", "out", "step"),
+                 tuple(_ENGINE)),
     "sweep": (cmd_sweep, "sweep the coupling and record outcomes",
-              ("omega0", "out", "step", "periods", "delta_min", "delta_max", "delta_step", "p0", "q0", "g0")),
+              ("omega0", "out", "step", "periods", "delta_min", "delta_max", "delta_step", "p0", "q0", "g0"),
+              tuple(_ENGINE)),
 }
 
 # help line of each flag that has one
@@ -623,7 +648,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False: a flag has one spelling, no prefix of it is read as the flag
     parser = _Parser(prog="swansim", description=description, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_line, names) in _COMMANDS.items():
+    for command, (_, help_line, names, _) in _COMMANDS.items():
         # an absent flag leaves no attribute, so only given flags override the config file
         subparser = sub.add_parser(command, help=help_line, argument_default=argparse.SUPPRESS, allow_abbrev=False)
         subparser.add_argument("--config", help="JSON config file; flags override it")
@@ -638,7 +663,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = vars(_build_parser().parse_args(argv))
-    handler, _, names = _COMMANDS[args.pop("command")]
+    handler, _, names, modules = _COMMANDS[args.pop("command")]
+    _bind(modules)
     try:
         cfg = _merge_config(args, names)
         if cfg.out is not None:

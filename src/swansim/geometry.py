@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .closed_form import Metric
 from .errors import NonNormalizableError
-from .gaussian import is_normalizable
 from .model import SwansonParams, _Value
+
+if TYPE_CHECKING:
+    from .closed_form import Metric
 
 __all__ = [
     "DEFAULT_BAND",
@@ -152,6 +154,9 @@ def classify_b(params: SwansonParams, b0: complex, band: float = DEFAULT_BAND) -
     bounded in the Hermitian limit.  Agrees with classify_metric applied to
     the induced metric.
     """
+    # imported here, so that classify, which imports this module, does not compile the engine
+    from .gaussian import is_normalizable
+
     _require_band(band)
     if not is_normalizable(b0):
         raise NonNormalizableError(f"Im(b) must be positive, got {b0.imag}")

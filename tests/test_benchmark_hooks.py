@@ -8,7 +8,8 @@ evolve_state(..., num_nodes=...).  A change that breaks any of them would
 break every run or `perfbench/run.py --trace 1`, so it fails here first.
 """
 
-import importlib.util
+import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,11 +27,26 @@ def _perfbench_module(name: str):
 
 
 def test_traced_names_are_functions_of_cli():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    assert tracing.WRAPPED
-    assert [name for name in tracing.WRAPPED if not callable(getattr(swansim.cli, name, None))] == []
+    # in a fresh interpreter, as `perfbench/run.py --trace 1` reads them before any command has run:
+    # `import swansim.cli` loads no engine module, and reading a traced name binds it from its home
+    code = """if True:
+        import importlib.util, sys
+        import swansim.cli as cli
+        engine = ["swansim.closed_form", "swansim.gaussian", "swansim.ode"]
+        loaded = [[m for m in engine if m in sys.modules]]
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        assert tracing.WRAPPED
+        assert [name for name in tracing.WRAPPED if not callable(getattr(cli, name, None))] == []
+        loaded.append([m for m in engine if m in sys.modules])
+        from swansim.cli import riccati_direct
+        from swansim.gaussian import riccati_direct as home
+        print(loaded, riccati_direct is home)
+    """
+    cp = subprocess.run([sys.executable, "-c", code, str(TRACING)], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "[[], ['swansim.closed_form', 'swansim.gaussian', 'swansim.ode']] True"
 
 
 def test_numba_flag_imports():

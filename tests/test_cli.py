@@ -41,6 +41,10 @@ from swansim.gaussian import _riccati_steps, _sampled_rows, evolve_b
 from swansim.ode import step_count
 from swansim.cli import _COMMANDS, CSV_HEADER, _build_parser, _label_chunks, main
 
+# main binds the engine names a command reads on cli; the validate helpers some tests below call
+# directly read validate's
+cli._bind(_COMMANDS["validate"][3])
+
 # JSON value of each region_grid code: code k is list(RegionLabel)[k]
 LABEL_VALUES = [label.value for label in RegionLabel]
 
@@ -480,7 +484,7 @@ def config_error(argv: list[str], capsys) -> str:
 def test_config_file_types(tmp_path: Path, capsys, values, message):
     (key,) = values
     # the first subcommand that declares the key, so that the key is read, not refused as unknown
-    command = next(command for command, (_, _, names) in _COMMANDS.items() if key in names)
+    command = next(command for command, (_, _, names, _) in _COMMANDS.items() if key in names)
     cfg = tmp_path / "typed.json"
     cfg.write_text(json.dumps(values))
     assert message in config_error([command, "--config", str(cfg)], capsys)
@@ -889,7 +893,7 @@ FIELD_TYPES = dict(cli.RunConfig.__annotations__)
 def test_negative_values_are_not_option_names():
     # argparse alone reads only -N and -N.N as numbers and takes -5e-1 for an option name
     checked = set()
-    for command, (_, _, names) in _COMMANDS.items():
+    for command, (_, _, names, _) in _COMMANDS.items():
         for name in names:
             if FIELD_TYPES[name] not in NEGATIVE_VALUES:
                 continue
@@ -912,17 +916,17 @@ def declared_flags() -> dict:
 
 def test_flags_follow_the_command_table():
     table = {command: ["--config"] + ["--" + name.replace("_", "-") for name in names]
-             for command, (_, _, names) in _COMMANDS.items()}
+             for command, (_, _, names, _) in _COMMANDS.items()}
     assert declared_flags() == table
     # every flag but --config sets the RunConfig field of its name
-    assert {name for _, _, names in _COMMANDS.values() for name in names} <= set(FIELD_TYPES)
+    assert {name for _, _, names, _ in _COMMANDS.values() for name in names} <= set(FIELD_TYPES)
     assert sum(map(len, declared_flags().values())) == 38
 
 
 def test_config_keys_follow_the_command_table(tmp_path: Path, capsys):
     # a file holding one RunConfig field at its default: read exactly when the subcommand declares it
     read = 0
-    for command, (_, _, names) in _COMMANDS.items():
+    for command, (_, _, names, _) in _COMMANDS.items():
         for name in FIELD_TYPES:
             cfg = tmp_path / "one_key.json"
             cfg.write_text(json.dumps({name: getattr(cli.RunConfig(), name)}))
@@ -1016,7 +1020,7 @@ def flag_text(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-FLAG_FIELDS = [(command, name) for command, (_, _, names) in _COMMANDS.items() for name in names]
+FLAG_FIELDS = [(command, name) for command, (_, _, names, _) in _COMMANDS.items() for name in names]
 json_number = st.one_of(
     st.integers(min_value=-(10**20), max_value=10**20),
     st.floats(),
@@ -1185,7 +1189,7 @@ def oracle_results(params: SwansonParams):
     validate report, at step T/ORACLE_STEPS."""
     model, step = swanson_hamiltonian(params), params.period / ORACLE_STEPS
     results = []
-    for init in (ORACLE_INIT, cli._VALIDATION_SEED):
+    for init in (ORACLE_INIT, cli._validation_seed()):
         traj = integrate(model, init, params.period, step)
         results.append((traj.values.tobytes(), traj.times.tobytes(), traj.divergence_time, traj.det_drift))
     # Im b0 = delta / omega0: the Möbius denominator of the second is real and vanishes before T
@@ -1368,6 +1372,53 @@ def test_no_command_imports_dataclasses_and_simulate_and_sweep_skip_json(tmp_pat
     assert cp.stdout.strip() == "[(False, False), (False, False), (True, False), (True, False)]"
 
 
+# the engine: the modules simulate, sweep and validate run, and the standard module only they use
+ENGINE = ["cmath", "swansim.closed_form", "swansim.gaussian", "swansim.ode"]
+
+
+@pytest.mark.parametrize("command", [["simulate", "--periods=0.5"], ["sweep", "--delta-max=0.2"],
+                                     ["validate", "--step=0.002"]], ids=lambda argv: argv[0])
+def test_only_classify_skips_the_engine(tmp_path: Path, command):
+    # classify first, in a fresh interpreter: it runs geometry's margins alone and imports no engine
+    # module; the command after it imports all of them
+    code = f"""if True:
+        import sys
+        from swansim.cli import main
+        seen = []
+        for argv in (["classify", "--resolution=5"], sys.argv[2:]):
+            assert main([*argv, "--out=" + sys.argv[1]]) == 0
+            seen.append([m for m in {ENGINE!r} if m in sys.modules])
+        print(seen)
+    """
+    cp = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out"), *command], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == str([[], ENGINE])
+
+
+def test_commands_call_the_functions_rebound_on_cli(tmp_path: Path):
+    # a name assigned on cli before main binds its module is kept, as perfbench/tracing.py and
+    # monkeypatch assign them: in a fresh interpreter, where nothing has read or bound the names yet
+    code = """if True:
+        import sys
+        from swansim import cli, closed_form, gaussian, ode
+        calls = []
+        cli.metric_eigen = lambda *args: calls.append("metric_eigen") or closed_form.metric_eigen(*args)
+        assert cli.main(["simulate", "--periods=0.01", "--out=" + sys.argv[1]]) == 0
+        cli.evolve_b = lambda *args: calls.append("evolve_b") or gaussian.evolve_b(*args)
+        assert cli.main(["validate", "--step=0.002", "--out=" + sys.argv[1]]) == 0
+        print(sorted(set(calls)), cli.step_count is ode.step_count)
+    """
+    cp = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "['evolve_b', 'metric_eigen'] True"
+
+
+def test_unknown_names_of_cli_are_attribute_errors():
+    assert not hasattr(cli, "no_such_name")
+    with pytest.raises(AttributeError, match="'swansim.cli' has no attribute 'no_such_name'"):
+        cli.no_such_name
+
+
 @pytest.mark.parametrize(
     "argv, first_row",
     [
@@ -1396,11 +1447,14 @@ def test_sweep_max_g_plus_is_the_largest_sampled_eigenvalue(tmp_path: Path):
         assert cells[4] == f"{max(metric_eigen(r[2], r[3], r[4])[0] for r in sample):.17g}"
 
 
-def _stub_entry(monkeypatch, calls):
-    """Record the process entry's collector calls and cli.main, so pytest's own heap stays as it is."""
+def _stub_entry(monkeypatch, calls, argv=("swansim",)):
+    """Run the process entry on argv, recording its collector calls, the engine modules it binds on
+    cli and cli.main, so that pytest's own heap and cli's names stay as they are."""
     for name in ("disable", "freeze", "enable"):
         monkeypatch.setattr(gc, name, lambda name=name: calls.append(name))
+    monkeypatch.setattr(cli, "_bind", lambda modules: calls.append(("bind", modules)))
     monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
+    monkeypatch.setattr(sys, "argv", list(argv))
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
 
 
@@ -1410,16 +1464,27 @@ def test_installed_command_runs_what_python_m_runs(monkeypatch):
     target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["swansim"]
     assert target == "swansim.__main__:main"
     module, _, name = target.partition(":")
-    installed, python_m = [], []
-    _stub_entry(monkeypatch, installed)
-    assert getattr(importlib.import_module(module), name)() == 7
-    _stub_entry(monkeypatch, python_m)
-    # runpy warns when the module it runs as __main__ is already imported
-    monkeypatch.delitem(sys.modules, "swansim.__main__")
-    with pytest.raises(SystemExit) as stop:
-        runpy.run_module("swansim", run_name="__main__")
-    assert stop.value.code == 7
-    assert installed == python_m == ["disable", "freeze", "enable", "main"]
+    engine = ("closed_form", "gaussian", "ode")
+    # the named command's modules are bound while the collector is off, before the freeze
+    for argv, binds in (
+        (["swansim", "sweep", "--periods=2"], [("bind", engine)]),
+        (["swansim", "validate"], [("bind", engine)]),
+        (["swansim", "simulate"], [("bind", engine)]),
+        (["swansim", "classify"], [("bind", ())]),
+        (["swansim", "--help"], []),
+        (["swansim", "bogus"], []),
+        (["swansim"], []),
+    ):
+        installed, python_m = [], []
+        _stub_entry(monkeypatch, installed, argv)
+        assert getattr(importlib.import_module(module), name)() == 7
+        _stub_entry(monkeypatch, python_m, argv)
+        # runpy warns when the module it runs as __main__ is already imported
+        monkeypatch.delitem(sys.modules, "swansim.__main__")
+        with pytest.raises(SystemExit) as stop:
+            runpy.run_module("swansim", run_name="__main__")
+        assert stop.value.code == 7
+        assert installed == python_m == ["disable", *binds, "freeze", "enable", "main"], argv
 
 
 def test_entry_freezes_the_heap_then_runs_main(monkeypatch):
@@ -1471,6 +1536,23 @@ def test_process_runs_one_blas_thread_unless_preset(preset):
     if preset is None:
         # OpenBLAS would start one more thread per further CPU
         assert tasks == 1
+
+
+# reports, when a `python -m swansim` process exits, the engine modules it imported
+ENGINE_REPORTER = f"""
+import atexit, runpy, sys
+atexit.register(lambda: print([m for m in {ENGINE!r} if m in sys.modules], file=sys.stderr))
+sys.argv = ["swansim", *sys.argv[1:]]
+runpy.run_module("swansim", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv, exit_code", [(["--help"], 0), (["bogus"], 2), (["classify", "--resolution=11"], 0)],
+                         ids=["help", "unknown", "classify"])
+def test_process_entry_imports_no_engine_for_help_unknown_or_classify(argv, exit_code):
+    cp = subprocess.run([sys.executable, "-c", ENGINE_REPORTER, *argv], capture_output=True, text=True, timeout=120)
+    assert cp.returncode == exit_code, cp.stderr
+    assert cp.stderr.splitlines()[-1] == "[]"
 
 
 # (argv, exit code) of a process per subcommand: simulate over two periods writes five blocks

@@ -521,4 +521,20 @@ MUTANTS = (
         "1e-12 / max(1.0, np.abs(a).max())",
         ("tests/test_values.py::test_quadratic_hamiltonian_symmetrizes_within_tolerance",),
     ),
+    # the engine modules cli binds per command
+    Mutant(
+        "binder-overwrites-rebound-names",
+        CLI,
+        "globals().setdefault(name, getattr(home, name))",
+        "globals()[name] = getattr(home, name)",
+        ("tests/test_cli.py::test_commands_call_the_functions_rebound_on_cli",),
+    ),
+    Mutant(
+        "classify-binds-the-engine",
+        CLI,
+        '"im_max", "resolution", "band"), ()),',
+        '"im_max", "resolution", "band"), tuple(_ENGINE)),',
+        ("tests/test_cli.py::test_only_classify_skips_the_engine",
+         "tests/test_cli.py::test_process_entry_imports_no_engine_for_help_unknown_or_classify"),
+    ),
 )
