@@ -22,7 +22,7 @@ writes its grid one block of rows at a time (geometry._grid_blocks), and
 peaks at about 31 MB resident at any resolution.  simulate and sweep hold one
 engine block of ode.BLOCK_ROWS rows at a time.  simulate computes,
 formats and writes a block before it computes the next, and peaks at about
-32 MB resident whether it runs 2 periods or 200.  sweep needs only each run's
+31.5 MB resident whether it runs 2 periods or 200.  sweep needs only each run's
 stop, and takes it from _stops._stop_index: the closed forms prove most
 bounded runs without evaluating a row, and any other run is scanned block by
 block.  validate holds one block of the metriplectic RK4 oracle at a time:

@@ -38,7 +38,7 @@ from swansim import (
     swanson_hamiltonian,
 )
 from swansim.errors import DivergenceError
-from swansim.gaussian import _flow_entries, _propagate_blocks
+from swansim.gaussian import POLE_TOL, _flow_entries, _propagate_blocks, _sampled_flow
 from swansim.model import OMEGA
 from swansim.ode import BLOWUP_THRESHOLD
 
@@ -364,6 +364,19 @@ class TestPhaseAndNorm:
         lo, hi = info.value.bracket
         assert type(lo) is float and type(hi) is float
         assert lo < T_POLE < hi
+
+    def test_pole_tolerance_grows_with_b0(self):
+        # at |b0| = 1e6 the pole's node has |den| of rounding size, about 3e-10: above
+        # POLE_TOL / |b0| = 1e-18, so only the tolerance POLE_TOL * |b0| = 1e-6 sees the pole
+        b0 = complex(1e6, B_POLE.imag)
+        t_pole = (math.pi - math.atan(PARAMS.omega / b0.real)) / PARAMS.omega
+        z0 = ComplexState(1 + 0j, 0j)
+        den = _sampled_flow(MODEL, (z0.p, z0.q), b0, np.linspace(0.0, 2.0 * t_pole, 2001))[3]
+        assert POLE_TOL / abs(b0) < abs(den[1000]) <= POLE_TOL * abs(b0)
+        with pytest.raises(MobiusPoleError) as info:
+            evolve_state(MODEL, GaussianState(z0, b0), 2.0 * t_pole)
+        lo, hi = info.value.bracket
+        assert lo < t_pole < hi
 
     def test_gaussian_norm_real_centre(self):
         assert gaussian_norm(GaussianState(ComplexState(0.3 + 0j, 1.2 + 0j), 0.5 + 0.8j)) == pytest.approx(1.0)

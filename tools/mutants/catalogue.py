@@ -311,15 +311,15 @@ MUTANTS = (
     Mutant(
         "cell-two-product-low-term-dropped",
         CSVROWS,
-        "a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo",
-        "a_hi * s_lo + a_lo * s_hi)",
+        "e += np.multiply(a_lo, _POW10_LO[j], out=a_lo)",
+        "e = e",
         ("tests/test_csvrows.py::test_powers_of_ten_and_their_neighbours",),
     ),
     Mutant(
         "cell-exponent-unclipped",
         CSVROWS,
-        "k = np.clip(np.floor(np.log10(a)), _FIX_MIN, _FIX_MAX).astype(np.intp)",
-        "k = np.floor(np.log10(a)).astype(np.intp)",
+        "k = np.clip(np.floor(np.log10(a)), _FIX_MIN, _FIX_MAX).astype(np.int8)",
+        "k = np.floor(np.log10(a)).astype(np.int8)",
         ("tests/test_csvrows.py::test_powers_of_ten_and_their_neighbours",),
     ),
     Mutant(
@@ -328,6 +328,20 @@ MUTANTS = (
         "ok &= d < _D_MAX",
         "ok = ok",
         ("tests/test_csvrows.py::test_a_log10_one_ulp_off_changes_no_byte",),
+    ),
+    Mutant(
+        "cell-digits-left-binary",
+        CSVROWS,
+        'chars |= ord("0")',
+        "chars = chars",
+        ("tests/test_csvrows.py::test_ties_round_half_to_even",),
+    ),
+    Mutant(
+        "cell-template-line-dropped",
+        CSVROWS,
+        'lines[r] = np.frombuffer(line.ljust(CELLS * _WIDTH, b"\\0"), dtype=np.uint8)',
+        "pass",
+        ("tests/test_csvrows.py::test_cells_outside_the_fast_path",),
     ),
     # the proof that a bounded run cannot stop
     Mutant(
@@ -520,6 +534,13 @@ MUTANTS = (
         "1e-12 * max(1.0, np.abs(a).max())",
         "1e-12 / max(1.0, np.abs(a).max())",
         ("tests/test_values.py::test_quadratic_hamiltonian_symmetrizes_within_tolerance",),
+    ),
+    Mutant(
+        "pole-tolerance-divided-by-b0",
+        GAUSSIAN,
+        "POLE_TOL * max(1.0, abs(state.b))",
+        "POLE_TOL / max(1.0, abs(state.b))",
+        ("tests/test_gaussian.py::TestPhaseAndNorm::test_pole_tolerance_grows_with_b0",),
     ),
     # the engine modules cli binds per command
     Mutant(
