@@ -19,7 +19,7 @@ Outputs are streamed, so no chunk of text grows with the run: simulate's CSV
 one pass of _csvrows.sample_lines at a time, the classify labels in runs of
 equal labels.  Nor does the memory behind them.  classify computes, labels and
 writes its grid one block of rows at a time (geometry._grid_blocks), and
-peaks at about 31 MB resident at any resolution.  simulate and sweep hold one
+peaks at about 29 MB resident at any resolution.  simulate and sweep hold one
 engine block of ode.BLOCK_ROWS rows at a time.  simulate computes,
 formats and writes a block before it computes the next, and peaks at about
 31.5 MB resident whether it runs 2 periods or 200.  sweep needs only each run's
@@ -57,7 +57,7 @@ from importlib import import_module
 
 import numpy as np
 
-from .errors import MobiusPoleError, SwansimError
+from .errors import MobiusPoleError, NonNormalizableError, SwansimError
 from .geometry import DEFAULT_BAND, RegionLabel, _grid_blocks, classify_metric, region_grid
 from .model import SwansonParams, _Value, swanson_hamiltonian
 
@@ -192,13 +192,8 @@ class RunConfig(_Value, frozen=False):
 
     def initial_metric(self) -> Metric:
         try:
-            if self.b0 is not None:
-                if self.b0.imag <= 0:
-                    raise ConfigError("b0 must have positive imaginary part")
-                g = metric_from_b(self.b0)
-            else:
-                g = Metric(*self.g0)
-        except ValueError as exc:
+            g = Metric(*self.g0) if self.b0 is None else metric_from_b(self.b0)
+        except (ValueError, NonNormalizableError) as exc:
             raise ConfigError(f"invalid initial metric: {exc}") from exc
         # written so that a NaN determinant (inf - inf) is refused too; a b0 far from the
         # imaginary axis gives a metric whose determinant rounding has lost

@@ -60,6 +60,11 @@ def is_normalizable(b: complex) -> bool:
     return b.imag > 0.0
 
 
+def _at_pole(den, b0):
+    """Whether the Möbius denominator den of the flow of b0 counts as a pole; scalars or arrays."""
+    return abs(den) <= POLE_TOL * np.maximum(1.0, abs(b0))
+
+
 class GaussianState(_Value):
     """Gaussian wave packet (z, b, gamma); survival probability comes from gaussian_norm."""
 
@@ -126,7 +131,7 @@ def evolve_b(model: QuadraticHamiltonian, b0: complex, t: float) -> complex:
     """Uncertainty parameter at time t via the Möbius action of S(t); MobiusPoleError at a pole."""
     spp, spq, sqp, sqq = _flow_entries(model, float(t))
     den = sqp * b0 + sqq
-    if abs(den) <= POLE_TOL * max(1.0, abs(b0)):
+    if _at_pole(den, b0):
         raise MobiusPoleError("Möbius denominator vanished")
     return (spp * b0 + spq) / den
 
@@ -252,7 +257,7 @@ def evolve_state(
     times = np.linspace(0.0, t, num_nodes)
     with np.errstate(divide="ignore", invalid="ignore"):
         ps, qs, bs, den = _sampled_flow(model, (state.z.p, state.z.q), state.b, times)
-    small = np.abs(den) <= POLE_TOL * max(1.0, abs(state.b))
+    small = _at_pole(den, state.b)
     if small.any():
         k = int(np.argmax(small))
         lo = float(times[max(k - 1, 0)])
@@ -293,10 +298,9 @@ def _sampled_rows(model: QuadraticHamiltonian, init: MetriplecticState, times: n
     rows = np.empty((len(times), 6))
     with np.errstate(all="ignore"):
         p, q, b, den = _sampled_flow(model, (p0, q0), b0, times)
-        abs_den = np.abs(den)
         # only Im gamma reaches a row (through n), and it takes Re Log den = ln|den|:
         # the branch of arg den is not needed
-        gamma = _phase_change(p * q - p0 * q0, np.log(b.imag / b0.imag), np.log(abs_den), const, times)
+        gamma = _phase_change(p * q - p0 * q0, np.log(b.imag / b0.imag), np.log(np.abs(den)), const, times)
         g_pp, g_pq, g_qq = _metric_entries(b)
         rows[:, 0], rows[:, 1] = _centre(p, q, g_pp, g_pq, g_qq)
         rows[:, 2] = g_pp
@@ -305,7 +309,7 @@ def _sampled_rows(model: QuadraticHamiltonian, init: MetriplecticState, times: n
         rows[:, 5] = init.n * np.exp(_norm_exponent(p, q, b, gamma))
         bad = (
             (b.imag <= 0.0)
-            | (abs_den <= POLE_TOL * max(1.0, abs(b0)))
+            | _at_pole(den, b0)
             | ~np.isfinite(rows).all(axis=1)
             | (metric_eigen(g_pp, g_pq, g_qq)[0] > BLOWUP_THRESHOLD)
             | (np.hypot(rows[:, 0], rows[:, 1]) > BLOWUP_THRESHOLD)
@@ -421,6 +425,6 @@ def blowup_detected(model: QuadraticHamiltonian, b0, t_end: float) -> np.ndarray
     with np.errstate(all="ignore"):
         bs = num / den
         bad = (bs.imag <= 0.0) | ~np.isfinite(bs.real) | ~np.isfinite(bs.imag) | (np.abs(bs) > 1e8)
-        bad |= np.abs(den) <= POLE_TOL * np.maximum(1.0, np.abs(b0))
+        bad |= _at_pole(den, b0)
     hit = bad.any(axis=0)
     return bool(hit) if hit.ndim == 0 else hit

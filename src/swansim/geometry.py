@@ -164,7 +164,7 @@ def classify_b(params: SwansonParams, b0: complex, band: float = DEFAULT_BAND) -
 
 
 def grid_axes(re_range: tuple[float, float], im_range: tuple[float, float], resolution: int):
-    """Sample axes for a rectangular classification grid (shared with the CLI)."""
+    """Sample axes for a rectangular classification grid; read by _grid_blocks and perfbench's classify oracle."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     re_lo, re_hi = re_range

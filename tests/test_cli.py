@@ -452,6 +452,10 @@ def test_config_errors(tmp_path: Path, capsys):
         for command in ("simulate", "sweep"):
             err = config_error([command, "--g0", "1e308,1e308,1e308"], capsys)
             assert err == "config error: initial metric must have unit determinant, got nan\n"
+        # a b0 off the upper half-plane, a NaN Im b0 among them, is refused by metric_from_b's own test
+        for b0 in ("1,nan", "1,-1", "1,0"):
+            err = config_error(["simulate", f"--b0={b0}"], capsys)
+            assert err.startswith("config error: invalid initial metric: Im(b) must be positive")
         # a b0 far from the imaginary axis: g_pp g_qq - g_pq^2 rounds to 0 (the fuzz drew it)
         err = config_error(["simulate", "--b0", "94906266.0,1.0"], capsys)
         assert err == "config error: initial metric must have unit determinant, got 0.0\n"

@@ -371,12 +371,16 @@ class TestPhaseAndNorm:
         b0 = complex(1e6, B_POLE.imag)
         t_pole = (math.pi - math.atan(PARAMS.omega / b0.real)) / PARAMS.omega
         z0 = ComplexState(1 + 0j, 0j)
-        den = _sampled_flow(MODEL, (z0.p, z0.q), b0, np.linspace(0.0, 2.0 * t_pole, 2001))[3]
+        times = np.linspace(0.0, 2.0 * t_pole, 2001)
+        den = _sampled_flow(MODEL, (z0.p, z0.q), b0, times)[3]
         assert POLE_TOL / abs(b0) < abs(den[1000]) <= POLE_TOL * abs(b0)
         with pytest.raises(MobiusPoleError) as info:
             evolve_state(MODEL, GaussianState(z0, b0), 2.0 * t_pole)
         lo, hi = info.value.bracket
         assert lo < t_pole < hi
+        # the Möbius route at that node
+        with pytest.raises(MobiusPoleError):
+            evolve_b(MODEL, b0, times[1000])
 
     def test_gaussian_norm_real_centre(self):
         assert gaussian_norm(GaussianState(ComplexState(0.3 + 0j, 1.2 + 0j), 0.5 + 0.8j)) == pytest.approx(1.0)
@@ -627,6 +631,24 @@ class TestPropagate:
         for run in (propagate, integrate):
             traj = run(model, init, 1.0, 0.1)
             assert len(traj.values) == 1 and traj.divergence_time == 0.1
+
+    def test_pole_rule_alone_stops_the_run(self):
+        # at a pole g_plus >= |b| >= (1 - |den| |S_pp|) / (|S_qp| |den|), so only a flow with
+        # |S_qp| >~ 1e4 / max(1, |b0|) reaches a pole row that every other test lets pass.  Here
+        # mu = pi/2 and b0 = i y: at t = 1, den = (2/pi)(cpp b0 + cpq) = (2/pi) i eta is inside
+        # POLE_TOL * y = 1e-6, while b is about i pi^2 / (4 cpp eta) = 2.5e7 i
+        cpp, y, eta = 0.1, 1e6, 1e-6
+        cpq = complex(0.0, eta - cpp * y)
+        hess = np.array([[cpp, cpq], [cpq, ((0.5 * math.pi) ** 2 + cpq * cpq) / cpp]])
+        model = QuadraticHamiltonian(hess_h=hess.real, hess_gamma=-hess.imag)
+        _, _, b, den = _sampled_flow(model, (0j, 0j), 1j * y, np.array([1.0]))
+        assert abs(den[0]) <= POLE_TOL * y and b[0].imag > 0.0
+        assert (1.0 + abs(b[0]) ** 2) / b[0].imag < 0.5 * BLOWUP_THRESHOLD  # the trace bounds g_plus
+        init = MetriplecticState(Z=RealState(0.0, 0.0), G=metric_from_b(1j * y), n=1.0)
+        traj = propagate(model, init, 2.0, 1.0 / 1024)
+        assert len(traj.values) == 1024 and traj.divergence_time == 1.0
+        # the sampling oracle's |b| > 1e8 test passes there too; t = 1 is its middle sample
+        assert blowup_detected(model, 1j * y, 2.0)
 
     @pytest.mark.parametrize("omega0, delta", [(1e-149, 0.0), (1e-149, 5e-150), (2e-149, -1e-149)])
     def test_matches_closed_form_at_the_smallest_frequencies(self, omega0, delta):

@@ -535,12 +535,34 @@ MUTANTS = (
         "1e-12 / max(1.0, np.abs(a).max())",
         ("tests/test_values.py::test_quadratic_hamiltonian_symmetrizes_within_tolerance",),
     ),
+    # the Möbius pole rule, shared by every route
     Mutant(
         "pole-tolerance-divided-by-b0",
         GAUSSIAN,
-        "POLE_TOL * max(1.0, abs(state.b))",
-        "POLE_TOL / max(1.0, abs(state.b))",
+        "POLE_TOL * np.maximum(1.0, abs(b0))",
+        "POLE_TOL / np.maximum(1.0, abs(b0))",
         ("tests/test_gaussian.py::TestPhaseAndNorm::test_pole_tolerance_grows_with_b0",),
+    ),
+    Mutant(
+        "evolve-b-pole-rule-dropped",
+        GAUSSIAN,
+        "if _at_pole(den, b0):",
+        "if False:",
+        ("tests/test_gaussian.py::TestPhaseAndNorm::test_pole_tolerance_grows_with_b0",),
+    ),
+    Mutant(
+        "engine-pole-term-dropped",
+        GAUSSIAN,
+        "            | _at_pole(den, b0)\n",
+        "",
+        ("tests/test_gaussian.py::TestPropagate::test_pole_rule_alone_stops_the_run",),
+    ),
+    Mutant(
+        "oracle-pole-term-dropped",
+        GAUSSIAN,
+        "        bad |= _at_pole(den, b0)\n",
+        "",
+        ("tests/test_gaussian.py::TestPropagate::test_pole_rule_alone_stops_the_run",),
     ),
     # the engine modules cli binds per command
     Mutant(
