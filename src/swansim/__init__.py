@@ -18,13 +18,15 @@ _EXPORTS = {
     "closed_form": ("ComplexState", "Metric", "RealState", "closed_series", "complex_trajectory",
                     "first_pole_time", "metric_eigen", "survival_closed"),
     "errors": ("DivergenceError", "MobiusPoleError", "NonNormalizableError", "SwansimError"),
-    "gaussian": ("GaussianState", "b_from_metric", "blowup_detected", "eta_action", "evaluate_wavefunction",
-                 "evolve_b", "evolve_state", "gaussian_norm", "is_normalizable", "mapped_dynamics",
-                 "metric_closed", "metric_from_b", "project_expectations", "propagate", "riccati_direct"),
+    "gaussian": ("GaussianState", "blowup_detected", "eta_action", "evaluate_wavefunction", "evolve_b",
+                 "evolve_state", "gaussian_norm", "mapped_dynamics", "metric_closed", "project_expectations",
+                 "riccati_direct"),
     "geometry": ("HyperboloidPoint", "RegionLabel", "classify_b", "classify_metric", "plane_slope",
                  "region_grid", "xyz_from_metric", "xyz_rhs"),
     "model": ("QuadraticHamiltonian", "SwansonParams", "doubled_generator", "swanson_hamiltonian"),
-    "ode": ("MetriplecticState", "Trajectory", "integrate"),
+    "ode": ("integrate",),
+    "propagator": ("MetriplecticState", "Trajectory", "b_from_metric", "is_normalizable", "metric_from_b",
+                   "propagate"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -7,17 +7,18 @@ loads nothing (see swansim/__init__), so it acts before numpy loads:
   No CLI command makes a BLAS call, yet at `import numpy` OpenBLAS starts a
   worker thread per further CPU, which spins for about 100 ms of CPU;
 - it turns the collector off while cli imports numpy and the swansim
-  modules every command needs (model, errors, geometry), and while
-  cli._bind imports the engine modules of the subcommand sys.argv[1] names
-  (closed_form, gaussian and ode for simulate, sweep and validate; none for
-  classify, --help or a name that is not a subcommand): the 32 collections
-  those imports trigger free about 300 objects;
+  modules every command needs (model, errors), and while cli._bind imports
+  the modules of the subcommand sys.argv[1] names (closed_form and
+  propagator for simulate, and geometry too for sweep; closed_form,
+  propagator, gaussian and ode for validate; geometry for classify; none for
+  --help or a name that is not a subcommand): the 32 collections those
+  imports trigger free about 300 objects;
 - it then moves every object alive after the imports (about 32 000: the
   interpreter's, numpy's and swansim's) to the permanent generation
   (gc.freeze), which no later collection visits.  The collections at exit
   skip that heap, and its cycles are left to the operating system rather
-  than freed.  The engine is imported before the freeze, so its heap is
-  frozen with the rest, as when cli imported it.
+  than freed.  The command's modules are imported before the freeze, so
+  their heap is frozen with the rest, as when cli imported them.
 
 cli.main(argv) is the in-process API, for tests and tracers; it touches
 neither the collector nor the environment, so such a caller keeps both.

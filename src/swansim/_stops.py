@@ -18,7 +18,7 @@ So once alpha > R, at every t (stop_bounds):
 - the Möbius pole stays away: |den|^2 = Im b |den|^2 / Im b >= (alpha - R) / g_plus;
 - the centre Re z - Omega G Im z has norm at most r0 (1 + g_plus), r0 = hypot(p0, q0);
 - ln(n / n0), which is Re p Im q - Im p Re q + Im z^T G Im z minus half of
-  ln(Im b |den|^2 / y) (gaussian._norm_exponent with _sampled_rows' phase), is
+  ln(Im b |den|^2 / y) (propagator._norm_exponent with _sampled_rows' phase), is
   at most r0^2 (1/2 + g_plus) + ln(y / (alpha - R)) / 2.
 
 The law is closed_form's; this module keeps only the bounds that follow from
@@ -31,9 +31,8 @@ import math
 import sys
 
 from .closed_form import divergence_law
-from .gaussian import _propagate_blocks, b_from_metric
 from .model import SwansonParams, swanson_hamiltonian
-from .ode import BLOWUP_THRESHOLD, MetriplecticState
+from .propagator import BLOWUP_THRESHOLD, MetriplecticState, _propagate_blocks, b_from_metric
 
 __all__ = ["stop_bounds"]
 
@@ -70,7 +69,7 @@ def _proved_bounded(params: SwansonParams, init: MetriplecticState) -> bool:
 
 
 def _stop_index(params: SwansonParams, init: MetriplecticState, t_end: float, step: float) -> int:
-    """gaussian._propagate_blocks' stop for the run of params' model from init to t_end at step; -1 if none.
+    """propagator._propagate_blocks' stop for the run of params' model from init to t_end at step; -1 if none.
 
     -1 without evaluating any row where the closed forms prove that no sample
     can stop; otherwise the block scan's own stop.

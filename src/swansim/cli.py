@@ -1,6 +1,6 @@
 """Command-line front end: simulate, classify, validate, sweep.
 
-simulate and sweep evaluate the exact propagator (gaussian._propagate_blocks)
+simulate and sweep evaluate the exact propagator (propagator._propagate_blocks)
 on the sample grid set by --step; validate cross-checks the closed forms
 against the independent routes, the RK4 oracles (ode._rk4_blocks through
 ode._integrate_blocks, whose blocks have the exact engine's shape, and
@@ -20,9 +20,9 @@ one pass of _csvrows.sample_lines at a time, the classify labels in runs of
 equal labels.  Nor does the memory behind them.  classify computes, labels and
 writes its grid one block of rows at a time (geometry._grid_blocks), and
 peaks at about 29 MB resident at any resolution.  simulate and sweep hold one
-engine block of ode.BLOCK_ROWS rows at a time.  simulate computes,
+engine block of propagator.BLOCK_ROWS rows at a time.  simulate computes,
 formats and writes a block before it computes the next, and peaks at about
-31.5 MB resident whether it runs 2 periods or 200.  sweep needs only each run's
+31.2 MB resident whether it runs 2 periods or 200.  sweep needs only each run's
 stop, and takes it from _stops._stop_index: the closed forms prove most
 bounded runs without evaluating a row, and any other run is scanned block by
 block.  validate holds one block of the metriplectic RK4 oracle at a time:
@@ -35,10 +35,12 @@ whatever its step.
 main(argv) is the in-process API; a process runs it through swansim.__main__.
 json is imported inside the functions that use it, so simulate and sweep
 without --config never load it.  Nor does importing cli load the engine
-(closed_form, gaussian, ode), which classify never runs: main imports the
-engine modules its command names in _COMMANDS and binds the names cli takes
-from them (_ENGINE) as globals of cli, keeping any name already bound, and a
-name read from outside before that binds its module on first read.
+(closed_form, propagator, gaussian, ode) or geometry: main imports the modules
+its command names in _COMMANDS (closed_form and propagator for simulate, and
+geometry too for sweep; the four engine modules for validate; geometry alone
+for classify) and binds the names cli takes from them (_ENGINE) as globals of
+cli, keeping any name already bound, and a name read from outside before that
+binds its module on first read.
 
 Exit codes: 0 ok, 2 configuration or numerical (SwansimError) error or an
 unwritable --out, 3 divergence (unless --allow-divergence), 4 validation
@@ -58,27 +60,28 @@ from importlib import import_module
 import numpy as np
 
 from .errors import MobiusPoleError, NonNormalizableError, SwansimError
-from .geometry import DEFAULT_BAND, RegionLabel, _grid_blocks, classify_metric, region_grid
-from .model import SwansonParams, _Value, swanson_hamiltonian
+from .model import DEFAULT_BAND, SwansonParams, _Value, swanson_hamiltonian
 
 __all__ = ["main"]
 
-# engine module -> the names cli takes from it.  They are globals of cli that _bind binds for the
-# commands that run the module (classify runs none), or __getattr__ on their first read from outside.
-# integrate and riccati_direct, like geometry's region_grid, are not called here: validate consumes
-# the oracles' blocks and steps, and classify the grid's blocks.  perfbench/tracing.py rebinds them
-# on this module to time them, so they stay readable from it.
+# module -> the names cli takes from it.  They are globals of cli that _bind binds for the commands
+# that run the module, or __getattr__ on their first read from outside.  integrate and
+# riccati_direct, like region_grid, are not called here: validate consumes the oracles' blocks and
+# steps, and classify the grid's blocks.  perfbench/tracing.py rebinds them on this module to time
+# them, so they stay readable from it.
 _ENGINE = {
     "closed_form": ("Metric", "RealState", "closed_series", "first_pole_time", "metric_eigen"),
-    "gaussian": ("GaussianState", "_propagate_blocks", "_riccati_steps", "_sampled_rows", "evolve_b", "evolve_state",
-                 "gaussian_norm", "mapped_dynamics", "metric_from_b", "project_expectations", "riccati_direct"),
-    "ode": ("MetriplecticState", "_integrate_blocks", "step_count", "integrate"),
+    "propagator": ("MetriplecticState", "_propagate_blocks", "_sampled_rows", "metric_from_b", "step_count"),
+    "gaussian": ("GaussianState", "_riccati_steps", "evolve_b", "evolve_state", "gaussian_norm", "mapped_dynamics",
+                 "project_expectations", "riccati_direct"),
+    "ode": ("_integrate_blocks", "integrate"),
+    "geometry": ("RegionLabel", "_grid_blocks", "classify_metric", "region_grid"),
 }
 _HOME = {name: module for module, names in _ENGINE.items() for name in names}
 
 
 def _bind(modules) -> None:
-    """Import each engine module named in modules and bind the names cli takes from it.
+    """Import each module named in modules and bind the names cli takes from it.
 
     setdefault keeps a name already bound, so a function that a test or a tracer rebound on cli
     before the command ran is the one the command calls.
@@ -90,7 +93,7 @@ def _bind(modules) -> None:
 
 
 def __getattr__(name: str):
-    """An engine name not bound yet (PEP 562): its module's names are bound, then it is read."""
+    """A name of _ENGINE not bound yet (PEP 562): its module's names are bound, then it is read."""
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _bind((_HOME[name],))
@@ -106,9 +109,6 @@ DEFAULT_STEPS_PER_PERIOD = 10_000
 # most samples, coupling values or grid points one run may ask for; refused before allocation
 MAX_SAMPLES = 10_000_000
 
-# JSON text of each label, indexed by the grid's code: code k stands for list(RegionLabel)[k]; the
-# labels are plain ASCII words, which JSON quotes as they are
-_QUOTED_LABELS = tuple(f'"{label.value}"' for label in RegionLabel)
 # most labels in one chunk of classify's output; a longer run of equal labels is cut
 _LABEL_RUN_CAP = 8192
 
@@ -410,12 +410,15 @@ def _label_chunks(blocks):
 
 def _label_runs(blocks):
     """Each block's runs of equal codes as one repeated ",\\n    " + label, cut every _LABEL_RUN_CAP labels."""
+    # JSON text of each label, indexed by the grid's code: code k stands for list(RegionLabel)[k]; the
+    # labels are plain ASCII words, which JSON quotes as they are
+    quoted = tuple(f'"{label.value}"' for label in RegionLabel)
     for block in blocks:
         flat = block.ravel()
         cuts = (np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist()
         starts = [0] + cuts
         for start, end, code in zip(starts, cuts + [flat.size], flat[starts].tolist()):
-            item = ",\n    " + _QUOTED_LABELS[code]
+            item = ",\n    " + quoted[code]
             for lo in range(start, end, _LABEL_RUN_CAP):
                 yield item * min(_LABEL_RUN_CAP, end - lo)
 
@@ -593,18 +596,19 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 # subcommand -> (handler, help line, the RunConfig fields it takes as flags and
-# as config keys, the engine modules it runs); every subcommand also takes --config
+# as config keys, the modules of _ENGINE it runs); every subcommand also takes --config
 _COMMANDS = {
     "simulate": (cmd_simulate, "time series of centre, metric and norm",
                  ("omega0", "delta", "out", "step", "periods", "allow_divergence", "p0", "q0", "g0", "b0", "n0"),
-                 tuple(_ENGINE)),
+                 ("closed_form", "propagator")),
     "classify": (cmd_classify, "divergence regions in the uncertainty plane",
-                 ("omega0", "delta", "out", "re_min", "re_max", "im_min", "im_max", "resolution", "band"), ()),
+                 ("omega0", "delta", "out", "re_min", "re_max", "im_min", "im_max", "resolution", "band"),
+                 ("geometry",)),
     "validate": (cmd_validate, "cross-check all computation routes", ("omega0", "delta", "out", "step"),
-                 tuple(_ENGINE)),
+                 ("closed_form", "propagator", "gaussian", "ode")),
     "sweep": (cmd_sweep, "sweep the coupling and record outcomes",
               ("omega0", "out", "step", "periods", "delta_min", "delta_max", "delta_step", "p0", "q0", "g0"),
-              tuple(_ENGINE)),
+              ("closed_form", "propagator", "geometry")),
 }
 
 # help line of each flag that has one

@@ -12,57 +12,55 @@ symplectic matrix S(t) (equivalently a scalar Riccati flow); the phase has a
 closed form in the same flow (Heller, J. Chem. Phys. 62, 1544 (1975)), whose
 only sampled ingredient is the continuous branch of a complex logarithm.
 
-The same closed forms, evaluated on a time grid, solve the classical coupled
-flow of centre, metric and survival probability exactly (Graefe & Schubert,
-PRA 83, 060101 (2011)): propagate returns it as an ode.Trajectory, and
-metric_closed gives the Swanson metric from any initial metric at one time.
+The flow S(t), the metric of b, the centre's projection, the phase and the
+norm are propagator's, which evaluates them on a time grid as the exact
+solution of the classical coupled flow (propagator.propagate).  This module
+keeps the routes of the wave packet itself, which only validate and the
+tests run: the Möbius map of b at one time (evolve_b, and metric_closed, the
+Swanson metric from any initial metric at one time), the Riccati RK4 oracle,
+the state at t (evolve_state), the η maps and the conjugated route, and the
+sampled divergence probe blowup_detected.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
-from .closed_form import ComplexState, Metric, RealState, metric_eigen
+from .closed_form import ComplexState, Metric, RealState
 from .errors import DivergenceError, MobiusPoleError, NonNormalizableError
-from .model import MIN_FREQUENCY, QuadraticHamiltonian, SwansonParams, _Value, swanson_hamiltonian
-from . import ode
-from .ode import BLOWUP_THRESHOLD, MetriplecticState, Trajectory, step_count
+from .model import QuadraticHamiltonian, SwansonParams, _Value, swanson_hamiltonian
+from .propagator import (
+    _at_pole,
+    _centre,
+    _flow_entries,
+    _hessian_coeffs,
+    _norm_exponent,
+    _phase_change,
+    _sampled_flow,
+    b_from_metric,
+    is_normalizable,
+    metric_from_b,
+    step_count,
+)
 
 __all__ = [
     "GaussianState",
-    "is_normalizable",
-    "metric_from_b",
-    "b_from_metric",
     "evolve_b",
     "metric_closed",
     "riccati_direct",
     "project_expectations",
     "evolve_state",
     "gaussian_norm",
-    "propagate",
     "eta_action",
     "mapped_dynamics",
     "evaluate_wavefunction",
     "blowup_detected",
 ]
 
-# Möbius denominators below this (relative) size count as a pole
-POLE_TOL = 1e-12
-
 # uniform times from 0 to t_end at which blowup_detected samples the Möbius flow
 BLOWUP_SAMPLES = 4001
-
-
-def is_normalizable(b: complex) -> bool:
-    return b.imag > 0.0
-
-
-def _at_pole(den, b0):
-    """Whether the Möbius denominator den of the flow of b0 counts as a pole; scalars or arrays."""
-    return abs(den) <= POLE_TOL * np.maximum(1.0, abs(b0))
 
 
 class GaussianState(_Value):
@@ -80,51 +78,6 @@ class GaussianState(_Value):
     @property
     def normalizable(self) -> bool:
         return is_normalizable(self.b)
-
-
-def _metric_entries(b):
-    """(g_pp, g_pq, g_qq) of the metric of b; scalars or arrays."""
-    im = b.imag
-    re = b.real
-    # 0.0 - re rather than -re: a real part of +0 gives g_pq = +0, not -0
-    return 1.0 / im, (0.0 - re) / im, (re * re + im * im) / im
-
-
-def metric_from_b(b: complex) -> Metric:
-    """Unit-determinant covariance metric of a normalizable Gaussian."""
-    if not is_normalizable(b):
-        raise NonNormalizableError(f"Im(b) must be positive, got {b.imag}")
-    return Metric(*_metric_entries(b))
-
-
-def b_from_metric(g: Metric) -> complex:
-    """Inverse of metric_from_b; exact round trip on the upper half-plane."""
-    return complex(-g.g_pq, 1.0) / g.g_pp
-
-
-def _hessian_coeffs(model: QuadraticHamiltonian) -> tuple[complex, complex, complex]:
-    hc = model.hess_complex
-    return complex(hc[0, 0]), complex(hc[0, 1]), complex(hc[1, 1])
-
-
-def _flow_entries(model: QuadraticHamiltonian, t):
-    """Entries of exp(t * Omega H'') for scalar or array t.
-
-    Omega H'' = [[-cpq, -cqq], [cpp, cpq]] is traceless, so with
-    mu^2 = det(Omega H'') = cpp cqq - cpq^2 the exponential is
-    cos(mu t) I + sin(mu t)/mu * Omega H''.  Built from scalar entries: a 2x2
-    matrix product would start the BLAS library for nothing.
-    """
-    cpp, cpq, cqq = _hessian_coeffs(model)
-    mu = cmath.sqrt(cpp * cqq - cpq * cpq)
-    t = np.asarray(t)
-    arg = mu * t
-    c = np.cos(arg)
-    if abs(mu) < MIN_FREQUENCY:
-        s = t.astype(complex)
-    else:
-        s = np.sin(arg) / mu
-    return c - s * cpq, -s * cqq, s * cpp, c + s * cpq
 
 
 def evolve_b(model: QuadraticHamiltonian, b0: complex, t: float) -> complex:
@@ -192,43 +145,15 @@ def riccati_direct(model: QuadraticHamiltonian, b0: complex, t_end: float, step:
     return np.fromiter(_riccati_steps(model, b0, t_end, step), complex)
 
 
-def _centre(p, q, g_pp, g_pq, g_qq):
-    """Real expectation values Re z - Omega G Im z of a complex centre z = (p, q); scalars or arrays."""
-    return p.real + g_pq * p.imag + g_qq * q.imag, q.real - g_pp * p.imag - g_pq * q.imag
-
-
 def project_expectations(z: ComplexState, b: complex) -> RealState:
     """Real expectation values of a complex-centred normalizable Gaussian."""
     g = metric_from_b(b)
     return RealState(*_centre(z.p, z.q, g.g_pp, g.g_pq, g.g_qq))
 
 
-def _sampled_flow(model: QuadraticHamiltonian, z0, b0: complex, times: np.ndarray):
-    """Centre (p, q), uncertainty b and Möbius denominator S_qp b0 + S_qq on a time grid; no chart checks."""
-    spp, spq, sqp, sqq = _flow_entries(model, times)
-    den = sqp * b0 + sqq
-    return spp * z0[0] + spq * z0[1], sqp * z0[0] + sqq * z0[1], (spp * b0 + spq) / den, den
-
-
 def _unwrapped_angle(den: np.ndarray) -> np.ndarray:
     """Arguments of den sampled along a path from t = 0, continuous from the argument 0 of den(0) = 1."""
     return np.unwrap(np.concatenate(([0.0], np.angle(den))))[1:]
-
-
-def _phase_change(pq_change, log_im_ratio, log_den, const, t):
-    """Closed-form gamma(t) - gamma(0) from its ingredients; scalars or arrays (see evolve_state).
-
-    pq_change = p q - p0 q0, log_im_ratio = ln(Im b / Im b0), and log_den is
-    Log den on its continuous branch; its real part ln|den| alone gives the
-    right Im gamma.
-    """
-    return 0.5 * pq_change + 0.25j * log_im_ratio + 0.5j * log_den - const * t
-
-
-def _norm_exponent(p, q, b, gamma):
-    """Logarithm of the squared norm of the packet (p, q, b, gamma); scalars or arrays."""
-    qi, pi = q.imag, p.imag
-    return -2.0 * gamma.imag + 2.0 * p.real * qi + b.imag * qi * qi + (pi - b.real * qi) ** 2 / b.imag
 
 
 def evolve_state(
@@ -283,79 +208,6 @@ def gaussian_norm(state: GaussianState) -> float:
     if not state.normalizable:
         raise NonNormalizableError(f"Im(b) must be positive, got {state.b.imag}")
     return math.exp(_norm_exponent(state.z.p, state.z.q, state.b, state.gamma))
-
-
-def _sampled_rows(model: QuadraticHamiltonian, init: MetriplecticState, times: np.ndarray):
-    """propagate's rows at the given times, and which of them are divergent.
-
-    Every row depends on its own time alone, so a row is the same bytes
-    whichever grid it is evaluated on.  numpy's error state is suppressed
-    inside and restored on return.
-    """
-    b0 = b_from_metric(init.G.normalized())
-    p0, q0 = init.Z.P, init.Z.Q
-    const = model.const_h - 1j * model.const_gamma
-    rows = np.empty((len(times), 6))
-    with np.errstate(all="ignore"):
-        p, q, b, den = _sampled_flow(model, (p0, q0), b0, times)
-        # only Im gamma reaches a row (through n), and it takes Re Log den = ln|den|:
-        # the branch of arg den is not needed
-        gamma = _phase_change(p * q - p0 * q0, np.log(b.imag / b0.imag), np.log(np.abs(den)), const, times)
-        g_pp, g_pq, g_qq = _metric_entries(b)
-        rows[:, 0], rows[:, 1] = _centre(p, q, g_pp, g_pq, g_qq)
-        rows[:, 2] = g_pp
-        rows[:, 3] = g_pq
-        rows[:, 4] = g_qq
-        rows[:, 5] = init.n * np.exp(_norm_exponent(p, q, b, gamma))
-        bad = (
-            (b.imag <= 0.0)
-            | _at_pole(den, b0)
-            | ~np.isfinite(rows).all(axis=1)
-            | (metric_eigen(g_pp, g_pq, g_qq)[0] > BLOWUP_THRESHOLD)
-            | (np.hypot(rows[:, 0], rows[:, 1]) > BLOWUP_THRESHOLD)
-        )
-    return rows, bad
-
-
-def _propagate_blocks(model: QuadraticHamiltonian, init: MetriplecticState, t_end: float, step: float):
-    """propagate's rows, ode.BLOCK_ROWS at a time: yields (k0, rows, stop, drift) for each block.
-
-    The run protocol of ode._rk4_blocks: rows is a fresh (m, 6) array of the
-    rows k0 .. k0 + m - 1.  stop is -1, except on the last block of a run
-    that diverged: that block is cut just before the first divergent sample,
-    stop is that sample's index, and m may be 0.  drift is 0.0: the closed
-    forms renormalize nothing.  numpy's error state is suppressed only while
-    a block is computed, so the consumer runs under its own.
-    """
-    n_rows, block = step_count(t_end, step) + 1, ode.BLOCK_ROWS
-    for k0 in range(0, n_rows, block):
-        rows, bad = _sampled_rows(model, init, step * np.arange(k0, min(k0 + block, n_rows)))
-        if k0 == 0:
-            bad[0] = False
-        if bad.any():
-            cut = int(np.argmax(bad))
-            yield k0, rows[:cut], k0 + cut, 0.0
-            return
-        yield k0, rows, -1, 0.0
-
-
-def propagate(model: QuadraticHamiltonian, init: MetriplecticState, t_end: float, step: float) -> Trajectory:
-    """Exact coupled flow of centre, metric and survival probability on a uniform grid.
-
-    Same grid, row layout (P, Q, g_pp, g_pq, g_qq, n) and truncation as
-    ode.integrate, but every row is the closed-form Gaussian solution for the
-    packet with b0 = b_from_metric(G0 / sqrt(det G0)) and a real centre: the metric of the
-    Möbius image of b0, the expectation values of the complex centre S(t) z0,
-    and n0 times the squared norm.  Rows are evaluated ode.BLOCK_ROWS at a
-    time (_propagate_blocks), and the run stops at the first divergent
-    sample.  Divergent means, as in the RK4 kernel: a non-finite entry, Im b <= 0, a
-    Möbius pole, or the largest metric eigenvalue or the centre norm above
-    BLOWUP_THRESHOLD.  The initial row is the given state and is never a
-    stop.  An initial metric with det <= 0 is refused with ValueError.
-    The whole run is held in memory (ode.Trajectory.from_blocks); simulate
-    and sweep consume the blocks instead, one at a time.
-    """
-    return Trajectory.from_blocks(_propagate_blocks(model, init, t_end, step), step_count(t_end, step) + 1, step)
 
 
 def _generator_model(m_pp: complex, m_qq: complex) -> QuadraticHamiltonian:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NonNormalizableError
-from .model import SwansonParams, _Value
+from .model import DEFAULT_BAND, SwansonParams, _Value
 
 if TYPE_CHECKING:
     from .closed_form import Metric
@@ -33,8 +33,6 @@ __all__ = [
     "region_grid",
 ]
 
-# half-width of the classifier's undecided band, in its comparison variable
-DEFAULT_BAND = 0.02
 # grid rows whose codes _grid_blocks computes at once: at the largest grid the CLI accepts (3162
 # columns) a block's float64 temporaries take 101 KB, under glibc malloc's 128 KB mmap threshold,
 # where 8 rows map and unmap each one (31 000 page faults at 3162^2 where 4 rows take 4 800)
@@ -154,8 +152,8 @@ def classify_b(params: SwansonParams, b0: complex, band: float = DEFAULT_BAND) -
     bounded in the Hermitian limit.  Agrees with classify_metric applied to
     the induced metric.
     """
-    # imported here, so that classify, which imports this module, does not compile the engine
-    from .gaussian import is_normalizable
+    # imported here, so that classify, which imports this module, does not compile the propagator
+    from .propagator import is_normalizable
 
     _require_band(band)
     if not is_normalizable(b0):

@@ -24,6 +24,10 @@ __all__ = [
 OMEGA = np.array([[0.0, -1.0], [1.0, 0.0]])
 OMEGA.setflags(write=False)
 
+# half-width of the classifiers' undecided band, in their comparison variable: the default of
+# geometry's classifiers and of the CLI's --band, which the CLI reads without importing geometry
+DEFAULT_BAND = 0.02
+
 # smallest flow frequency taken as nonzero: below it exp(t * Omega H'') is the
 # free-particle flow, and a Swanson model's squared frequencies underflow
 MIN_FREQUENCY = 1e-150

@@ -1,4 +1,4 @@
-"""RK4 oracle for quadratic models, and the trajectory type it shares.
+"""RK4 oracle for quadratic models.
 
 Classical fixed-step RK4 on the coupled centre/metric/norm flow: the flows
 are smooth, periodic and low-dimensional, so adaptivity buys nothing and
@@ -10,15 +10,16 @@ without numpy warnings; the tests pin one step and whole runs of it to the
 matrix form of the same equations.  Blow-up is detected by thresholding the
 largest metric eigenvalue and the centre norm.
 
-The CLI's simulate and sweep run the exact engine (gaussian._propagate_blocks);
-RK4 stays as its independent oracle.  Both engines speak one run protocol:
-they yield a run BLOCK_ROWS rows at a time as (k0, rows, stop, drift) blocks
-on the same grid, with the same row layout and truncation.  The CLI consumes
-the blocks and holds one at a time; Trajectory.from_blocks collects them into
-the whole run that integrate and gaussian.propagate return for the tests.  A
-Python loop yields steps, and blocks exist only where numpy takes them whole:
-here closed_series compares each RK4 block at once, while the Riccati oracle
-(gaussian._riccati_steps), whose consumer keeps single steps, yields steps.
+The CLI's simulate and sweep run the exact engine
+(propagator._propagate_blocks), and never import this module; RK4 stays as
+its independent oracle, which validate and the tests run.  It speaks the
+propagator's run protocol: it yields a run propagator.BLOCK_ROWS rows at a
+time, read when the run starts, as (k0, rows, stop, drift) blocks on the same
+grid, with the same row layout and truncation, and integrate collects them
+with propagator.Trajectory.from_blocks.  A Python loop yields steps, and
+blocks exist only where numpy takes them whole: here closed_series compares
+each RK4 block at once, while the Riccati oracle (gaussian._riccati_steps),
+whose consumer keeps single steps, yields steps.
 """
 
 from __future__ import annotations
@@ -27,77 +28,15 @@ import math
 
 import numpy as np
 
-from .closed_form import Metric, RealState
-from .model import QuadraticHamiltonian, _Value
+from . import propagator
+from .model import QuadraticHamiltonian
+from .propagator import BLOWUP_THRESHOLD, MetriplecticState, Trajectory, step_count
 
-__all__ = [
-    "BLOWUP_THRESHOLD",
-    "MetriplecticState",
-    "Trajectory",
-    "step_count",
-    "integrate",
-]
-
-# metric eigenvalue / centre norm beyond which a trajectory counts as divergent
-BLOWUP_THRESHOLD = 1e8
-
-# rows per block of both engines, read when a run starts: what the CLI holds of a run at once, whatever its length
-BLOCK_ROWS = 2048
-
-
-class MetriplecticState(_Value):
-    """Joint state of the coupled flow: centre Z, metric G, survival probability n."""
-
-    Z: RealState
-    G: Metric
-    n: float
-
-    def __init__(self, Z: RealState, G: Metric, n: float):
-        super().__init__(Z, G, n)
-        if not (math.isfinite(self.n) and self.n > 0):
-            raise ValueError("survival probability must be positive and finite")
-
-
-class Trajectory(_Value, frozen=False):
-    """Uniformly sampled solution of the coupled flow.
-
-    values has one row (P, Q, g_pp, g_pq, g_qq, n) per retained time;
-    divergence_time is set when the run was truncated by blow-up and
-    det_drift records the largest raw |det G - 1| seen before the per-step
-    renormalization.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    divergence_time: float | None = None
-    det_drift: float = 0.0
-
-    @classmethod
-    def from_blocks(cls, blocks, n_rows: int, step: float) -> "Trajectory":
-        """The run of n_rows rows at times step * k from an engine's (k0, rows, stop, drift) blocks; the
-        last block's stop >= 0 truncates it and sets the divergence time, and its drift is det_drift."""
-        out = np.empty((n_rows, 6))
-        for k0, rows, stop, drift in blocks:
-            out[k0 : k0 + len(rows)] = rows
-        if stop < 0:
-            return cls(times=step * np.arange(n_rows), values=out, det_drift=drift)
-        return cls(times=step * np.arange(stop), values=out[:stop], divergence_time=stop * step, det_drift=drift)
-
-    @property
-    def final(self) -> MetriplecticState:
-        row = self.values[-1].tolist()
-        return MetriplecticState(Z=RealState(row[0], row[1]), G=Metric(row[2], row[3], row[4]), n=row[5])
-
-
-def step_count(t_end: float, step: float) -> int:
-    """Steps of the uniform grid 0, step, ..., n_steps * step with n_steps = max(1, round(t_end / step))."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    return max(1, int(round(t_end / step)))
+__all__ = ["integrate"]
 
 
 def _rk4_blocks(model: QuadraticHamiltonian, y0, step: float, n_steps: int):
-    """Fixed-step RK4 on the coupled centre/metric/norm system of model, BLOCK_ROWS rows at a time.
+    """Fixed-step RK4 on the coupled centre/metric/norm system of model, propagator.BLOCK_ROWS rows at a time.
 
     State layout: y = (P, Q, g_pp, g_pq, g_qq, n), y0 any six numbers.  After
     every step the metric determinant is renormalized to one (the flow
@@ -146,7 +85,7 @@ def _rk4_blocks(model: QuadraticHamiltonian, y0, step: float, n_steps: int):
             -(P * gp + Q * gq + two_c + 0.5 * (w00 + w11)) * nn,
         )
 
-    n_rows, block = n_steps + 1, BLOCK_ROWS
+    n_rows, block = n_steps + 1, propagator.BLOCK_ROWS
     z0, z1, z2, z3, z4, z5 = map(float, y0)
     drift = 0.0
     for k0 in range(0, n_rows, block):

@@ -28,25 +28,27 @@ def _perfbench_module(name: str):
 
 def test_traced_names_are_functions_of_cli():
     # in a fresh interpreter, as `perfbench/run.py --trace 1` reads them before any command has run:
-    # `import swansim.cli` loads no engine module, and reading a traced name binds it from its home
+    # `import swansim.cli` loads none of the modules cli binds, and reading a traced name binds it
+    # from its home
     code = """if True:
         import importlib.util, sys
         import swansim.cli as cli
-        engine = ["swansim.closed_form", "swansim.gaussian", "swansim.ode"]
-        loaded = [[m for m in engine if m in sys.modules]]
+        bound = ["swansim.closed_form", "swansim.propagator", "swansim.gaussian", "swansim.ode", "swansim.geometry"]
+        loaded = [[m for m in bound if m in sys.modules]]
         spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
         assert tracing.WRAPPED
         assert [name for name in tracing.WRAPPED if not callable(getattr(cli, name, None))] == []
-        loaded.append([m for m in engine if m in sys.modules])
+        loaded.append([m for m in bound if m in sys.modules])
         from swansim.cli import riccati_direct
         from swansim.gaussian import riccati_direct as home
         print(loaded, riccati_direct is home)
     """
     cp = subprocess.run([sys.executable, "-c", code, str(TRACING)], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
-    assert cp.stdout.strip() == "[[], ['swansim.closed_form', 'swansim.gaussian', 'swansim.ode']] True"
+    assert cp.stdout.strip() == (
+        "[[], ['swansim.closed_form', 'swansim.propagator', 'swansim.gaussian', 'swansim.ode', 'swansim.geometry']] True")
 
 
 def test_numba_flag_imports():

@@ -36,14 +36,15 @@ from swansim import (
     riccati_direct,
     swanson_hamiltonian,
 )
-from swansim import cli, gaussian, ode
-from swansim.gaussian import _riccati_steps, _sampled_rows, evolve_b
-from swansim.ode import step_count
+from swansim import cli, propagator
+from swansim.gaussian import _riccati_steps, evolve_b
+from swansim.ode import _integrate_blocks
+from swansim.propagator import _propagate_blocks, _sampled_rows, step_count
 from swansim.cli import _COMMANDS, CSV_HEADER, _build_parser, _label_chunks, main
 
-# main binds the engine names a command reads on cli; the validate helpers some tests below call
-# directly read validate's
-cli._bind(_COMMANDS["validate"][3])
+# main binds the names a command reads on cli; the validate and classify helpers some tests below
+# call directly read every module's
+cli._bind(cli._ENGINE)
 
 # JSON value of each region_grid code: code k is list(RegionLabel)[k]
 LABEL_VALUES = [label.value for label in RegionLabel]
@@ -1130,12 +1131,12 @@ def expected_blocks(n_rows: int, stop: int, block: int) -> list:
 def test_simulate_csv_bytes_in_blocks_of_1000(tmp_path: Path, monkeypatch, forks, delta, exit_code):
     # the divergent run stops after about 2 000 rows: blocks of 1 000 make two of them, and a third
     # that the stop cuts
-    monkeypatch.setattr(ode, "BLOCK_ROWS", 1000)
+    monkeypatch.setattr(propagator, "BLOCK_ROWS", 1000)
     seen = recorded_blocks(monkeypatch, cli, "_propagate_blocks")
     params = SwansonParams(1.0, delta)
     init = MetriplecticState(Z=RealState(0.6, -0.8), G=Metric.identity(), n=1.0)
     expected = expected_csv(params, init, 2.0)
-    assert expected.count(b"\n") >= 2 * ode.BLOCK_ROWS + 2
+    assert expected.count(b"\n") >= 2 * propagator.BLOCK_ROWS + 2
     out = tmp_path / "run.csv"
     assert main(["simulate", f"--delta={delta}", "--p0=0.6", "--q0=-0.8", "--periods=2", f"--out={out}"]) == exit_code
     assert out.read_bytes() == expected
@@ -1147,19 +1148,19 @@ def test_simulate_csv_bytes_in_blocks_of_1000(tmp_path: Path, monkeypatch, forks
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_simulate_csv_bytes_at_block_edges(tmp_path: Path, monkeypatch, forks, offset):
-    # sample rows one short of, equal to and one past one block of ode.BLOCK_ROWS, and of two
+    # sample rows one short of, equal to and one past one block of propagator.BLOCK_ROWS, and of two
     init = MetriplecticState(Z=RealState(1.0, 0.0), G=Metric.identity(), n=1.0)
     out = tmp_path / "run.csv"
     seen = recorded_blocks(monkeypatch, cli, "_propagate_blocks")
     for blocks in (1, 2):
         seen.clear()
-        rows = blocks * ode.BLOCK_ROWS + offset
+        rows = blocks * propagator.BLOCK_ROWS + offset
         periods = (rows - 1) / 10_000
         assert main(["simulate", "--delta=0.5", f"--periods={periods!r}", f"--out={out}"]) == 0
         expected = expected_csv(SwansonParams(1.0, 0.5), init, periods)
         assert expected.count(b"\n") == rows + 1
         assert out.read_bytes() == expected
-        assert seen == expected_blocks(rows, -1, ode.BLOCK_ROWS)
+        assert seen == expected_blocks(rows, -1, propagator.BLOCK_ROWS)
     assert forks == []
 
 
@@ -1170,8 +1171,8 @@ def test_simulate_divergence_row_follows_a_block_edge(tmp_path: Path, monkeypatc
     # header and flagged row aside, the sample rows fill whole blocks of this size, two of them:
     # the stop is the first row of a third block, which is empty
     stop = expected.count(b"\n") - 2
-    monkeypatch.setattr(ode, "BLOCK_ROWS", stop // 2)
-    assert stop % ode.BLOCK_ROWS == 0
+    monkeypatch.setattr(propagator, "BLOCK_ROWS", stop // 2)
+    assert stop % propagator.BLOCK_ROWS == 0
     assert expected_csv(params, init, 1.0) == expected
     seen = recorded_blocks(monkeypatch, cli, "_propagate_blocks")
     out = tmp_path / "run.csv"
@@ -1208,7 +1209,7 @@ def oracle_results(params: SwansonParams):
 
 @pytest.mark.parametrize("delta, block", [(0.5, 1), (0.5, 3), (0.5, 100), (1.2, 1), (1.2, 3), (1.2, 100), (1.2, "stop")])
 def test_oracle_results_at_block_edges(monkeypatch, delta, block):
-    # the RK4 oracle runs in blocks (ode.BLOCK_ROWS); blocks of 1, 3 or 100 rows, or as many as
+    # the RK4 oracle runs in blocks (propagator.BLOCK_ROWS); blocks of 1, 3 or 100 rows, or as many as
     # validate's divergent RK4 run keeps, change no result.  The Riccati oracle is a stream of steps
     # with no block to resize; its strided samples are pinned by the tests after this one
     params = SwansonParams(1.0, delta)
@@ -1218,7 +1219,7 @@ def test_oracle_results_at_block_edges(monkeypatch, delta, block):
     stop = -1 if divergence is None else round(divergence["ode_time"] / step)
     if block == "stop":
         block = stop
-    monkeypatch.setattr(ode, "BLOCK_ROWS", block)
+    monkeypatch.setattr(propagator, "BLOCK_ROWS", block)
     assert oracle_results(params) == expected
     # the second Riccati run leaves the chart
     assert isinstance(expected[3], tuple) and expected[3][0] == "Riccati solution left the chart"
@@ -1226,6 +1227,18 @@ def test_oracle_results_at_block_edges(monkeypatch, delta, block):
     # stop falls on a block edge (blocks of 1 and of stop)
     blocks = [(k0, len(rows), k) for k0, rows, k, _ in cli._rk4_oracle(params, step)]
     assert blocks == expected_blocks(ORACLE_STEPS + 1, stop, block)
+
+
+@pytest.mark.parametrize("block", [1, 3, 100])
+def test_one_block_size_serves_both_engines(monkeypatch, block):
+    # propagator.BLOCK_ROWS, read when a run starts, sizes the blocks of the exact engine and of the
+    # RK4 oracle alike: no module keeps a copy of it
+    monkeypatch.setattr(propagator, "BLOCK_ROWS", block)
+    params = SwansonParams(1.0, 0.5)
+    model, step = swanson_hamiltonian(params), params.period / ORACLE_STEPS
+    runs = [engine(model, ORACLE_INIT, params.period, step) for engine in (_propagate_blocks, _integrate_blocks)]
+    exact, rk4 = ([(k0, len(rows), stop) for k0, rows, stop, _ in blocks] for blocks in runs)
+    assert exact == rk4 == expected_blocks(ORACLE_STEPS + 1, -1, block)
 
 
 def whole_run_b_error(params: SwansonParams, step: float) -> float:
@@ -1320,7 +1333,7 @@ def test_sweep_work_does_not_grow_with_bounded_periods(tmp_path: Path, monkeypat
     # is proved without a row and evaluates only its 200 or so sampled rows, whatever its length,
     # while a divergent one scans, block by block, up to its stop
     scanned, resampled = [], []
-    monkeypatch.setattr(gaussian, "_sampled_rows", lambda *args: scanned.append(len(args[2])) or _sampled_rows(*args))
+    monkeypatch.setattr(propagator, "_sampled_rows", lambda *args: scanned.append(len(args[2])) or _sampled_rows(*args))
     monkeypatch.setattr(cli, "_sampled_rows", lambda *args: resampled.append(len(args[2])) or _sampled_rows(*args))
     out = tmp_path / "sweep.csv"
     work = {}
@@ -1336,7 +1349,7 @@ def test_sweep_work_does_not_grow_with_bounded_periods(tmp_path: Path, monkeypat
                 # each run scans the blocks up to the one that holds its stop, which the first
                 # period holds whatever the length
                 stops = [round(float(cells[3]) / (SwansonParams(1.0, float(cells[0])).period / 10_000)) for cells in rows]
-                blocks = [min(-(-(stop + 1) // ode.BLOCK_ROWS), 2) for stop in stops]
+                blocks = [min(-(-(stop + 1) // propagator.BLOCK_ROWS), 2) for stop in stops]
                 assert len(scanned) == sum(blocks)
     assert work["bounded", 2] == work["bounded", 50] == ([], 5)
     assert work["divergent", 2] == work["divergent", 50]
@@ -1376,27 +1389,33 @@ def test_no_command_imports_dataclasses_and_simulate_and_sweep_skip_json(tmp_pat
     assert cp.stdout.strip() == "[(False, False), (False, False), (True, False), (True, False)]"
 
 
-# the engine: the modules simulate, sweep and validate run, and the standard module only they use
-ENGINE = ["cmath", "swansim.closed_form", "swansim.gaussian", "swansim.ode"]
+# the modules cli binds per command, and the standard module only the flow S(t) uses
+CMATH, CLOSED_FORM, PROPAGATOR, GAUSSIAN, ODE, GEOMETRY = MODULES = [
+    "cmath", "swansim.closed_form", "swansim.propagator", "swansim.gaussian", "swansim.ode", "swansim.geometry"]
 
 
-@pytest.mark.parametrize("command", [["simulate", "--periods=0.5"], ["sweep", "--delta-max=0.2"],
-                                     ["validate", "--step=0.002"]], ids=lambda argv: argv[0])
-def test_only_classify_skips_the_engine(tmp_path: Path, command):
-    # classify first, in a fresh interpreter: it runs geometry's margins alone and imports no engine
-    # module; the command after it imports all of them
+@pytest.mark.parametrize("command, loaded", [
+    (["classify", "--resolution=5"], [GEOMETRY]),
+    (["simulate", "--periods=0.5"], [CMATH, CLOSED_FORM, PROPAGATOR]),
+    (["sweep", "--delta-max=0.2"], [CMATH, CLOSED_FORM, PROPAGATOR, GEOMETRY]),
+    (["validate", "--step=0.002"], [CMATH, CLOSED_FORM, PROPAGATOR, GAUSSIAN, ODE]),
+], ids=["classify", "simulate", "sweep", "validate"])
+def test_only_classify_skips_the_engine(tmp_path: Path, command, loaded):
+    # in a fresh interpreter for each command: importing cli loads none of these modules, and the
+    # command loads only its own. classify runs geometry's margins alone, simulate and sweep the
+    # exact propagator and never its oracles, and only classify and sweep label with geometry
     code = f"""if True:
         import sys
-        from swansim.cli import main
         seen = []
-        for argv in (["classify", "--resolution=5"], sys.argv[2:]):
-            assert main([*argv, "--out=" + sys.argv[1]]) == 0
-            seen.append([m for m in {ENGINE!r} if m in sys.modules])
+        from swansim.cli import main
+        seen.append([m for m in {MODULES!r} if m in sys.modules])
+        assert main([*sys.argv[2:], "--out=" + sys.argv[1]]) == 0
+        seen.append([m for m in {MODULES!r} if m in sys.modules])
         print(seen)
     """
     cp = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out"), *command], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
-    assert cp.stdout.strip() == str([[], ENGINE])
+    assert cp.stdout.strip() == str([[], loaded])
 
 
 def test_commands_call_the_functions_rebound_on_cli(tmp_path: Path):
@@ -1404,13 +1423,13 @@ def test_commands_call_the_functions_rebound_on_cli(tmp_path: Path):
     # monkeypatch assign them: in a fresh interpreter, where nothing has read or bound the names yet
     code = """if True:
         import sys
-        from swansim import cli, closed_form, gaussian, ode
+        from swansim import cli, closed_form, gaussian, propagator
         calls = []
         cli.metric_eigen = lambda *args: calls.append("metric_eigen") or closed_form.metric_eigen(*args)
         assert cli.main(["simulate", "--periods=0.01", "--out=" + sys.argv[1]]) == 0
         cli.evolve_b = lambda *args: calls.append("evolve_b") or gaussian.evolve_b(*args)
         assert cli.main(["validate", "--step=0.002", "--out=" + sys.argv[1]]) == 0
-        print(sorted(set(calls)), cli.step_count is ode.step_count)
+        print(sorted(set(calls)), cli.step_count is propagator.step_count)
     """
     cp = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
@@ -1468,13 +1487,12 @@ def test_installed_command_runs_what_python_m_runs(monkeypatch):
     target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["swansim"]
     assert target == "swansim.__main__:main"
     module, _, name = target.partition(":")
-    engine = ("closed_form", "gaussian", "ode")
     # the named command's modules are bound while the collector is off, before the freeze
     for argv, binds in (
-        (["swansim", "sweep", "--periods=2"], [("bind", engine)]),
-        (["swansim", "validate"], [("bind", engine)]),
-        (["swansim", "simulate"], [("bind", engine)]),
-        (["swansim", "classify"], [("bind", ())]),
+        (["swansim", "sweep", "--periods=2"], [("bind", ("closed_form", "propagator", "geometry"))]),
+        (["swansim", "validate"], [("bind", ("closed_form", "propagator", "gaussian", "ode"))]),
+        (["swansim", "simulate"], [("bind", ("closed_form", "propagator"))]),
+        (["swansim", "classify"], [("bind", ("geometry",))]),
         (["swansim", "--help"], []),
         (["swansim", "bogus"], []),
         (["swansim"], []),
@@ -1542,21 +1560,22 @@ def test_process_runs_one_blas_thread_unless_preset(preset):
         assert tasks == 1
 
 
-# reports, when a `python -m swansim` process exits, the engine modules it imported
+# reports, when a `python -m swansim` process exits, which of the modules cli binds it imported
 ENGINE_REPORTER = f"""
 import atexit, runpy, sys
-atexit.register(lambda: print([m for m in {ENGINE!r} if m in sys.modules], file=sys.stderr))
+atexit.register(lambda: print([m for m in {MODULES!r} if m in sys.modules], file=sys.stderr))
 sys.argv = ["swansim", *sys.argv[1:]]
 runpy.run_module("swansim", run_name="__main__", alter_sys=True)
 """
 
 
-@pytest.mark.parametrize("argv, exit_code", [(["--help"], 0), (["bogus"], 2), (["classify", "--resolution=11"], 0)],
+@pytest.mark.parametrize("argv, exit_code, loaded",
+                         [(["--help"], 0, []), (["bogus"], 2, []), (["classify", "--resolution=11"], 0, [GEOMETRY])],
                          ids=["help", "unknown", "classify"])
-def test_process_entry_imports_no_engine_for_help_unknown_or_classify(argv, exit_code):
+def test_process_entry_imports_no_engine_for_help_unknown_or_classify(argv, exit_code, loaded):
     cp = subprocess.run([sys.executable, "-c", ENGINE_REPORTER, *argv], capture_output=True, text=True, timeout=120)
     assert cp.returncode == exit_code, cp.stderr
-    assert cp.stderr.splitlines()[-1] == "[]"
+    assert cp.stderr.splitlines()[-1] == str(loaded)
 
 
 # (argv, exit code) of a process per subcommand: simulate over two periods writes five blocks

@@ -38,9 +38,8 @@ from swansim import (
     swanson_hamiltonian,
 )
 from swansim.errors import DivergenceError
-from swansim.gaussian import POLE_TOL, _flow_entries, _propagate_blocks, _sampled_flow
 from swansim.model import OMEGA
-from swansim.ode import BLOWUP_THRESHOLD
+from swansim.propagator import BLOWUP_THRESHOLD, POLE_TOL, _flow_entries, _propagate_blocks, _sampled_flow
 
 PARAMS = SwansonParams(1.0, 0.5)
 MODEL = swanson_hamiltonian(PARAMS)

@@ -27,8 +27,8 @@ from swansim import (
     xyz_rhs,
 )
 from swansim import closed_form
-from swansim.gaussian import _flow_entries
 from swansim.geometry import _b_margin, grid_axes
+from swansim.propagator import _flow_entries
 
 PARAMS = SwansonParams(1.0, 0.5)
 

@@ -15,7 +15,8 @@ from swansim import (
     swanson_hamiltonian,
 )
 from swansim.model import OMEGA
-from swansim.ode import BLOWUP_THRESHOLD, _rk4_blocks
+from swansim.ode import _rk4_blocks
+from swansim.propagator import BLOWUP_THRESHOLD
 
 PARAMS = SwansonParams(1.0, 0.5)
 MODEL = swanson_hamiltonian(PARAMS)

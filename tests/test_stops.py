@@ -1,6 +1,6 @@
 """_stops: the engine's stop index from the closed forms, pinned to the block scan it replaces.
 
-_stop_index must equal gaussian._propagate_blocks' stop on every input; the
+_stop_index must equal propagator._propagate_blocks' stop on every input; the
 bounds it proves a run with must hold on dense samples; and a run near any
 of its margins must take the block scan.
 """
@@ -21,12 +21,11 @@ from swansim import (
     metric_from_b,
     swanson_hamiltonian,
 )
-from swansim import gaussian
+from swansim import propagator
 from swansim._stops import LOG_N_CAP, MARGIN, _stop_index, stop_bounds
 from swansim.closed_form import divergence_law
 from swansim.cli import main
-from swansim.gaussian import _flow_entries, _propagate_blocks, _sampled_rows, b_from_metric
-from swansim.ode import BLOWUP_THRESHOLD
+from swansim.propagator import BLOWUP_THRESHOLD, _flow_entries, _propagate_blocks, _sampled_rows, b_from_metric
 
 
 def scan_stop(params: SwansonParams, init: MetriplecticState, t_end: float, step: float) -> int:
@@ -109,7 +108,7 @@ def bounded_inits():
 @pytest.mark.parametrize("params, init", bounded_inits())
 def test_bounded_runs_evaluate_no_row(monkeypatch, params, init):
     calls = []
-    monkeypatch.setattr(gaussian, "_sampled_rows", lambda *args: calls.append(args) or _sampled_rows(*args))
+    monkeypatch.setattr(propagator, "_sampled_rows", lambda *args: calls.append(args) or _sampled_rows(*args))
     assert _stop_index(params, init, 50.0 * params.period, params.period / 10_000) == -1
     assert calls == []
 
@@ -138,7 +137,7 @@ def test_runs_near_a_margin_take_the_scan(monkeypatch, name):
     t_end, step = 2.0 * params.period, params.period / 1000
     expected = scan_stop(params, init, t_end, step)
     calls = []
-    monkeypatch.setattr(gaussian, "_sampled_rows", lambda *args: calls.append(args) or _sampled_rows(*args))
+    monkeypatch.setattr(propagator, "_sampled_rows", lambda *args: calls.append(args) or _sampled_rows(*args))
     assert _stop_index(params, init, t_end, step) == expected
     assert calls, "a run near a margin must be scanned"
 

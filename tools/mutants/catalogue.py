@@ -20,9 +20,9 @@ class Mutant(NamedTuple):
     survives: str = ""
 
 
-CLI, CLOSED_FORM, CSVROWS, GAUSSIAN, GEOMETRY, MODEL, ODE, STOPS = (
+CLI, CLOSED_FORM, CSVROWS, GAUSSIAN, GEOMETRY, MODEL, ODE, PROPAGATOR, STOPS = (
     f"src/swansim/{name}.py"
-    for name in ("cli", "closed_form", "_csvrows", "gaussian", "geometry", "model", "ode", "_stops")
+    for name in ("cli", "closed_form", "_csvrows", "gaussian", "geometry", "model", "ode", "propagator", "_stops")
 )
 
 MUTANTS = (
@@ -65,9 +65,17 @@ MUTANTS = (
     Mutant(
         "rk4-block-size-ignored",
         ODE,
-        "n_rows, block = n_steps + 1, BLOCK_ROWS",
+        "n_rows, block = n_steps + 1, propagator.BLOCK_ROWS",
         "n_rows, block = n_steps + 1, 2048",
         ("tests/test_cli.py::test_oracle_results_at_block_edges",),
+    ),
+    Mutant(
+        "ode-binds-block-rows-at-import",
+        ODE,
+        "from . import propagator\n",
+        "from . import propagator\nfrom types import SimpleNamespace\n\n"
+        "propagator = SimpleNamespace(BLOCK_ROWS=propagator.BLOCK_ROWS)\n",
+        ("tests/test_cli.py::test_one_block_size_serves_both_engines",),
     ),
     # the Riccati oracle's chart
     Mutant(
@@ -94,42 +102,42 @@ MUTANTS = (
     # the exact engine
     Mutant(
         "engine-block-size-ignored",
-        GAUSSIAN,
-        "n_rows, block = step_count(t_end, step) + 1, ode.BLOCK_ROWS",
+        PROPAGATOR,
+        "n_rows, block = step_count(t_end, step) + 1, BLOCK_ROWS",
         "n_rows, block = step_count(t_end, step) + 1, 2048",
         ("tests/test_cli.py::test_simulate_csv_bytes_in_blocks_of_1000",),
     ),
     Mutant(
         "engine-row-0-guard-dropped",
-        GAUSSIAN,
+        PROPAGATOR,
         "bad[0] = False",
         "bad[0] = bad[0]",
         ("tests/test_gaussian.py::TestPropagate::test_centre_threshold_keeps_initial_row",),
     ),
     Mutant(
         "flow-period-halved",
-        GAUSSIAN,
+        PROPAGATOR,
         "arg = mu * t",
         "arg = 0.5 * mu * t",
         ("tests/test_gaussian.py::TestPeriod",),
     ),
     Mutant(
         "centre-p-sign",
-        GAUSSIAN,
+        PROPAGATOR,
         "return p.real + g_pq * p.imag + g_qq * q.imag,",
         "return p.real - g_pq * p.imag - g_qq * q.imag,",
         ("tests/test_gaussian.py::TestRotation",),
     ),
     Mutant(
         "centre-q-sign",
-        GAUSSIAN,
+        PROPAGATOR,
         "q.real - g_pp * p.imag - g_pq * q.imag",
         "q.real + g_pp * p.imag + g_pq * q.imag",
         ("tests/test_gaussian.py::TestRotation",),
     ),
     Mutant(
         "norm-exponent-pq-sign",
-        GAUSSIAN,
+        PROPAGATOR,
         "+ 2.0 * p.real * qi",
         "- 2.0 * p.real * qi",
         ("tests/test_gaussian.py::TestRotation",),
@@ -452,7 +460,7 @@ MUTANTS = (
     ),
     Mutant(
         "survival-zero-accepted",
-        ODE,
+        PROPAGATOR,
         "math.isfinite(self.n) and self.n > 0",
         "math.isfinite(self.n) and self.n >= 0",
         ("tests/test_values.py::test_metriplectic_state_checks",),
@@ -509,14 +517,14 @@ MUTANTS = (
     Mutant(
         "labels-unquoted",
         CLI,
-        """_QUOTED_LABELS = tuple(f'"{label.value}"' for label in RegionLabel)""",
-        "_QUOTED_LABELS = tuple(label.value for label in RegionLabel)",
+        """quoted = tuple(f'"{label.value}"' for label in RegionLabel)""",
+        "quoted = tuple(label.value for label in RegionLabel)",
         ("tests/test_cli.py::test_classify_json_bytes",),
     ),
     # test gaps closed after a survey of random operator mutants
     Mutant(
         "real-axis-normalizable",
-        GAUSSIAN,
+        PROPAGATOR,
         "return b.imag > 0.0",
         "return b.imag >= 0.0",
         ("tests/test_gaussian.py::TestMetricFromB::test_rejects_the_real_axis",),
@@ -538,7 +546,7 @@ MUTANTS = (
     # the Möbius pole rule, shared by every route
     Mutant(
         "pole-tolerance-divided-by-b0",
-        GAUSSIAN,
+        PROPAGATOR,
         "POLE_TOL * np.maximum(1.0, abs(b0))",
         "POLE_TOL / np.maximum(1.0, abs(b0))",
         ("tests/test_gaussian.py::TestPhaseAndNorm::test_pole_tolerance_grows_with_b0",),
@@ -552,7 +560,7 @@ MUTANTS = (
     ),
     Mutant(
         "engine-pole-term-dropped",
-        GAUSSIAN,
+        PROPAGATOR,
         "            | _at_pole(den, b0)\n",
         "",
         ("tests/test_gaussian.py::TestPropagate::test_pole_rule_alone_stops_the_run",),
@@ -575,9 +583,23 @@ MUTANTS = (
     Mutant(
         "classify-binds-the-engine",
         CLI,
-        '"im_max", "resolution", "band"), ()),',
-        '"im_max", "resolution", "band"), tuple(_ENGINE)),',
+        '                 ("geometry",)),',
+        '                 tuple(_ENGINE)),',
         ("tests/test_cli.py::test_only_classify_skips_the_engine",
          "tests/test_cli.py::test_process_entry_imports_no_engine_for_help_unknown_or_classify"),
+    ),
+    Mutant(
+        "simulate-binds-the-oracles",
+        CLI,
+        '                 ("closed_form", "propagator")),',
+        '                 ("closed_form", "propagator", "gaussian")),',
+        ("tests/test_cli.py::test_only_classify_skips_the_engine",),
+    ),
+    Mutant(
+        "validate-binds-geometry",
+        CLI,
+        '                 ("closed_form", "propagator", "gaussian", "ode")),',
+        '                 ("closed_form", "propagator", "gaussian", "ode", "geometry")),',
+        ("tests/test_cli.py::test_only_classify_skips_the_engine",),
     ),
 )
