@@ -55,7 +55,6 @@ import math
 import os
 import re
 import sys
-from importlib import import_module
 
 import numpy as np
 
@@ -87,7 +86,8 @@ def _bind(modules) -> None:
     before the command ran is the one the command calls.
     """
     for module in modules:
-        home = import_module(f".{module}", __package__)
+        # __import__, unlike importlib.import_module, passes python -X importtime's hook
+        home = getattr(__import__(f"{__package__}.{module}"), module)
         for name in _ENGINE[module]:
             globals().setdefault(name, getattr(home, name))
 

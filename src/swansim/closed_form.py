@@ -113,11 +113,13 @@ def divergence_law(params: SwansonParams, b0: complex) -> tuple[float, float, fl
     b0 = x + iy, w = params.omega; the packet stays bounded exactly when
     alpha > R, and alpha + beta = y.  The identity seed is b0 = i.
     """
-    # the law reads only omega0 / w and delta / w: scaling all three by the power of two that puts w in
-    # [1/2, 1) is exact, and leaves no product to overflow while |b0|^2 is finite
-    e = -math.frexp(params.omega)[1]
-    w0, d, w = (math.ldexp(v, e) for v in (params.omega0, params.delta, params.omega))
+    # the law reads only omega0 / w and delta / w: a power-of-two scale of all three is exact where no product is
+    # subnormal. w is scaled up to [1/2, 1), and down to it only where a product could overflow (|b0|^2 finite)
     x, y = b0.real, b0.imag
+    e = -math.frexp(params.omega)[1]
+    if params.omega * max(1.0, abs(x), abs(y)) < 2.0**500:
+        e = max(e, 0)
+    w0, d, w = (math.ldexp(v, e) for v in (params.omega0, params.delta, params.omega))
     excess = x * x + y * y - 1.0
     alpha = w0 * (0.5 * d * excess + w0 * y) / (w * w)
     beta = d * (d * y - 0.5 * w0 * excess) / (w * w)

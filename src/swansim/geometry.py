@@ -2,8 +2,9 @@
 
 A unit-determinant metric maps to a point (x, y, z) on the upper sheet of the
 hyperboloid z^2 - x^2 - y^2 = 1; the metric flow stays on a plane through
-that point, so its trajectory is a conic section: an ellipse (bounded) when
-the plane's slope is below one, a hyperbola (divergent) above.
+that point: an ellipse (bounded) when the plane's slope is below one, a
+hyperbola (divergent) above.  One rule labels, the margin of b (_b_margin):
+classify_b, region_grid, and classify_metric by the b of its metric.
 """
 
 from __future__ import annotations
@@ -133,14 +134,11 @@ def _b_margin(params: SwansonParams, re, im):
 
 
 def classify_metric(params: SwansonParams, g0: Metric, band: float = DEFAULT_BAND) -> RegionLabel:
-    """Bounded/divergent/boundary by the conserved-plane slope.
+    """classify_b's label of the uncertainty parameter of g0, rescaled to unit determinant."""
+    # imported here, so that classify, which imports this module, does not compile the propagator
+    from .propagator import b_from_metric
 
-    An exactly critical slope is never labelled bounded; the band around it
-    absorbs cases numerics cannot resolve.
-    """
-    _require_band(band)
-    s = plane_slope(params, xyz_from_metric(g0))
-    return list(RegionLabel)[_label_codes(1.0 - abs(s), band)]
+    return classify_b(params, b_from_metric(g0.normalized()), band)
 
 
 def classify_b(params: SwansonParams, b0: complex, band: float = DEFAULT_BAND) -> RegionLabel:
@@ -149,8 +147,8 @@ def classify_b(params: SwansonParams, b0: complex, band: float = DEFAULT_BAND) -
     For positive coupling the bounded region is the half-plane
     Im(b) > delta/omega0; for negative coupling it is the interior of the
     circle |b + i*omega0/(2*delta)| = omega0/(2|delta|); everything is
-    bounded in the Hermitian limit.  Agrees with classify_metric applied to
-    the induced metric.
+    bounded in the Hermitian limit.  classify_metric and region_grid label by
+    the same margin (_b_margin).
     """
     # imported here, so that classify, which imports this module, does not compile the propagator
     from .propagator import is_normalizable

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import swansim
@@ -38,6 +38,8 @@ from swansim import (
 )
 from swansim import cli, propagator
 from swansim.gaussian import _riccati_steps, evolve_b
+from swansim.geometry import _b_margin
+from swansim.model import DEFAULT_BAND
 from swansim.ode import _integrate_blocks
 from swansim.propagator import _propagate_blocks, _sampled_rows, step_count
 from swansim.cli import _COMMANDS, CSV_HEADER, _build_parser, _label_chunks, main
@@ -386,13 +388,91 @@ def test_sweep_transition(tmp_path: Path):
 
 
 def test_sweep_labels_a_vertical_plane_divergent(tmp_path: Path, capsys):
-    # at delta = 1 this metric's conserved plane is vertical (omega0 + delta*x = 0): a hyperbola
+    # at delta = 1 this metric's conserved plane is vertical (omega0 + delta*x = 0), of slope inf; sweep
+    # labels by the margin of its b = (sqrt(2) - 1) i, Im b - delta/omega0 = sqrt(2) - 2 < -band
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--g0=2.414213562373095,0,0.41421356237309503", "--delta-min=0.9", "--delta-max=1.0", f"--out={out}"]
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
     _, rows = read_csv(out)
     assert len(rows) == 2 and rows[1][:3] == ["1", "divergent", "1"]
+
+
+# a packet whose two labelling rules disagreed: classify's b margin called it divergent, sweep's
+# plane slope boundary, though sweep's run diverged (the g0 below is the metric of this b0)
+SPLIT_DELTA, SPLIT_B0 = 0.9483968214463099, 1.6921013369087228 + 0.920947467796762j
+SPLIT_G0 = "1.085838264360898,-1.8373483787917226,4.02992711591731"
+
+
+def sweep_cells(out: Path, *flags: str) -> list[str]:
+    """The cells of the one row of a sweep over a single coupling."""
+    assert main(["sweep", *flags, "--delta-step=1", f"--out={out}"]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 1
+    return rows[0]
+
+
+def classify_label(out: Path, b0: complex, *flags: str) -> str:
+    """classify's label of b0: the first point of a 2x2 grid whose lowest row and leftmost column pass through b0."""
+    argv = ["classify", *flags, f"--re-min={b0.real!r}", f"--re-max={b0.real + 1!r}", f"--im-min={b0.imag!r}",
+            f"--im-max={b0.imag + 1!r}", "--resolution=2", f"--out={out}"]
+    assert main(argv) == 0
+    return json.loads(out.read_text())["labels"][0]
+
+
+@pytest.mark.parametrize("delta, label, diverged", [("-0.9802", "bounded", "0"), ("-1.0202", "boundary", "1")])
+def test_sweep_labels_the_identity_seed_by_its_b_margin(tmp_path: Path, delta, label, diverged):
+    # identity seed, omega0 = 1, delta < -1/2: the margin of b = i is 1/|delta| - 1 (0.0202 and -0.0198
+    # against the band of 0.02), where the plane slope's would be 1 - |delta| (0.0198 and -0.0202)
+    cells = sweep_cells(tmp_path / "sweep.csv", f"--delta-min={delta}", f"--delta-max={delta}")
+    assert cells[1:3] == [label, diverged]
+
+
+def test_sweep_and_classify_give_one_packet_one_label(tmp_path: Path):
+    cells = sweep_cells(tmp_path / "sweep.csv", f"--delta-min={SPLIT_DELTA!r}", f"--delta-max={SPLIT_DELTA!r}",
+                        f"--g0={SPLIT_G0}")
+    assert cells[1:3] == ["divergent", "1"]
+    assert classify_label(tmp_path / "grid.json", SPLIT_B0, f"--delta={SPLIT_DELTA!r}") == "divergent"
+
+
+@st.composite
+def packets(draw):
+    """(omega0, delta, b0, (p0, q0)): omega0 = 10^(+-U(0.05, 0.5)), away from 1 so that delta/omega0 and
+    delta*omega0 differ, delta = +-10^U(-1, 0.5) omega0, Re b0 in [-2, 2], Im b0 = 10^U(-1.5, 1) and a
+    centre in the unit disk."""
+    sign = st.sampled_from([-1.0, 1.0])
+    omega0 = 10.0 ** (draw(sign) * draw(st.floats(0.05, 0.5)))
+    delta = draw(sign) * 10.0 ** draw(st.floats(-1.0, 0.5)) * omega0
+    b0 = complex(draw(st.floats(-2.0, 2.0)), 10.0 ** draw(st.floats(-1.5, 1.0)))
+    radius, angle = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 2.0 * math.pi))
+    return omega0, delta, b0, (radius * math.cos(angle), radius * math.sin(angle))
+
+
+@given(packet=packets())
+@example(packet=(1.0, SPLIT_DELTA, SPLIT_B0, (1.0, 0.0)))
+@settings(max_examples=50, deadline=None)
+def test_classify_sweep_and_simulate_hold_one_packet_to_one_answer(tmp_path_factory, packet):
+    # one packet through the three commands in-process: classify's label of b0, sweep's of its metric
+    omega0, delta, b0, (p0, q0) = packet
+    # sweep reads b0 back from the metric's repr, which may round: a margin at the band may change sides
+    margin = _b_margin(SwansonParams(omega0, delta), b0.real, b0.imag)
+    assume(abs(abs(margin) - DEFAULT_BAND) > 1e-9)
+    work = tmp_path_factory.mktemp("packet")
+    model = [f"--omega0={omega0!r}", f"--p0={p0!r}", f"--q0={q0!r}"]
+    g0 = metric_from_b(b0)
+    cells = sweep_cells(work / "sweep.csv", *model, f"--delta-min={delta!r}", f"--delta-max={delta!r}",
+                        f"--g0={g0.g_pp!r},{g0.g_pq!r},{g0.g_qq!r}")
+    label = classify_label(work / "grid.json", b0, f"--omega0={omega0!r}", f"--delta={delta!r}")
+    event(label)
+    assert cells[1] == label
+    code = main(["simulate", *model, f"--delta={delta!r}", f"--b0={b0.real!r},{b0.imag!r}",
+                 f"--out={work / 'run.csv'}"])
+    if label == "bounded":
+        assert (cells[2], code) == ("0", 0)
+    elif label == "divergent":
+        _, rows = read_csv(work / "run.csv")
+        assert (cells[2], code, rows[-1][-1]) == ("1", 3, "1")
+        assert cells[3] == rows[-1][0]
 
 
 def test_sweep_empty_range(tmp_path: Path):
@@ -1576,6 +1656,27 @@ def test_process_entry_imports_no_engine_for_help_unknown_or_classify(argv, exit
     cp = subprocess.run([sys.executable, "-c", ENGINE_REPORTER, *argv], capture_output=True, text=True, timeout=120)
     assert cp.returncode == exit_code, cp.stderr
     assert cp.stderr.splitlines()[-1] == str(loaded)
+
+
+# reports, when a `python -m swansim` process exits, the swansim modules it imported
+SWANSIM_REPORTER = """
+import atexit, runpy, sys
+atexit.register(lambda: print(sorted(m for m in sys.modules if m.partition(".")[0] == "swansim")))
+sys.argv = ["swansim", *sys.argv[1:]]
+runpy.run_module("swansim", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--periods=0.5"], ["classify", "--resolution=5"],
+                                  ["validate", "--step=0.002"], ["sweep", "--delta-max=0.2"]], ids=lambda a: a[0])
+def test_importtime_lists_every_swansim_module_a_command_loads(tmp_path: Path, argv):
+    # a module imported by a statement or __import__ passes -X importtime's hook; one imported by
+    # importlib.import_module does not
+    argv = [sys.executable, "-X", "importtime", "-c", SWANSIM_REPORTER, *argv, f"--out={tmp_path / 'out'}"]
+    cp = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert cp.returncode == 0, cp.stderr
+    names = (line.rpartition("|")[2].strip() for line in cp.stderr.splitlines() if line.startswith("import time:"))
+    assert str(sorted(name for name in names if name.partition(".")[0] == "swansim")) == cp.stdout.strip()
 
 
 # (argv, exit code) of a process per subcommand: simulate over two periods writes five blocks

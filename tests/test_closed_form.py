@@ -196,6 +196,8 @@ class TestFirstPoleTime:
             st.builds(lambda sign, e: sign * (1.0 - 10.0**e), st.sampled_from([-1.0, 1.0]), st.floats(-15.0, -1.0)),
         ),
     )
+    # delta^2 normal, but (delta/4)^2 subnormal: a law scaled down by omega = 3 rounded beta two subnormal ulps off
+    @example(omega0=3.0, ratio=6.790485682658801e-155)
     # just past the tangent case on either side of it, where a moved threshold decides wrongly
     @example(omega0=1.3, ratio=1.0 + 1e-11)
     @example(omega0=1.3, ratio=-(1.0 + 1e-11))

@@ -194,6 +194,13 @@ MUTANTS = (
         ("tests/test_closed_form.py::TestDivergenceLaw::test_finite_at_the_top_of_the_accepted_range",),
     ),
     Mutant(
+        "law-always-scaled-down",
+        CLOSED_FORM,
+        "    if params.omega * max(1.0, abs(x), abs(y)) < 2.0**500:\n        e = max(e, 0)\n",
+        "",
+        ("tests/test_closed_form.py::TestFirstPoleTime::test_is_the_identity_case_of_the_law",),
+    ),
+    Mutant(
         "stretch-cosine-sign",
         CLOSED_FORM,
         "vers, sin2, dw = 1.0 - np.cos(two),",
@@ -242,7 +249,19 @@ MUTANTS = (
         GEOMETRY,
         "return im - d / params.omega0",
         "return im - d * params.omega0",
-        ("tests/test_geometry.py::TestDivergenceLaw::test_law_holds_and_signs_the_classifier_margins",),
+        ("tests/test_geometry.py::TestDivergenceLaw::test_law_holds_and_signs_the_classifier_margins",
+         "tests/test_cli.py::test_classify_sweep_and_simulate_hold_one_packet_to_one_answer"),
+    ),
+    Mutant(
+        "classify-metric-labels-by-slope",
+        GEOMETRY,
+        "    return classify_b(params, b_from_metric(g0.normalized()), band)",
+        "    _require_band(band)\n"
+        "    return list(RegionLabel)[_label_codes(1.0 - abs(plane_slope(params, xyz_from_metric(g0))), band)]",
+        ("tests/test_cli.py::test_sweep_labels_the_identity_seed_by_its_b_margin",
+         "tests/test_cli.py::test_sweep_and_classify_give_one_packet_one_label",
+         "tests/test_cli.py::test_classify_sweep_and_simulate_hold_one_packet_to_one_answer",
+         "tests/test_geometry.py::TestClassify::test_classify_b_agrees_with_metric_route"),
     ),
     Mutant(
         "plane-slope-denominator-sign",
@@ -542,6 +561,13 @@ MUTANTS = (
         "1e-12 * max(1.0, np.abs(a).max())",
         "1e-12 / max(1.0, np.abs(a).max())",
         ("tests/test_values.py::test_quadratic_hamiltonian_symmetrizes_within_tolerance",),
+    ),
+    Mutant(
+        "trajectory-stop-at-row-0",
+        PROPAGATOR,
+        "if stop < 0:",
+        "if stop <= 0:",
+        survives="equivalent: no engine stops at row 0 (_propagate_blocks clears bad[0], _rk4_blocks starts at step 1)",
     ),
     # the Möbius pole rule, shared by every route
     Mutant(
