@@ -8,11 +8,12 @@ loads nothing (see swansim/__init__), so it acts before numpy loads:
   worker thread per further CPU, which spins for about 100 ms of CPU;
 - it turns the collector off while cli imports numpy and the swansim
   modules every command needs (model, errors), and while cli._bind imports
-  the modules of the subcommand sys.argv[1] names (closed_form and
-  propagator for simulate, and geometry too for sweep; closed_form,
-  propagator, gaussian and ode for validate; geometry for classify; none for
-  --help or a name that is not a subcommand): the 32 collections those
-  imports trigger free about 300 objects;
+  the modules of the subcommand sys.argv[1] names (closed_form, propagator
+  and the CSV writer _csvrows for simulate; closed_form, propagator and
+  geometry for sweep; closed_form, propagator, gaussian and ode for validate;
+  geometry for classify; none for --help or a name that is not a
+  subcommand): the 32 collections those imports trigger free about 300
+  objects;
 - it then moves every object alive after the imports (about 32 000: the
   interpreter's, numpy's and swansim's) to the permanent generation
   (gc.freeze), which no later collection visits.  The collections at exit

@@ -8,7 +8,8 @@ an integer; so D, and with it the text, is exact.  A row holding any other cell 
 exponent notation, inf or NaN, or one whose exponent changes in rounding) is written by the
 template ROW % tuple(row) instead, to the same text.
 
-Imported only by a run that writes a CSV, so other runs do not compile it.
+Imported only by a run that writes a CSV: simulate binds it with its engine, so other commands do
+not compile it.
 """
 
 from __future__ import annotations

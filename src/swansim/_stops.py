@@ -22,7 +22,8 @@ So once alpha > R, at every t (stop_bounds):
   at most r0^2 (1/2 + g_plus) + ln(y / (alpha - R)) / 2.
 
 The law is closed_form's; this module keeps only the bounds that follow from
-it.  Imported only by sweep, so other commands do not compile it.
+it.  Imported only by sweep, and by a simulate whose reader left early, so
+other runs do not compile it.
 """
 
 from __future__ import annotations

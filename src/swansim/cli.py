@@ -20,27 +20,31 @@ one pass of _csvrows.sample_lines at a time, the classify labels in runs of
 equal labels.  Nor does the memory behind them.  classify computes, labels and
 writes its grid one block of rows at a time (geometry._grid_blocks), and
 peaks at about 29 MB resident at any resolution.  simulate and sweep hold one
-engine block of propagator.BLOCK_ROWS rows at a time.  simulate computes,
-formats and writes a block before it computes the next, and peaks at about
-31.2 MB resident whether it runs 2 periods or 200.  sweep needs only each run's
-stop, and takes it from _stops._stop_index: the closed forms prove most
-bounded runs without evaluating a row, and any other run is scanned block by
-block.  validate holds one block of the metriplectic RK4 oracle at a time:
-it compares each block with closed_series as it comes and keeps the running
-largest errors, and its divergence check keeps only the stop.  The Riccati
-oracle is a stream of steps, of which the Riccati check keeps only the
-strided samples it compares.  validate peaks at about 30 MB resident
-whatever its step.
+engine block of propagator.BLOCK_ROWS rows at a time.  simulate computes a
+block, then builds, formats and writes its table one pass of _PASS_ROWS rows
+at a time, before it computes the next; it peaks at about 31.1 MB resident
+whether it runs 2 periods or 200.  If its reader leaves early, a run the
+closed forms prove bounded (_stops._proved_bounded) exits 0 at once, and any
+other run computes the blocks the reader did not take for its exit code.
+sweep needs only each run's stop, and takes it from _stops._stop_index: the
+closed forms prove most bounded runs without evaluating a row, and any other
+run is scanned block by block.  validate holds one block of the metriplectic
+RK4 oracle at a time: it compares each block with closed_series as it comes
+and keeps the running largest errors, and its divergence check keeps only the
+stop.  The Riccati oracle is a stream of steps, of which the Riccati check
+keeps only the strided samples it compares.  validate peaks at about 30 MB
+resident whatever its step.
 
 main(argv) is the in-process API; a process runs it through swansim.__main__.
 json is imported inside the functions that use it, so simulate and sweep
 without --config never load it.  Nor does importing cli load the engine
-(closed_form, propagator, gaussian, ode) or geometry: main imports the modules
-its command names in _COMMANDS (closed_form and propagator for simulate, and
-geometry too for sweep; the four engine modules for validate; geometry alone
-for classify) and binds the names cli takes from them (_ENGINE) as globals of
-cli, keeping any name already bound, and a name read from outside before that
-binds its module on first read.
+(closed_form, propagator, gaussian, ode), geometry or the CSV writer: main
+imports the modules its command names in _COMMANDS (closed_form, propagator
+and _csvrows for simulate; closed_form, propagator and geometry for sweep; the
+four engine modules for validate; geometry alone for classify) and binds the
+names cli takes from them (_ENGINE) as globals of cli, keeping any name
+already bound, and a name read from outside before that binds its module on
+first read.
 
 Exit codes: 0 ok, 2 configuration or numerical (SwansimError) error or an
 unwritable --out, 3 divergence (unless --allow-divergence), 4 validation
@@ -75,6 +79,7 @@ _ENGINE = {
                  "project_expectations", "riccati_direct"),
     "ode": ("_integrate_blocks", "integrate"),
     "geometry": ("RegionLabel", "_grid_blocks", "classify_metric", "region_grid"),
+    "_csvrows": ("sample_lines", "_PASS_ROWS"),
 }
 _HOME = {name: module for module, names in _ENGINE.items() for name in names}
 
@@ -293,8 +298,11 @@ def _merge_config(args: dict, names: tuple[str, ...]) -> RunConfig:
     return cfg
 
 
-def _write_chunks(path: str | None, chunks):
-    """Write an iterable of text chunks to path, or to stdout; ConfigError if path cannot be written."""
+def _write_chunks(path: str | None, chunks) -> bool:
+    """Write an iterable of text chunks to path, or to stdout; ConfigError if path cannot be written.
+
+    True if the reader of stdout left before the end (a broken pipe), and chunks was not run out.
+    """
     if path is None:
         try:
             for chunk in chunks:
@@ -306,13 +314,15 @@ def _write_chunks(path: str | None, chunks):
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        return
+            return True
+        return False
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for chunk in chunks:
                 fh.write(chunk)
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+    return False
 
 
 def _check_writable(path: str) -> None:
@@ -333,27 +343,35 @@ def cmd_simulate(cfg: RunConfig) -> int:
     params = cfg.params
     t_end = cfg.checked_periods() * params.period
     step = cfg.sample_step(params.period, t_end)
-    blocks = _propagate_blocks(swanson_hamiltonian(params), cfg.initial_state(), t_end, step)
+    init = cfg.initial_state()
+    blocks = _propagate_blocks(swanson_hamiltonian(params), init, t_end, step)
     stop = -1
 
     def chunks():
         """The CSV: the header, each block's sample lines (11 cells as _fmt writes them, then the
-        flag 0) one pass at a time, then the flagged divergence line."""
+        flag 0) one pass of _PASS_ROWS rows at a time, then the flagged divergence line."""
         nonlocal stop
-        # imported here, so that a run that writes no CSV does not compile it
-        from ._csvrows import sample_lines
-
         yield CSV_HEADER + "\n"
         for k0, rows, stop, _ in blocks:
+            # the 11 columns once a block, so metric_eigen runs once a block; their table only one
+            # pass at a time
             times = step * np.arange(k0, k0 + len(rows))
             eigen = metric_eigen(rows[:, 2], rows[:, 3], rows[:, 4])
-            yield from sample_lines(np.column_stack((times, times / params.period, rows[:, :5], *eigen, rows[:, 5])))
+            columns = (times, times / params.period, *rows[:, :5].T, *eigen, rows[:, 5])
+            for lo in range(0, len(rows), _PASS_ROWS):
+                yield from sample_lines(np.column_stack([column[lo : lo + _PASS_ROWS] for column in columns]))
         if stop >= 0:
             t = stop * step
             yield ",".join(_fmt(c) for c in [t, t / params.period] + [math.nan] * 9) + ",1\n"
 
-    _write_chunks(cfg.out, chunks())
-    # a reader that went away leaves blocks unread; the exit code needs their stop
+    if _write_chunks(cfg.out, chunks()):
+        # the reader left: a run the closed forms prove bounded never stops, so no block it did
+        # not take is needed; imported here, so that a run whose output is read does not compile it
+        from ._stops import _proved_bounded
+
+        if _proved_bounded(params, init):
+            return EXIT_OK
+    # any other run's exit code needs the stop of the blocks the reader did not take
     for _, _, stop, _ in blocks:
         pass
     if stop >= 0 and not cfg.allow_divergence:
@@ -600,7 +618,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 _COMMANDS = {
     "simulate": (cmd_simulate, "time series of centre, metric and norm",
                  ("omega0", "delta", "out", "step", "periods", "allow_divergence", "p0", "q0", "g0", "b0", "n0"),
-                 ("closed_form", "propagator")),
+                 ("closed_form", "propagator", "_csvrows")),
     "classify": (cmd_classify, "divergence regions in the uncertainty plane",
                  ("omega0", "delta", "out", "re_min", "re_max", "im_min", "im_max", "resolution", "band"),
                  ("geometry",)),

@@ -1262,6 +1262,26 @@ def test_simulate_divergence_row_follows_a_block_edge(tmp_path: Path, monkeypatc
     assert seen == [(0, stop // 2, -1), (stop // 2, stop // 2, -1), (stop, 0, stop)]
 
 
+@pytest.mark.parametrize("delta, exit_code", [(0.5, 0), (1.1, 3)])
+def test_simulate_builds_its_table_one_pass_at_a_time(tmp_path: Path, monkeypatch, delta, exit_code):
+    # sample_lines, as cli calls it, gets each block's rows one pass of _PASS_ROWS at a time: no
+    # block-wide table is built.  Half a period is three engine blocks; the divergent run stops in its first
+    from swansim._csvrows import _PASS_ROWS, sample_lines
+
+    passes = []
+    monkeypatch.setattr(cli, "sample_lines", lambda table: passes.append(len(table)) or sample_lines(table))
+    params = SwansonParams(1.0, delta)
+    init = MetriplecticState(Z=RealState(0.6, -0.8), G=Metric.identity(), n=1.0)
+    expected = expected_csv(params, init, 0.5)
+    stop = -1 if exit_code == 0 else expected.count(b"\n") - 2
+    blocks = expected_blocks(5_001, stop, propagator.BLOCK_ROWS)
+    out = tmp_path / "run.csv"
+    assert main(["simulate", f"--delta={delta}", "--p0=0.6", "--q0=-0.8", "--periods=0.5", f"--out={out}"]) == exit_code
+    assert out.read_bytes() == expected
+    assert len(blocks) == (3 if exit_code == 0 else 1)
+    assert passes == [min(_PASS_ROWS, rows - lo) for _, rows, _ in blocks for lo in range(0, rows, _PASS_ROWS)]
+
+
 # the RK4 seed and step of the oracle block tests; at (1, 1.2) the RK4 run diverges.  T/357 makes
 # the Riccati check's stride 3, so that a block of 100 starts off the stride
 ORACLE_INIT = MetriplecticState(Z=RealState(0.6, -0.8), G=metric_from_b(0.8 + 1.5j), n=1.0)
@@ -1408,6 +1428,48 @@ def test_closed_stdout_leaves_no_child():
         assert json.loads(cp.stdout) == [CSV_HEADER[:20], code, err, None]
 
 
+# a `python -m swansim` process that reports, at exit, how many engine blocks it evaluated after
+# its write met a closed pipe
+DRAIN_COUNTER = """if True:
+    import atexit, runpy, sys
+    from swansim import cli, propagator
+    sampled, write = propagator._sampled_rows, cli._write_chunks
+    blocks, left = [0], []
+
+    def counted(*args):
+        blocks[0] += 1
+        return sampled(*args)
+
+    def written(*args):
+        left.append(write(*args))
+        left.append(blocks[0])
+        return left[0]
+
+    propagator._sampled_rows, cli._write_chunks = counted, written
+    # whether the reader left, and the blocks evaluated since
+    atexit.register(lambda: print(left[0], blocks[0] - left[1], file=sys.stderr))
+    sys.argv = ["swansim", *sys.argv[1:]]
+    runpy.run_module("swansim", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv, code, err, drained", [
+    # proved bounded by the closed forms: no block the reader did not take is evaluated
+    (["--periods=2"], 0, "", 0),
+    # not proved: the stop at row 8 555 is in the fifth block, and the write reached the first
+    (["--delta=1.1", "--step=0.0001"], 3, "divergence detected at t = 0.8555\n", 4),
+], ids=["bounded", "supercritical"])
+def test_a_reader_that_leaves_drains_only_unproved_runs(argv, code, err, drained):
+    with subprocess.Popen([sys.executable, "-c", DRAIN_COUNTER, "simulate", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == code
+        lines = proc.stderr.read().decode()
+    assert head.decode() == CSV_HEADER[:20]
+    assert lines == err + f"True {drained}\n"
+
+
 def test_sweep_work_does_not_grow_with_bounded_periods(tmp_path: Path, monkeypatch):
     # the couplings 0.5 .. 0.9 are bounded and 1.1, 1.2 divergent (identity seed); a bounded coupling
     # is proved without a row and evaluates only its 200 or so sampled rows, whatever its length,
@@ -1470,32 +1532,37 @@ def test_no_command_imports_dataclasses_and_simulate_and_sweep_skip_json(tmp_pat
 
 
 # the modules cli binds per command, and the standard module only the flow S(t) uses
-CMATH, CLOSED_FORM, PROPAGATOR, GAUSSIAN, ODE, GEOMETRY = MODULES = [
-    "cmath", "swansim.closed_form", "swansim.propagator", "swansim.gaussian", "swansim.ode", "swansim.geometry"]
+CMATH, CLOSED_FORM, PROPAGATOR, GAUSSIAN, ODE, GEOMETRY, CSVROWS = MODULES = [
+    "cmath", "swansim.closed_form", "swansim.propagator", "swansim.gaussian", "swansim.ode", "swansim.geometry",
+    "swansim._csvrows"]
 
 
 @pytest.mark.parametrize("command, loaded", [
     (["classify", "--resolution=5"], [GEOMETRY]),
-    (["simulate", "--periods=0.5"], [CMATH, CLOSED_FORM, PROPAGATOR]),
+    (["simulate", "--periods=0.5"], [CMATH, CLOSED_FORM, PROPAGATOR, CSVROWS]),
     (["sweep", "--delta-max=0.2"], [CMATH, CLOSED_FORM, PROPAGATOR, GEOMETRY]),
     (["validate", "--step=0.002"], [CMATH, CLOSED_FORM, PROPAGATOR, GAUSSIAN, ODE]),
 ], ids=["classify", "simulate", "sweep", "validate"])
 def test_only_classify_skips_the_engine(tmp_path: Path, command, loaded):
     # in a fresh interpreter for each command: importing cli loads none of these modules, and the
-    # command loads only its own. classify runs geometry's margins alone, simulate and sweep the
-    # exact propagator and never its oracles, and only classify and sweep label with geometry
+    # command loads only its own, every one of them when its modules are bound (as the process
+    # entry binds them, before its freeze). classify runs geometry's margins alone, simulate and
+    # sweep the exact propagator and never its oracles, only classify and sweep label with
+    # geometry, and only simulate writes a CSV
     code = f"""if True:
         import sys
         seen = []
-        from swansim.cli import main
+        from swansim import cli
         seen.append([m for m in {MODULES!r} if m in sys.modules])
-        assert main([*sys.argv[2:], "--out=" + sys.argv[1]]) == 0
+        cli._bind(cli._COMMANDS[sys.argv[2]][3])
+        seen.append([m for m in {MODULES!r} if m in sys.modules])
+        assert cli.main([*sys.argv[2:], "--out=" + sys.argv[1]]) == 0
         seen.append([m for m in {MODULES!r} if m in sys.modules])
         print(seen)
     """
     cp = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out"), *command], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
-    assert cp.stdout.strip() == str([[], loaded])
+    assert cp.stdout.strip() == str([[], loaded, loaded])
 
 
 def test_commands_call_the_functions_rebound_on_cli(tmp_path: Path):
@@ -1571,7 +1638,7 @@ def test_installed_command_runs_what_python_m_runs(monkeypatch):
     for argv, binds in (
         (["swansim", "sweep", "--periods=2"], [("bind", ("closed_form", "propagator", "geometry"))]),
         (["swansim", "validate"], [("bind", ("closed_form", "propagator", "gaussian", "ode"))]),
-        (["swansim", "simulate"], [("bind", ("closed_form", "propagator"))]),
+        (["swansim", "simulate"], [("bind", ("closed_form", "propagator", "_csvrows"))]),
         (["swansim", "classify"], [("bind", ("geometry",))]),
         (["swansim", "--help"], []),
         (["swansim", "bogus"], []),

@@ -617,9 +617,16 @@ MUTANTS = (
     Mutant(
         "simulate-binds-the-oracles",
         CLI,
-        '                 ("closed_form", "propagator")),',
-        '                 ("closed_form", "propagator", "gaussian")),',
+        '                 ("closed_form", "propagator", "_csvrows")),',
+        '                 ("closed_form", "propagator", "_csvrows", "gaussian")),',
         ("tests/test_cli.py::test_only_classify_skips_the_engine",),
+    ),
+    Mutant(
+        "simulate-csv-bound-late",
+        CLI,
+        '                 ("closed_form", "propagator", "_csvrows")),',
+        '                 ("closed_form", "propagator")),',
+        ("tests/test_cli.py::test_installed_command_runs_what_python_m_runs",),
     ),
     Mutant(
         "validate-binds-geometry",
@@ -627,5 +634,21 @@ MUTANTS = (
         '                 ("closed_form", "propagator", "gaussian", "ode")),',
         '                 ("closed_form", "propagator", "gaussian", "ode", "geometry")),',
         ("tests/test_cli.py::test_only_classify_skips_the_engine",),
+    ),
+    # simulate's CSV table, and a reader that leaves early
+    Mutant(
+        "simulate-table-per-block",
+        CLI,
+        "            for lo in range(0, len(rows), _PASS_ROWS):\n"
+        "                yield from sample_lines(np.column_stack([column[lo : lo + _PASS_ROWS] for column in columns]))\n",
+        "            yield from sample_lines(np.column_stack(columns))\n",
+        ("tests/test_cli.py::test_simulate_builds_its_table_one_pass_at_a_time",),
+    ),
+    Mutant(
+        "pipe-drain-skips-unproved-runs",
+        CLI,
+        "if _proved_bounded(params, init):",
+        "if True:",
+        ("tests/test_cli.py::test_a_reader_that_leaves_drains_only_unproved_runs",),
     ),
 )
